@@ -17,7 +17,6 @@ from .equilibrium import (EquilibriumSolution, StateSystem,
 from .generate import balanced_preload, random_grasp
 from .grasp_io import (GraspFileError, GraspValidationError, format_grasp,
                        load_grasp_file, parse_grasp_text)
-from .lp import backend_name as lp_backend
 from .model import (Contact, GraspMaps, GraspModel, Options, build_maps,
                     contact_motion, validate_model, world_force)
 from .params import Tolerances
@@ -40,6 +39,5 @@ __all__ = [
     "random_grasp", "balanced_preload",
     "GraspFileError", "GraspValidationError", "parse_grasp_text",
     "load_grasp_file", "format_grasp",
-    "lp_backend",
     "__version__",
 ]

@@ -1,13 +1,6 @@
-"""Pure numpy twin of the simplex pivot kernel.
-
-Same contract as the compiled version in ``_simplex_cy.pyx``; the two are
-interchangeable and must produce bitwise-identical pivots (both apply the
-same elementwise row operations in the same order).
-"""
+"""The simplex pivot kernel: Bland-rule pivots on a dense numpy tableau."""
 
 import numpy as np
-
-BACKEND = "python"
 
 OPTIMAL = 0
 UNBOUNDED = 1

@@ -6,7 +6,8 @@ the cone edge at slipping contacts, zero tangential motion at sticking
 contacts, and zero force at detached contacts give a square system in
 (d, c). Well-conditioned systems are solved directly and screened against
 the inequalities (unilaterality, stick cones, slip direction, separation);
-rank-deficient ones go to the max-min-slack feasibility program.
+rank-deficient ones go to the max-min-slack feasibility program, after a
+least-squares test and one phase-1 LP have rejected most of them.
 """
 
 from __future__ import annotations
@@ -220,6 +221,23 @@ def linear_feasibility(sys: StateSystem, *, tols: Tolerances = DEFAULT_TOLS,
     grows geometrically up to the configured limit, so that solutions of
     ordinary magnitude are computed at ordinary scale.
 
+    Two tests reject a state before that box ladder runs; both only
+    return None where the ladder would, so every point it returns is the
+    one the ladder alone would return:
+
+    1. Consistency (no LP): the ladder accepts only points whose
+       max-norm equality residual is at most eq_tol, hence whose 2-norm
+       residual is at most sqrt(rows) * eq_tol. If the least-squares
+       residual, the smallest 2-norm residual of any point, exceeds that,
+       no point can pass.
+    2. Phase 1 (one LP, feasibility callers only): the ladder's boxes
+       all lie within +-x_max and it accepts slack >= -ineq_slack, so if
+       no point of that box satisfies the equalities and the inequalities
+       relaxed by ineq_slack, every rung fails too.
+
+    Test 1 runs first because it is much cheaper than the LP and rejects
+    most singular states.
+
     With ``objective`` given, minimizes it over the feasible set instead.
     extra_eq: optional (rows, rhs) appended to the equality block.
     """
@@ -231,6 +249,17 @@ def linear_feasibility(sys: StateSystem, *, tols: Tolerances = DEFAULT_TOLS,
     scale = max(1.0, float(np.max(np.abs(b_eq), initial=0.0)),
                 float(np.max(np.abs(sys.b_in), initial=0.0)))
     eq_tol = tols.eq_residual * (1.0 + scale)
+
+    if a_eq.shape[0]:
+        x_ls, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
+        if np.linalg.norm(a_eq @ x_ls - b_eq) > np.sqrt(a_eq.shape[0]) * eq_tol:
+            return None
+    if objective is None:
+        ok, _x = lp.solve_lp(np.zeros(sys.n), a_eq, b_eq, sys.a_in,
+                             sys.b_in - tols.ineq_slack, -tols.x_max, tols.x_max)
+        if not ok:
+            return None
+
     box = 100.0 * scale
     while True:
         box = min(box, tols.x_max)

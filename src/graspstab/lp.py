@@ -6,48 +6,19 @@ singular per-state systems, and the canonical-witness selection. Problems
 are tiny (tens of rows), so the solver is a dense tableau; Bland's rule
 makes the pivot sequence deterministic and cycle-free.
 
-The pivot loop itself is the hot kernel: the compiled version from
-``_simplex_cy`` is used when available, with ``_simplex_py`` as the
-drop-in fallback (``GRASPSTAB_PURE_PY=1`` forces the fallback).
+The pivot loop itself is the hot kernel and lives in ``_simplex_py``;
+it is looked up there on every call, so it can be wrapped in place.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from . import _simplex_py
 
-try:
-    from . import _simplex_cy
-except ImportError:  # extension not built
-    _simplex_cy = None
-
 OPTIMAL = _simplex_py.OPTIMAL
 UNBOUNDED = _simplex_py.UNBOUNDED
 ITERATION_LIMIT = _simplex_py.ITERATION_LIMIT
-
-_backend = _simplex_py if (
-    _simplex_cy is None or os.environ.get("GRASPSTAB_PURE_PY", "") not in ("", "0")
-) else _simplex_cy
-
-
-def backend_name() -> str:
-    return _backend.BACKEND
-
-
-def set_backend(name: str) -> None:
-    """Select the pivot kernel ("python" or "cython"); used by benchmarks."""
-    global _backend
-    if name == "python":
-        _backend = _simplex_py
-    elif name == "cython":
-        if _simplex_cy is None:
-            raise RuntimeError("compiled kernel not available")
-        _backend = _simplex_cy
-    else:
-        raise ValueError(f"unknown backend {name!r}")
 
 
 class SimplexError(RuntimeError):
@@ -142,7 +113,7 @@ def solve_lp(c, a_eq, b_eq, a_in, b_in, lo, hi, *, tol=1e-9,
         # phase 1: minimize the artificial sum (reduced costs for basis art=1)
         T[-1, :] = -T[need_art, :].sum(axis=0)
         T[-1, ncols:ncols + n_art] = 0.0
-        status = _backend.pivot_loop(T, basis, ncols + n_art, tol, max_iter)
+        status = _simplex_py.pivot_loop(T, basis, ncols + n_art, tol, max_iter)
         if status == ITERATION_LIMIT:
             raise SimplexError("phase 1 exceeded the iteration limit")
         if -T[-1, -1] > feas_tol * (1.0 + np.sqrt(nrows)):
@@ -162,7 +133,7 @@ def solve_lp(c, a_eq, b_eq, a_in, b_in, lo, hi, *, tol=1e-9,
         bj = basis[i]
         if bj < n and c[bj] != 0.0:
             T[-1, :] -= c[bj] * T[i, :]
-    status = _backend.pivot_loop(T, basis, ncols, tol, max_iter)
+    status = _simplex_py.pivot_loop(T, basis, ncols, tol, max_iter)
     if status == ITERATION_LIMIT:
         raise SimplexError("phase 2 exceeded the iteration limit")
     if status == UNBOUNDED:

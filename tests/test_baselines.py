@@ -5,7 +5,7 @@ import pytest
 
 from graspstab import (brute_force_verdict, build_maps, check_stability,
                        gws_l1, gws_slice, linear_compliance_verdict)
-from graspstab import Contact, GraspModel, lp_backend
+from graspstab import Contact, GraspModel
 from graspstab.baselines import SliceError, polygon_contains
 from graspstab.generate import random_grasp
 from graspstab import lp

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from graspstab import (Contact, GraspModel, assemble_state_system, build_maps,
-                       check_solution, linear_feasibility, solve_state,
-                       world_force)
+                       check_solution, enumerate_slip_states,
+                       linear_feasibility, lp, solve_state, world_force)
 from graspstab.arrangement import DETACHED
 from graspstab.equilibrium import EquilibriumSolution, StateSystem
+from graspstab.params import DEFAULT_TOLS
 
 from conftest import four_contact, three_contact
 
@@ -100,6 +104,98 @@ def test_feasibility_all_stick_underdetermined(m4p):
                               max_eq_residual=0, min_ineq_slack=0)
     report = check_solution(m4p, (0, 2, 0), sol)
     assert report["max_violation"] < 1e-9
+
+
+def _count_lp_calls(monkeypatch):
+    calls = []
+    solve_lp = lp.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counted)
+    return calls
+
+
+def _is_singular(sys):
+    sv = np.linalg.svd(sys.a_eq, compute_uv=False)
+    return sv[-1] <= DEFAULT_TOLS.singular_rel * sv[0]
+
+
+def test_inconsistent_singular_state_rejected_without_lp(m3, monkeypatch):
+    # all three contacts slipping under a pull: the equality block is
+    # singular and its least-squares residual is far from zero
+    labels = (-1, -1, -1)
+    assert _is_singular(assemble_state_system(m3, (0, -2, 0), labels))
+    calls = _count_lp_calls(monkeypatch)
+    assert solve_state(m3, (0, -2, 0), labels) is None
+    assert len(calls) == 0
+
+
+def test_consistent_infeasible_singular_state_rejected_by_one_lp(m4, monkeypatch):
+    # all-stick under a downward push without preload: the equalities have
+    # solutions, but no passive forces balance the load (Table III row 4)
+    labels = (0, 0, 0, 0)
+    sys = assemble_state_system(m4, (0, -2, 0), labels)
+    assert _is_singular(sys)
+    x_ls, *_ = np.linalg.lstsq(sys.a_eq, sys.b_eq, rcond=None)
+    assert np.linalg.norm(sys.a_eq @ x_ls - sys.b_eq) < 1e-12
+    calls = _count_lp_calls(monkeypatch)
+    assert solve_state(m4, (0, -2, 0), labels) is None
+    assert len(calls) == 1
+
+
+# independent feasibility check of every slip state by HiGHS (test-only:
+# the program itself never uses it, being several times slower per LP).
+# Wrenches: Tables I and III, a grid, and two just inside the friction
+# limit of the indeterminate rows 5-6 of Table III, where the preloaded
+# all-stick state is singular and feasible with a margin of only 2.5e-4
+REF_WRENCHES = sorted(
+    {(0.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, -2.0, 0.0), (0.0, 1.0, 0.0),
+     (0.0, 1.1, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0), (0.0, 0.0, -3.0),
+     (0.0, 1.999, 0.0), (0.0, -1.999, 0.0)}
+    | set(itertools.product((-1.5, 0.0, 1.5), (-1.5, 0.0, 1.5), (-1.0, 1.0))))
+REF_MARGIN = 1e-6
+
+
+def _highs(sys, *, relax, bounds):
+    """HiGHS on the state system: (status, max min slack capped at 1)."""
+    n = sys.n
+    c = np.zeros(n + 1)
+    c[-1] = -1.0  # maximize the margin s in a_in x - s >= b_in - relax
+    a_ub = np.hstack([-sys.a_in, np.ones((len(sys.b_in), 1))])
+    a_eq = np.hstack([sys.a_eq, np.zeros((sys.a_eq.shape[0], 1))])
+    res = linprog(c, A_ub=a_ub, b_ub=-(sys.b_in - relax), A_eq=a_eq,
+                  b_eq=sys.b_eq, bounds=[bounds] * n + [(0.0, 1.0)],
+                  method="highs")
+    return res.status, (-res.fun if res.status == 0 else None)
+
+
+@pytest.mark.parametrize("preloaded", [False, True])
+@pytest.mark.parametrize("make", [three_contact, four_contact])
+def test_solve_state_agrees_with_highs(make, preloaded):
+    model = make(preloaded)
+    maps = build_maps(model)
+    label_sets = {st.labels for detach in (False, True)
+                  for st in enumerate_slip_states(model, detachment=detach)}
+    x_max = DEFAULT_TOLS.x_max
+    problems = []
+    for w in REF_WRENCHES:
+        for labels in sorted(label_sets):
+            sys = assemble_state_system(model, w, labels, maps)
+            sol = solve_state(model, w, labels, maps=maps)
+            # infeasible even with every inequality relaxed, in all of R^n
+            status, _ = _highs(sys, relax=REF_MARGIN, bounds=(None, None))
+            if status == 2:
+                if sol is not None:
+                    problems.append(f"{w} {labels}: solved, HiGHS infeasible")
+                continue
+            # a point of the program's box with margin at least REF_MARGIN
+            status, margin = _highs(sys, relax=0.0, bounds=(-x_max, x_max))
+            if status == 0 and margin >= REF_MARGIN and sol is None:
+                problems.append(f"{w} {labels}: rejected, HiGHS margin {margin:g}")
+    assert not problems, problems
 
 
 # ---------------------------------------------------------------------------

@@ -69,29 +69,6 @@ def test_fuzz_against_scipy(seed):
                 assert np.max(np.abs(a_eq @ x - b_eq)) < 1e-8
 
 
-def test_backend_parity_bitwise():
-    if lp.backend_name() == "python":
-        pytest.skip("compiled kernel not built")
-    rng = np.random.default_rng(99)
-    try:
-        for _ in range(40):
-            n = int(rng.integers(2, 6))
-            k = int(rng.integers(1, 7))
-            args = (rng.normal(size=n), rng.normal(size=(1, n)),
-                    rng.normal(size=1), rng.normal(size=(k, n)),
-                    rng.normal(size=k), -10 * np.ones(n), 10 * np.ones(n))
-            lp.set_backend("cython")
-            ok1, x1 = lp.solve_lp(*args)
-            lp.set_backend("python")
-            ok2, x2 = lp.solve_lp(*args)
-            assert ok1 == ok2
-            if ok1:
-                assert np.array_equal(x1, x2)
-    finally:
-        lp.set_backend(lp._simplex_py.BACKEND
-                       if lp._simplex_cy is None else "cython")
-
-
 def test_determinism_same_input_same_output():
     rng = np.random.default_rng(5)
     a_in = rng.normal(size=(6, 4))
