@@ -10,11 +10,28 @@ every rigid motion by the slip behaviour it induces:
   lines   (1d)  -> rays of plane-intersection lines,
   origin  (0d)  -> the all-stick rest state.
 
-Regions are enumerated by incremental plane insertion, facets as the
-edges of the dual region-adjacency graph (a partial cube), and rays from
-the minimum cycle basis of that graph: each face of the dual polyhedron
-encircles one ray. The whole state count is quadratic in the number of
-contacts.
+The cells are built directly on the unit sphere. There each plane is a
+great circle, and the cells of the central arrangement are the vertices,
+arcs and faces of the circle arrangement (Zaslavsky 1975; Edelsbrunner,
+*Algorithms in Combinatorial Geometry*, 1987):
+
+  rays     +-(n_i x n_j) for each pair of planes, grouped by the set of
+           planes that contain them, so three or more planes may share
+           a line;
+  facets   the arcs between neighbouring rays around each circle, each
+           witnessed by its midpoint;
+  regions  the two sides of each facet. Each facet is also one edge of
+           the dual region-adjacency graph, a partial cube.
+
+No linear program runs; "plane l contains ray d" means
+|n_l . d| <= Tolerances.geom_margin. The whole construction takes
+O(n^2 log n) for n planes, and the state count is quadratic in the
+number of contacts.
+
+minimum_cycle_basis is not part of the construction. Each face of the
+dual graph encircles one ray, so the graph's Horton minimum cycle basis
+is an independent account of the rays, and the tests check the rays
+against it.
 """
 
 from __future__ import annotations
@@ -25,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lp
 from .model import GraspMaps, GraspModel, build_maps
 from .params import DEFAULT_TOLS, Tolerances
 
@@ -40,11 +56,11 @@ __all__ = [
     "SlipStateSet",
     "tangent_planes",
     "separation_planes",
+    "line_states",
+    "facet_states",
     "enumerate_regions",
-    "region_feasible",
     "build_dual_graph",
     "minimum_cycle_basis",
-    "line_states",
     "enumerate_slip_states",
     "zaslavsky_bound",
 ]
@@ -124,62 +140,6 @@ def separation_planes(model: GraspModel, maps: GraspMaps, arr: PlaneArrangement,
     return arr
 
 
-def region_feasible(signs, arr: PlaneArrangement, *, tols: Tolerances = DEFAULT_TOLS,
-                    return_witness: bool = False):
-    """Is the sign vector realizable by some motion in the unit box?
-
-    Nonzero entries demand a strict margin on their side of the plane,
-    zeros pin the motion onto the plane. Solved as a max-margin program.
-    """
-    normals = arr.normals()
-    signs = np.asarray(signs)
-    strict = [s * normals[j] for j, s in enumerate(signs) if s != 0]
-    pinned = [normals[j] for j, s in enumerate(signs) if s == 0]
-    d, margin = lp.max_min_slack(
-        pinned or None, None, strict or None, np.zeros(len(strict)),
-        -1.0, 1.0, n=3, s_cap=1.0)
-    ok = d is not None and margin > tols.geom_margin
-    if return_witness:
-        return (ok, d if ok else None)
-    return ok
-
-
-def enumerate_regions(arr: PlaneArrangement, tols: Tolerances = DEFAULT_TOLS
-                      ) -> list["CellState"]:
-    """All full-dimensional sign vectors, by incremental plane insertion.
-
-    Each kept region carries an interior witness motion; the witness
-    answers one side of the next split for free, the other side costs a
-    feasibility program.
-    """
-    normals = arr.normals()
-    wit_margin = 100 * tols.geom_margin
-    regions: list[tuple[tuple[int, ...], np.ndarray]] = [((), None)]
-    for i in range(arr.n_planes):
-        p = normals[i]
-        nxt = []
-        for signs, w in regions:
-            side = 0.0 if w is None else float(p @ w)
-            for sign in (1, -1):
-                if w is not None and sign * side > wit_margin:
-                    nxt.append((signs + (sign,), w))
-                    continue
-                ok, w2 = _margin_lp(signs + (sign,), normals[:i + 1], tols)
-                if ok:
-                    nxt.append((signs + (sign,), w2))
-        regions = nxt
-    return [CellState(signs=s, dim="region", witness=w) for s, w in regions]
-
-
-def _margin_lp(signs, normals, tols):
-    strict = [s * normals[j] for j, s in enumerate(signs) if s != 0]
-    pinned = [normals[j] for j, s in enumerate(signs) if s == 0]
-    d, margin = lp.max_min_slack(
-        pinned or None, None, strict or None, np.zeros(len(strict)),
-        -1.0, 1.0, n=3, s_cap=1.0)
-    return (d is not None and margin > tols.geom_margin), d
-
-
 @dataclass(eq=False)
 class CellState:
     """A cell of the arrangement: sign per distinct plane plus a witness."""
@@ -213,55 +173,108 @@ class DualGraph:
         return adj
 
 
-def build_dual_graph(regions: list[CellState], arr: PlaneArrangement,
-                     tols: Tolerances = DEFAULT_TOLS
-                     ) -> tuple[DualGraph, list[CellState]]:
-    """Edges between regions at Hamming distance one, plus facet cells.
+def line_states(arr: PlaneArrangement, tols: Tolerances = DEFAULT_TOLS
+                ) -> list[CellState]:
+    """Ray cells: the two rays of every line in which planes meet.
 
-    The candidate facet is validated (and given a witness) either by the
-    sign-crossing point of the two region witnesses or by a feasibility
-    program.
+    Planes i < j meet along d = n_i x n_j. Pairs are grouped by the set Z
+    of planes that contain d (|n . d| <= geom_margin), so three or more
+    planes through one line give one pair of rays. A ray's signs are
+    sign(n . d) off Z and 0 on Z; when every plane contains the line both
+    rays have the all-zero sign vector and only their witnesses differ.
+    """
+    pairs = list(itertools.combinations(range(arr.n_planes), 2))
+    if not pairs:
+        return []
+    normals = arr.normals()
+    first, second = np.array(pairs).T
+    dirs = np.cross(normals[first], normals[second])
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    vals = dirs @ normals.T
+    zero = np.abs(vals) <= tols.geom_margin
+    rows = np.arange(len(pairs))
+    zero[rows, first] = zero[rows, second] = True
+    signs = np.where(zero, 0, np.sign(vals)).astype(int)
+
+    out: list[CellState] = []
+    covered: set[tuple[int, int]] = set()
+    for k, pair in enumerate(pairs):
+        if pair in covered:
+            continue
+        covered.update(itertools.combinations(np.flatnonzero(zero[k]).tolist(), 2))
+        for s in (1, -1):
+            out.append(CellState(signs=tuple((s * signs[k]).tolist()), dim="line",
+                                 witness=s * dirs[k]))
+    return out
+
+
+def facet_states(arr: PlaneArrangement, lines: list[CellState]) -> list[CellState]:
+    """Facet cells: the arcs between neighbouring rays around each circle.
+
+    The rays on plane i's circle are those with sign 0 at i. Sorted by
+    angle in an orthonormal basis of the plane, each arc between
+    neighbours is one facet, witnessed by its midpoint. A circle that no
+    other plane crosses (a single plane) is one facet.
     """
     normals = arr.normals()
-    n = arr.n_planes
-    S = np.array([r.signs for r in regions], dtype=float)
-    gram = S @ S.T
-    pairs = np.argwhere(np.triu(gram == n - 2, k=1))
-
-    wit_margin = 100 * tols.geom_margin
-    edges: list[tuple[int, int, int]] = []
-    facets: list[CellState] = []
-    for a, b in pairs:
-        a, b = int(a), int(b)
-        diff = np.nonzero(np.array(regions[a].signs) != np.array(regions[b].signs))[0]
-        plane = int(diff[0])
-        signs = list(regions[a].signs)
-        signs[plane] = 0
-        signs = tuple(signs)
-        witness = _crossing_witness(regions[a].witness, regions[b].witness,
-                                    signs, normals, plane, wit_margin)
-        if witness is None:
-            ok, witness = _margin_lp(signs, normals, tols)
-            if not ok:
-                continue
-        edges.append((a, b, plane))
-        facets.append(CellState(signs=signs, dim="facet", witness=witness))
-    return DualGraph(n_vertices=len(regions), edges=edges), facets
+    rays = np.array([c.witness for c in lines]).reshape(-1, 3)
+    on_circle = np.array([c.signs for c in lines], dtype=int).reshape(
+        -1, arr.n_planes) == 0
+    out: list[CellState] = []
+    for i, normal in enumerate(normals):
+        e1 = np.cross(normal, np.eye(3)[np.argmin(np.abs(normal))])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(normal, e1)
+        mine = rays[on_circle[:, i]]
+        ang = np.sort(np.arctan2(mine @ e2, mine @ e1))
+        mid = 0.5 * (ang + np.append(ang[1:], ang[:1] + 2 * np.pi)) \
+            if len(ang) else np.zeros(1)
+        witnesses = np.outer(np.cos(mid), e1) + np.outer(np.sin(mid), e2)
+        signs = np.sign(witnesses @ normals.T).astype(int)
+        signs[:, i] = 0
+        for z, s in zip(witnesses, signs):
+            out.append(CellState(signs=tuple(s.tolist()), dim="facet", witness=z))
+    return out
 
 
-def _crossing_witness(wa, wb, signs, normals, plane, margin):
-    pa, pb = float(normals[plane] @ wa), float(normals[plane] @ wb)
-    if pa * pb >= 0:
-        return None
-    z = wa + (pa / (pa - pb)) * (wb - wa)
-    vals = normals @ z
-    for j, s in enumerate(signs):
-        if s == 0:
-            if abs(vals[j]) > 1e-12 and j != plane:
-                return None
-        elif s * vals[j] < margin:
-            return None
-    return z
+def _side(signs: tuple[int, ...], plane: int, s: int) -> tuple[int, ...]:
+    return signs[:plane] + (s,) + signs[plane + 1:]
+
+
+def enumerate_regions(arr: PlaneArrangement, facets: list[CellState]
+                      ) -> list[CellState]:
+    """Region cells: both sides of every facet, deduplicated by sign vector.
+
+    A facet of plane i with witness z has the side witnesses z +- delta*n_i,
+    where delta is half of min over j != i of |n_j . z|, so no other sign
+    changes.
+    """
+    normals = arr.normals()
+    planes = [f.signs.index(0) for f in facets]
+    dist = np.abs(np.array([f.witness for f in facets]).reshape(-1, 3) @ normals.T)
+    dist[np.arange(len(facets)), planes] = np.inf
+    deltas = 0.5 * np.min(dist, axis=1, initial=1.0)
+    regions: dict[tuple[int, ...], CellState] = {}
+    for facet, i, delta in zip(facets, planes, deltas):
+        for s in (1, -1):
+            signs = _side(facet.signs, i, s)
+            if signs not in regions:
+                regions[signs] = CellState(
+                    signs=signs, dim="region",
+                    witness=facet.witness + s * delta * normals[i])
+    return list(regions.values())
+
+
+def build_dual_graph(regions: list[CellState], facets: list[CellState]) -> DualGraph:
+    """One edge per facet, between the two regions on either side of it."""
+    index = {r.signs: k for k, r in enumerate(regions)}
+    edges = []
+    for facet in facets:
+        i = facet.signs.index(0)
+        a, b = sorted((index[_side(facet.signs, i, 1)],
+                       index[_side(facet.signs, i, -1)]))
+        edges.append((a, b, i))
+    return DualGraph(n_vertices=len(regions), edges=edges)
 
 
 def minimum_cycle_basis(graph: DualGraph) -> list[frozenset[int]]:
@@ -341,101 +354,6 @@ def _mask_to_edges(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def line_states(graph: DualGraph, mcb: list[frozenset[int]],
-                regions: list[CellState], arr: PlaneArrangement,
-                tols: Tolerances = DEFAULT_TOLS) -> list[CellState]:
-    """Ray cells from the dual faces: the MCB cycles plus their symmetric sum.
-
-    A face's cycle crosses exactly the planes containing the ray; zeroing
-    them and keeping the shared remaining signs identifies the ray. When
-    every plane is crossed the two opposite rays share the all-zero sign
-    vector and are kept apart by their witness directions.
-    """
-    cycles = list(mcb)
-    if mcb:
-        acc = 0
-        for cyc in mcb:
-            acc ^= sum(1 << e for e in cyc)
-        extra = _mask_to_edges(acc)
-        if extra:
-            cycles.extend(_split_cycles(extra, graph))
-
-    normals = arr.normals()
-    out: list[CellState] = []
-    seen: set[tuple] = set()
-    for cyc in cycles:
-        planes_crossed = {graph.edges[e][2] for e in cyc}
-        verts = set()
-        for e in cyc:
-            a, b, _ = graph.edges[e]
-            verts.update((a, b))
-        base = None
-        for v in sorted(verts):
-            signs = list(regions[v].signs)
-            for j in planes_crossed:
-                signs[j] = 0
-            signs = tuple(signs)
-            if base is None:
-                base = signs
-            elif signs != base:
-                raise ArrangementError(
-                    "cycle vertices disagree off the crossed planes")
-        for witness in _ray_witnesses(base, planes_crossed, normals, tols):
-            key = (base, tuple(np.round(witness, 9)))
-            if key not in seen:
-                seen.add(key)
-                out.append(CellState(signs=base, dim="line", witness=witness))
-    return out
-
-
-def _split_cycles(edge_set: frozenset[int], graph: DualGraph):
-    """Decompose an even-degree edge set into edge-disjoint cycles."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for e in edge_set:
-        a, b, _ = graph.edges[e]
-        adj.setdefault(a, []).append((b, e))
-        adj.setdefault(b, []).append((a, e))
-    unused = set(edge_set)
-    cycles = []
-    while unused:
-        e0 = min(unused)
-        a0, b0, _ = graph.edges[e0]
-        cyc = {e0}
-        unused.discard(e0)
-        cur, start = b0, a0
-        while cur != start:
-            nxt = next((v, e) for v, e in sorted(adj[cur]) if e in unused)
-            cyc.add(nxt[1])
-            unused.discard(nxt[1])
-            cur = nxt[0]
-        cycles.append(frozenset(cyc))
-    return cycles
-
-
-def _ray_witnesses(signs, planes_crossed, normals, tols):
-    """Direction(s) of the ray with the given zero set and signs."""
-    zero_rows = normals[sorted(planes_crossed)]
-    _u, s, vt = np.linalg.svd(zero_rows)
-    if zero_rows.shape[0] >= 3 and s[2] > 1e-7 * s[0]:
-        raise ArrangementError("crossed planes do not share a line")
-    u = vt[-1]
-    vals = normals @ u
-    nonzero = [j for j, sg in enumerate(signs) if sg != 0]
-    if not nonzero:
-        return [u, -u]  # antipodal rays, identical (all-zero) sign vector
-    agree_pos = all(signs[j] * vals[j] > 0 for j in nonzero)
-    agree_neg = all(signs[j] * -vals[j] > 0 for j in nonzero)
-    if agree_pos:
-        return [u]
-    if agree_neg:
-        return [-u]
-    # numerically marginal: fall back to the feasibility program
-    ok, w = _margin_lp(signs, normals, tols)
-    if not ok:
-        raise ArrangementError("face cycle produced an unrealizable ray")
-    return [w]
-
-
 @dataclass(eq=False)
 class SlipState:
     """Per-contact slip labels together with the cell that produced them."""
@@ -512,10 +430,10 @@ def enumerate_slip_states(model: GraspModel, *, detachment: bool | None = None,
     if detachment:
         separation_planes(model, maps, arr, tols)
 
-    regions = enumerate_regions(arr, tols)
-    graph, facets = build_dual_graph(regions, arr, tols)
-    mcb = minimum_cycle_basis(graph) if graph.n_edges else []
-    lines = line_states(graph, mcb, regions, arr, tols)
+    lines = line_states(arr, tols)
+    facets = facet_states(arr, lines)
+    regions = enumerate_regions(arr, facets)
+    graph = build_dual_graph(regions, facets)
 
     m = model.m
     states = [SlipState(labels=(0,) * m, dim="origin", signs=None,

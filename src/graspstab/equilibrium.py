@@ -213,7 +213,7 @@ def solve_state(model: GraspModel, w, state: SlipState | tuple, *,
 
 
 def linear_feasibility(sys: StateSystem, *, tols: Tolerances = DEFAULT_TOLS,
-                       extra_eq=None, objective=None) -> np.ndarray | None:
+                       objective=None) -> np.ndarray | None:
     """Point satisfying the state system, or None.
 
     Maximizes the minimum inequality slack subject to the equalities and
@@ -239,12 +239,8 @@ def linear_feasibility(sys: StateSystem, *, tols: Tolerances = DEFAULT_TOLS,
     most singular states.
 
     With ``objective`` given, minimizes it over the feasible set instead.
-    extra_eq: optional (rows, rhs) appended to the equality block.
     """
     a_eq, b_eq = sys.a_eq, sys.b_eq
-    if extra_eq is not None:
-        a_eq = np.vstack([a_eq, np.asarray(extra_eq[0]).reshape(-1, sys.n)])
-        b_eq = np.concatenate([b_eq, np.atleast_1d(extra_eq[1])])
 
     scale = max(1.0, float(np.max(np.abs(b_eq), initial=0.0)),
                 float(np.max(np.abs(sys.b_in), initial=0.0)))

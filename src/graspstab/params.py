@@ -16,7 +16,7 @@ class Tolerances:
     # relative singular-value cutoff below which a square system is
     # handed to the feasibility program instead of a direct solve
     singular_rel: float = 1e-10
-    # geometric feasibility margin for arrangement cells
+    # "plane contains ray" test of the arrangement: |n . d| at most this
     geom_margin: float = 1e-9
     # |dot| above this marks two unit plane normals as coincident
     plane_coincident: float = 1 - 1e-9

@@ -4,13 +4,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from graspstab import Contact, GraspModel, build_maps, enumerate_slip_states, zaslavsky_bound
 from graspstab.arrangement import (DETACHED, DualGraph, build_dual_graph,
-                                   enumerate_regions, line_states,
-                                   minimum_cycle_basis, region_feasible,
-                                   separation_planes, tangent_planes)
+                                   enumerate_regions, facet_states, line_states,
+                                   minimum_cycle_basis, separation_planes,
+                                   tangent_planes)
+from graspstab.cli import main
 from graspstab.generate import random_grasp
+from graspstab.grasp_io import format_grasp
 
 from conftest import four_contact, three_contact
 
@@ -23,6 +28,13 @@ def _arr(model, detachment=False):
     if detachment:
         separation_planes(model, maps, arr)
     return arr
+
+
+def _cells(arr):
+    lines = line_states(arr)
+    facets = facet_states(arr, lines)
+    regions = enumerate_regions(arr, facets)
+    return lines, facets, regions, build_dual_graph(regions, facets)
 
 
 # ---------------------------------------------------------------------------
@@ -69,38 +81,46 @@ def test_zero_preload_single_contact_separation_plane():
 
 
 # ---------------------------------------------------------------------------
-# regions and feasibility
+# cells and their witnesses
 # ---------------------------------------------------------------------------
 
 def test_region_counts_small():
     one = _arr(GraspModel([Contact([0, 0], [0, -1], 0.5)]))
-    assert len(enumerate_regions(one)) == 2
-    assert len(enumerate_regions(_arr(three_contact()))) == 8
-    assert len(enumerate_regions(_arr(four_contact()))) == 4
+    assert len(_cells(one)[2]) == 2
+    assert len(_cells(_arr(three_contact()))[2]) == 8
+    assert len(_cells(_arr(four_contact()))[2]) == 4
 
 
-def test_region_feasible_trivial_cases():
-    one = _arr(GraspModel([Contact([0, 0], [0, -1], 0.5)]))
-    assert region_feasible((1,), one)
-    assert region_feasible((-1,), one)
+WITNESS_CASES = [(three_contact(), True), (four_contact(), True),
+                 (random_grasp(5, rng=7), False), (random_grasp(3, rng=2), True)]
 
 
-def test_region_feasible_against_sampling(rng):
-    arr = _arr(three_contact())
-    normals = arr.normals()
-    samples = rng.normal(size=(20000, 3))
-    samples /= np.linalg.norm(samples, axis=1, keepdims=True)
-    observed = {tuple(np.sign(normals @ d).astype(int)) for d in samples}
-    for signs in itertools.product((1, -1), repeat=3):
-        assert region_feasible(signs, arr) == (signs in observed)
+def _witness_values(kind):
+    """(signs, n . witness) of every cell of one kind over WITNESS_CASES."""
+    for model, detachment in WITNESS_CASES:
+        arr = _arr(model, detachment)
+        lines, facets, regions, _graph = _cells(arr)
+        for cell in {"line": lines, "facet": facets, "region": regions}[kind]:
+            yield np.array(cell.signs), arr.normals() @ cell.witness
 
 
 def test_region_witnesses_realize_their_signs():
-    arr = _arr(three_contact(), detachment=True)
-    normals = arr.normals()
-    for cell in enumerate_regions(arr):
-        vals = normals @ cell.witness
-        assert np.all(np.array(cell.signs) * vals > 0)
+    for signs, vals in _witness_values("region"):
+        assert np.all(signs * vals > 0)
+
+
+def test_facet_witnesses_lie_on_their_plane_only():
+    for signs, vals in _witness_values("facet"):
+        assert np.count_nonzero(signs == 0) == 1
+        assert abs(vals[signs == 0][0]) < 1e-12
+        assert np.all(signs[signs != 0] * vals[signs != 0] > 0)
+
+
+def test_ray_witnesses_vanish_exactly_on_their_planes():
+    for signs, vals in _witness_values("line"):
+        assert np.count_nonzero(signs == 0) >= 2
+        assert np.all(np.abs(vals[signs == 0]) < 1e-12)
+        assert np.all(signs[signs != 0] * vals[signs != 0] > 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +128,7 @@ def test_region_witnesses_realize_their_signs():
 # ---------------------------------------------------------------------------
 
 def test_dual_graph_two_planes_is_four_cycle():
-    arr = _arr(four_contact())
-    regions = enumerate_regions(arr)
-    graph, facets = build_dual_graph(regions, arr)
+    _lines, facets, _regions, graph = _cells(_arr(four_contact()))
     assert (graph.n_vertices, graph.n_edges) == (4, 4)
     assert len(facets) == 4
     degree = np.zeros(4, int)
@@ -120,26 +138,20 @@ def test_dual_graph_two_planes_is_four_cycle():
 
 
 def test_dual_graph_three_planes_cube():
-    arr = _arr(three_contact())
-    regions = enumerate_regions(arr)
-    graph, facets = build_dual_graph(regions, arr)
+    _lines, facets, _regions, graph = _cells(_arr(three_contact()))
     assert (graph.n_vertices, graph.n_edges) == (8, 12)
     assert len(facets) == 12
 
 
 def test_dual_graph_single_plane():
-    arr = _arr(GraspModel([Contact([0, 0], [0, -1], 0.5)]))
-    regions = enumerate_regions(arr)
-    graph, facets = build_dual_graph(regions, arr)
+    _lines, facets, _regions, graph = _cells(
+        _arr(GraspModel([Contact([0, 0], [0, -1], 0.5)])))
     assert (graph.n_vertices, graph.n_edges) == (2, 1)
-    assert facets[0].signs == (0,)
+    assert [f.signs for f in facets] == [(0,)]
 
 
 def test_partial_cube_property_random():
-    model = random_grasp(5, rng=7)
-    arr = _arr(model)
-    regions = enumerate_regions(arr)
-    graph, _facets = build_dual_graph(regions, arr)
+    _lines, _facets, regions, graph = _cells(_arr(random_grasp(5, rng=7)))
     for a, b, plane in graph.edges:
         sa, sb = np.array(regions[a].signs), np.array(regions[b].signs)
         diff = np.nonzero(sa != sb)[0]
@@ -192,9 +204,7 @@ def test_mcb_tree_has_no_cycles():
 
 
 def test_mcb_cube_graph_matches_gf2_brute_force():
-    arr = _arr(three_contact())
-    regions = enumerate_regions(arr)
-    graph, _ = build_dual_graph(regions, arr)
+    graph = _cells(_arr(three_contact()))[3]
     mcb = minimum_cycle_basis(graph)
     assert len(mcb) == 5
     assert all(len(c) == 4 for c in mcb)
@@ -202,10 +212,24 @@ def test_mcb_cube_graph_matches_gf2_brute_force():
 
 
 def test_mcb_deterministic():
-    arr = _arr(random_grasp(6, rng=11))
-    regions = enumerate_regions(arr)
-    graph, _ = build_dual_graph(regions, arr)
+    graph = _cells(_arr(random_grasp(6, rng=11)))[3]
     assert minimum_cycle_basis(graph) == minimum_cycle_basis(graph)
+
+
+@pytest.mark.parametrize("m,seed,detachment", [(3, 1, False), (4, 5, True),
+                                               (5, 9, False)])
+def test_rays_match_minimum_cycle_basis(m, seed, detachment):
+    # each face of the dual graph encircles one ray: the basis has one
+    # cycle fewer than there are rays, and each basis cycle crosses exactly
+    # the planes that contain some enumerated ray
+    lines, _facets, _regions, graph = _cells(
+        _arr(random_grasp(m, rng=seed), detachment))
+    mcb = minimum_cycle_basis(graph)
+    assert len(mcb) + 1 == len(lines)
+    zero_sets = {frozenset(j for j, s in enumerate(l.signs) if s == 0)
+                 for l in lines}
+    for cycle in mcb:
+        assert frozenset(graph.edges[e][2] for e in cycle) in zero_sets
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +237,14 @@ def test_mcb_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_line_states_two_planes_two_rays():
-    arr = _arr(four_contact())
-    regions = enumerate_regions(arr)
-    graph, _ = build_dual_graph(regions, arr)
-    mcb = minimum_cycle_basis(graph)
-    lines = line_states(graph, mcb, regions, arr)
+    lines = line_states(_arr(four_contact()))
     assert len(lines) == 2
     dirs = sorted(tuple(np.round(l.witness, 9)) for l in lines)
     assert np.allclose(dirs[0], (-1, 0, 0)) and np.allclose(dirs[1], (1, 0, 0))
 
 
 def test_line_states_three_planes_six_rays():
-    arr = _arr(three_contact())
-    regions = enumerate_regions(arr)
-    graph, _ = build_dual_graph(regions, arr)
-    lines = line_states(graph, minimum_cycle_basis(graph), regions, arr)
-    assert len(lines) == 6
+    assert len(line_states(_arr(three_contact()))) == 6
 
 
 def test_line_states_match_pairwise_intersection_oracle():
@@ -236,9 +252,7 @@ def test_line_states_match_pairwise_intersection_oracle():
     model = random_grasp(5, rng=3)
     arr = _arr(model)
     normals = arr.normals()
-    regions = enumerate_regions(arr)
-    graph, _ = build_dual_graph(regions, arr)
-    lines = line_states(graph, minimum_cycle_basis(graph), regions, arr)
+    lines = line_states(arr)
     expected = set()
     for i, j in itertools.combinations(range(arr.n_planes), 2):
         u = np.cross(normals[i], normals[j])
@@ -251,11 +265,20 @@ def test_line_states_match_pairwise_intersection_oracle():
     assert len(lines) == len(expected)
 
 
+def test_line_states_three_planes_through_one_line():
+    # parallel normals at three heights: translation along the normal moves
+    # no contact tangentially, so all three tangent planes contain it
+    model = GraspModel([Contact([0, y], [0, -1], 0.5) for y in (-1, 0, 2)])
+    arr = _arr(model)
+    lines = line_states(arr)
+    assert arr.n_planes == 3
+    assert [l.signs for l in lines] == [(0, 0, 0), (0, 0, 0)]
+    assert np.allclose(np.abs(lines[0].witness), (0, 1, 0))
+    assert np.allclose(lines[0].witness, -lines[1].witness)
+
+
 def test_single_plane_no_line_states():
-    arr = _arr(GraspModel([Contact([0, 0], [0, -1], 0.5)]))
-    regions = enumerate_regions(arr)
-    graph, _ = build_dual_graph(regions, arr)
-    assert line_states(graph, minimum_cycle_basis(graph), regions, arr) == []
+    assert line_states(_arr(GraspModel([Contact([0, 0], [0, -1], 0.5)]))) == []
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +322,8 @@ def test_detached_only_for_zero_preload():
     assert all(DETACHED not in s.labels for s in states)
 
 
-def test_sampling_completeness(rng):
+def _assert_sampling_complete(model, states, rng):
     # every sampled motion's sign pattern appears as an enumerated state
-    model = random_grasp(4, rng=17)
-    states = enumerate_slip_states(model, detachment=True)
     arr = states.arrangement
     normals = arr.normals()
     known = {s.labels for s in states}
@@ -320,6 +341,31 @@ def test_sampling_completeness(rng):
                     continue
             labels.append(ot * signs[jt, col])
         assert tuple(labels) in known
+
+
+def test_sampling_completeness(rng):
+    model = random_grasp(4, rng=17)
+    _assert_sampling_complete(model, enumerate_slip_states(model, detachment=True),
+                              rng)
+
+
+@pytest.mark.parametrize("seed", [3, 9, 20, 32])
+def test_eighteen_plane_grasps_enumerate(seed, rng):
+    # these grasps made the former LP-based enumeration exceed its pivot
+    # limit; the sphere construction runs no LP
+    model = random_grasp(9, seed, detachment=True)
+    states = enumerate_slip_states(model)
+    assert states.arrangement.n_planes == 18
+    labels = [s.labels for s in states]
+    assert len(set(labels)) == len(labels)
+    _assert_sampling_complete(model, states, rng)
+
+
+def test_cli_enumerates_eighteen_plane_grasp(tmp_path, capsys):
+    path = tmp_path / "m9-s3.grasp"
+    path.write_text(format_grasp(random_grasp(9, 3, detachment=True)))
+    assert main(["enumerate", str(path)]) == 0
+    assert '"solver_states"' in capsys.readouterr().out
 
 
 def _one_face_count(states):
@@ -340,6 +386,106 @@ def test_euler_and_zaslavsky_random():
         assert states.cell_counts["regions"] <= zaslavsky_bound(n, 3, 3)
         assert states.cell_counts["facets"] <= zaslavsky_bound(n, 3, 2)
         assert _one_face_count(states) <= zaslavsky_bound(n, 3, 1)
+
+
+# ---------------------------------------------------------------------------
+# exhaustive sign-vector oracle on degenerate geometry
+# ---------------------------------------------------------------------------
+
+ORACLE_MARGIN = 1e-7
+
+
+def _max_margin(signs, normals):
+    """HiGHS max-margin program over the box |d| <= 1: the (d, t) with
+    the largest t <= 1 such that s_j n_j . d >= t on signed planes and
+    n_j . d = 0 on zero-signed ones, or None."""
+    signs = np.asarray(signs)
+    strict = signs != 0
+    a_ub = np.hstack([-(signs[strict, None] * normals[strict]),
+                      np.ones((strict.sum(), 1))])
+    a_eq = np.hstack([normals[~strict], np.zeros(((~strict).sum(), 1))])
+    res = linprog([0, 0, 0, -1], A_ub=a_ub, b_ub=np.zeros(len(a_ub)),
+                  A_eq=a_eq if len(a_eq) else None,
+                  b_eq=np.zeros(len(a_eq)) if len(a_eq) else None,
+                  bounds=[(-1, 1)] * 3 + [(None, 1)], method="highs")
+    return (res.x[:3], -res.fun) if res.status == 0 else None
+
+
+def _oracle_sign_vectors(normals):
+    """Every sign vector in {-1, 0, 1}^k that some nonzero motion realizes.
+
+    Exhaustive, pruned by prefixes: a motion realizing a sign vector
+    realizes each of its prefixes, and the prefix's witness settles a
+    strict extension it already satisfies. The all-zero vector counts
+    when the planes share a line (rank < 3).
+    """
+    found = [((), None)]  # (prefix, witness)
+    for j, normal in enumerate(normals):
+        nxt = []
+        for prefix, d in found:
+            for s in (1, -1, 0):
+                signs = prefix + (s,)
+                if not any(signs):
+                    nxt.append((signs, None))
+                elif s and d is not None and s * (normal @ d) > ORACLE_MARGIN:
+                    nxt.append((signs, d))
+                else:
+                    res = _max_margin(signs, normals[:j + 1])
+                    if res is not None and res[1] > ORACLE_MARGIN:
+                        nxt.append((signs, res[0]))
+        found = nxt
+    out = {v for v, _d in found if any(v)}
+    if np.linalg.matrix_rank(normals) < 3:
+        out.add((0,) * len(normals))
+    return out
+
+
+def _pencil_contact(center, angle, offset):
+    """A contact whose tangent line passes through ``center``."""
+    n = np.array([np.cos(angle), np.sin(angle)])
+    return Contact(np.asarray(center) + offset * np.array([n[1], -n[0]]), n, 0.5)
+
+
+GRID = st.integers(-4, 4).map(lambda k: 0.5 * k)
+ANGLE = st.integers(0, 7).map(lambda k: 0.25 * np.pi * k)
+
+
+@st.composite
+def degenerate_grasps(draw):
+    """Angles on a pi/4 grid and positions on a half-unit grid, so normals
+    repeat or oppose and planes coincide; optionally three contacts whose
+    tangent lines meet in one point, whose tangent planes share a line."""
+    detachment = draw(st.booleans())
+    contacts = []
+    if draw(st.booleans()):
+        center = (draw(GRID), draw(GRID))
+        angles = draw(st.lists(ANGLE, min_size=3, max_size=3, unique=True))
+        contacts += [_pencil_contact(center, a, draw(GRID)) for a in angles]
+    # at most 7 planes: each contact gives one, or two with detachment
+    free = draw(st.integers(0 if contacts else 1,
+                            (3 if detachment else 7) - len(contacts)))
+    for _ in range(free):
+        angle = draw(ANGLE)
+        if contacts and draw(st.booleans()):  # repeat or oppose a normal
+            angle = np.arctan2(*contacts[-1].normal[::-1]) + draw(
+                st.sampled_from([0.0, np.pi]))
+        contacts.append(Contact([draw(GRID), draw(GRID)],
+                                [np.cos(angle), np.sin(angle)], 0.5))
+    return GraspModel(contacts), detachment
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_grasps())
+def test_cell_sign_vectors_match_exhaustive_oracle(case):
+    model, detachment = case
+    states = enumerate_slip_states(model, detachment=detachment)
+    normals = states.arrangement.normals()
+    cells = [c.signs for kind in ("lines", "facets", "regions")
+             for c in states.cells[kind]]
+    assert set(cells) == _oracle_sign_vectors(normals)
+    # only the two rays of a line every plane contains share a sign vector
+    repeats = len(cells) - len(set(cells))
+    assert repeats == (1 if cells.count((0,) * len(normals)) == 2 else 0)
 
 
 # ---------------------------------------------------------------------------
