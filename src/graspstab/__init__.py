@@ -11,9 +11,9 @@ from .arrangement import (DETACHED, SlipState, SlipStateSet,
                           enumerate_slip_states, zaslavsky_bound)
 from .baselines import (WrenchPolytope, brute_force_verdict, gws_l1,
                         gws_slice, linear_compliance_verdict)
-from .equilibrium import (EquilibriumSolution, StateSystem,
-                          assemble_state_system, check_solution,
-                          linear_feasibility, solve_state)
+from .equilibrium import (EquilibriumSolution, PreparedState, PreparedStates,
+                          StateSystem, assemble_state_system, check_solution,
+                          linear_feasibility, prepare_state, solve_state)
 from .generate import balanced_preload, random_grasp
 from .grasp_io import (GraspFileError, GraspValidationError, format_grasp,
                        load_grasp_file, parse_grasp_text)
@@ -31,7 +31,7 @@ __all__ = [
     "DETACHED", "SlipState", "SlipStateSet", "enumerate_slip_states",
     "zaslavsky_bound",
     "StateSystem", "EquilibriumSolution", "assemble_state_system",
-    "solve_state", "linear_feasibility", "check_solution",
+    "PreparedState", "PreparedStates", "prepare_state", "solve_state", "linear_feasibility", "check_solution",
     "Verdict", "RegionSweep", "check_stability", "max_resistible",
     "resistible_region",
     "WrenchPolytope", "brute_force_verdict", "gws_l1", "gws_slice",

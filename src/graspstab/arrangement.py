@@ -134,7 +134,7 @@ def separation_planes(model: GraspModel, maps: GraspMaps, arr: PlaneArrangement,
                       tols: Tolerances = DEFAULT_TOLS) -> PlaneArrangement:
     """Extend the arrangement with separation planes of zero-preload contacts."""
     for i in range(model.m):
-        if model.preload[i, 0] <= 1e-12:
+        if model.preload[i, 0] <= tols.zero_preload:
             arr._add(maps.motion[:, 2 * i].copy(), i, "separation",
                      tols.plane_coincident)
     return arr

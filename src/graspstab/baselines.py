@@ -51,7 +51,7 @@ def brute_force_verdict(model: GraspModel, w, *, detachment: bool | None = None,
     per_contact = []
     for i in range(model.m):
         labels = [-1, 0, 1]
-        if detachment and model.preload[i, 0] <= 1e-12:
+        if detachment and model.preload[i, 0] <= tols.zero_preload:
             labels = labels + [DETACHED]
         per_contact.append(labels)
 

@@ -14,12 +14,34 @@ class Tolerances:
     # inequality slack accepted on a solution (>= -ineq_slack passes)
     ineq_slack: float = 1e-8
     # relative singular-value cutoff below which a square system is
-    # handed to the feasibility program instead of a direct solve
+    # handed to the feasibility program instead of a direct solve; the
+    # right singular vectors below it span the null space that the
+    # feasibility screens search
     singular_rel: float = 1e-10
+    # rank cutoff of the consistency test, per row or column of the
+    # equality block: singular values at most
+    # rank_eps * max(rows, cols) * s_max count as zero (numpy lstsq's
+    # default), and their left singular vectors must annihilate b_eq
+    rank_eps: float = 2.220446049250313e-16
+    # a constraint row is flat in the null-space coordinates when its
+    # norm there is at most flat_rel times its norm in the unknowns
+    flat_rel: float = 1e-12
+    # relative slack with which a candidate null-space point (interval
+    # end or polygon vertex) is accepted by the feasibility screen
+    vertex_slack: float = 1e-9
+    # a residual below this needs no projection onto the equalities
+    projection_skip: float = 1e-13
     # "plane contains ray" test of the arrangement: |n . d| at most this
     geom_margin: float = 1e-9
     # |dot| above this marks two unit plane normals as coincident
     plane_coincident: float = 1 - 1e-9
+    # a normal preload at most this is zero: the contact may detach
+    zero_preload: float = 1e-12
+    # canonical witness: slip totals within witness_tie * (1 + |t*|) of
+    # the minimum t* tie, and pinned slip speeds may fall witness_pin
+    # short of their optimum
+    witness_tie: float = 1e-7
+    witness_pin: float = 1e-9
     # box bound on unknowns in the feasibility program
     x_max: float = 1e6
 

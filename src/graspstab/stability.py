@@ -13,15 +13,18 @@ lowest-indexed contacts, which pins a unique, reproducible motion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrangement import SlipState, SlipStateSet, enumerate_slip_states
-from .equilibrium import (EquilibriumSolution, StateSystem,
-                          assemble_state_system, linear_feasibility,
+from .arrangement import SlipStateSet, enumerate_slip_states
+from .equilibrium import (EquilibriumSolution, PreparedState, PreparedStates,
+                          StateSystem, _solution_from_x, linear_feasibility,
                           solve_state)
-from .model import GraspModel, as_wrench, build_maps
+# unused here; the benchmark's traced run wraps it under this module's
+# name (stabbench/tracing.py)
+from .equilibrium import assemble_state_system  # noqa: F401
+from .model import GraspModel, as_wrench
 from .params import DEFAULT_TOLS, Tolerances
 
 __all__ = [
@@ -63,7 +66,7 @@ class RegionSweep:
 
 
 def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
-                    states: SlipStateSet | None = None,
+                    states: SlipStateSet | PreparedStates | None = None,
                     witness_policy: str = "canonical",
                     tols: Tolerances = DEFAULT_TOLS) -> Verdict:
     """Decide passive equilibrium under the wrench w.
@@ -72,19 +75,23 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
       "first"     - witness from the first feasible state (fastest);
       "canonical" - deterministic minimal-slip witness (see module doc).
     The verdict itself is identical under either policy.
+
+    Each state is prepared (assembled and factored) when it is first
+    tried; PreparedStates of this grasp passed as ``states`` keep those
+    preparations for the next query.
     """
     w = as_wrench(w)
     if states is None:
         states = enumerate_slip_states(model, detachment=detachment, tols=tols)
-    maps = build_maps(model)
+    states = PreparedStates.of(model, states, tols)
 
-    feasible: list[tuple[SlipState, EquilibriumSolution]] = []
+    feasible: list[tuple[PreparedState, EquilibriumSolution]] = []
     tried = 0
-    for st in states:
+    for prep in states:
         tried += 1
-        sol = solve_state(model, w, st, maps=maps, tols=tols)
+        sol = solve_state(model, w, prep, tols=tols)
         if sol is not None:
-            feasible.append((st, sol))
+            feasible.append((prep, sol))
             if witness_policy == "first":
                 break
     if not feasible:
@@ -95,7 +102,7 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
     if witness_policy == "first" or len(feasible) == 1:
         witness = feasible[0][1]
     else:
-        witness = _canonical_witness(model, w, feasible, maps, tols)
+        witness = _canonical_witness(w, feasible, tols)
     return Verdict(stable=True, witness=witness, states_tried=tried,
                    detachment=states.detachment, first_feasible=first_idx)
 
@@ -110,16 +117,13 @@ def _slip_objective(sys: StateSystem) -> np.ndarray:
 
 def _augment(sys: StateSystem, rows, rhs) -> StateSystem:
     rows = np.asarray(rows, dtype=float).reshape(-1, sys.n)
-    return StateSystem(
-        labels=sys.labels, a_eq=sys.a_eq, b_eq=sys.b_eq,
-        a_in=np.vstack([sys.a_in, rows]),
+    return replace(  # same equalities: shares their cached factors
+        sys, a_in=np.vstack([sys.a_in, rows]),
         b_in=np.concatenate([sys.b_in, np.atleast_1d(rhs)]),
-        ineq_kind=sys.ineq_kind + ["pin"] * rows.shape[0],
-        slip_dirs=sys.slip_dirs, m=sys.m,
-    )
+        ineq_kind=sys.ineq_kind + ["pin"] * rows.shape[0])
 
 
-def _canonical_witness(model, w, feasible, maps, tols) -> EquilibriumSolution:
+def _canonical_witness(w, feasible, tols) -> EquilibriumSolution:
     """Minimal total slip across all feasible states, deterministic ties.
 
     Stage 1 minimizes the summed slip speed per state; stage 2, among
@@ -129,7 +133,7 @@ def _canonical_witness(model, w, feasible, maps, tols) -> EquilibriumSolution:
     """
     entries = []
     for st, sol in feasible:
-        sys = assemble_state_system(model, w, st, maps)
+        sys = st.system.at(w)
         obj = _slip_objective(sys)
         if not sys.slip_dirs:
             entries.append((st, sol, sys, 0.0))
@@ -142,13 +146,13 @@ def _canonical_witness(model, w, feasible, maps, tols) -> EquilibriumSolution:
         entries.append((st, sol, sys, t_val))
 
     t_star = min(e[3] for e in entries)
-    eps = 1e-7 * (1.0 + abs(t_star))
+    eps = tols.witness_tie * (1.0 + abs(t_star))
     tied = [e for e in entries if e[3] <= t_star + eps]
     if len(tied) == 1:
         st, sol, sys, t_val = tied[0]
         if not sys.slip_dirs:
             return sol
-        return _pinned_solution(model, w, st, sys, t_star, {}, tols) or sol
+        return _pinned_solution(st, sys, t_star, {}, tols) or sol
 
     best = None
     for st, sol, sys, _t in tied:
@@ -163,7 +167,7 @@ def _canonical_witness(model, w, feasible, maps, tols) -> EquilibriumSolution:
             for j, vj in pins.items():
                 row = np.zeros(sys.n)
                 row[:3] = sys.slip_dirs[j]
-                cur = _augment(cur, row, [vj - 1e-9])
+                cur = _augment(cur, row, [vj - tols.witness_pin])
             obj = np.zeros(sys.n)
             obj[:3] = -sys.slip_dirs[i]
             x = linear_feasibility(cur, tols=tols, objective=obj)
@@ -175,36 +179,38 @@ def _canonical_witness(model, w, feasible, maps, tols) -> EquilibriumSolution:
             best = (key, st, sol, sys, pins)
 
     _key, st, sol, sys, pins = best
-    return _pinned_solution(model, w, st, sys, t_star, pins, tols) or sol
+    return _pinned_solution(st, sys, t_star, pins, tols) or sol
 
 
-def _pinned_solution(model, w, st, sys, t_star, pins, tols):
-    eps = 1e-7 * (1.0 + abs(t_star))
+def _pinned_solution(st, sys, t_star, pins, tols):
+    eps = tols.witness_tie * (1.0 + abs(t_star))
     cur = sys
     if sys.slip_dirs:
         cur = _augment(cur, -_slip_objective(sys), [-(t_star + eps)])
         for j, vj in pins.items():
             row = np.zeros(sys.n)
             row[:3] = sys.slip_dirs[j]
-            cur = _augment(cur, row, [vj - 1e-9])
+            cur = _augment(cur, row, [vj - tols.witness_pin])
     x = linear_feasibility(cur, tols=tols)
     if x is None:
         return None
-    from .equilibrium import _solution_from_x
-
     sol = _solution_from_x(sys, x, st.index)
     return sol if sol.min_ineq_slack >= -tols.ineq_slack else None
 
 
 def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
                    cap: float = 1e3, *, detachment: bool | None = None,
-                   states: SlipStateSet | None = None,
+                   states: SlipStateSet | PreparedStates | None = None,
                    tols: Tolerances = DEFAULT_TOLS) -> DirectionResult:
     """Largest resistible force magnitude along a direction, by bisection.
 
     Returns magnitude inf when the grasp still holds at the cap.
     Stability is assumed radially monotone along the ray; the returned
     bracket (stable, unstable) is the bisection's final certificate.
+
+    The state systems do not depend on the load, so each is prepared
+    (assembled and factored) at most once per call and every bisection
+    probe reuses it; PreparedStates passed as ``states`` are shared.
     """
     if tol <= 0 or cap <= 0:
         raise ValueError("tol and cap must be positive")
@@ -212,6 +218,7 @@ def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
     u = u / np.linalg.norm(u)
     if states is None:
         states = enumerate_slip_states(model, detachment=detachment, tols=tols)
+    states = PreparedStates.of(model, states, tols)
 
     def stable_at(mag: float) -> bool:
         w = np.array([mag * u[0], mag * u[1], 0.0])
@@ -236,12 +243,15 @@ def resistible_region(model: GraspModel, n_directions: int, tol: float = 1e-3,
                       tols: Tolerances = DEFAULT_TOLS) -> RegionSweep:
     """max_resistible over uniformly spaced force directions.
 
-    The slip-state set depends only on the geometry, so it is enumerated
-    once and shared by every direction and bisection probe.
+    The slip states and their systems depend only on the geometry, so
+    they are enumerated and prepared once per grasp and shared by every
+    direction and bisection probe.
     """
     if n_directions < 4:
         raise ValueError("need at least 4 directions")
-    states = enumerate_slip_states(model, detachment=detachment, tols=tols)
+    states = PreparedStates(
+        model, enumerate_slip_states(model, detachment=detachment, tols=tols),
+        tols=tols)
     results = []
     for j in range(n_directions):
         ang = 2.0 * math.pi * j / n_directions

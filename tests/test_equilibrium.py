@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -118,32 +119,54 @@ def _count_lp_calls(monkeypatch):
     return calls
 
 
-def _is_singular(sys):
+def _nullity(sys):
     sv = np.linalg.svd(sys.a_eq, compute_uv=False)
-    return sv[-1] <= DEFAULT_TOLS.singular_rel * sv[0]
+    return int(np.sum(sv <= DEFAULT_TOLS.singular_rel * sv[0]))
 
 
 def test_inconsistent_singular_state_rejected_without_lp(m3, monkeypatch):
     # all three contacts slipping under a pull: the equality block is
     # singular and its least-squares residual is far from zero
     labels = (-1, -1, -1)
-    assert _is_singular(assemble_state_system(m3, (0, -2, 0), labels))
+    assert _nullity(assemble_state_system(m3, (0, -2, 0), labels)) >= 1
     calls = _count_lp_calls(monkeypatch)
     assert solve_state(m3, (0, -2, 0), labels) is None
     assert len(calls) == 0
 
 
-def test_consistent_infeasible_singular_state_rejected_by_one_lp(m4, monkeypatch):
+def test_consistent_infeasible_singular_state_rejected_without_lp(m4, monkeypatch):
     # all-stick under a downward push without preload: the equalities have
-    # solutions, but no passive forces balance the load (Table III row 4)
+    # solutions, but no passive forces balance the load (Table III row 4);
+    # its null space is a plane, so the polygon screen decides it
     labels = (0, 0, 0, 0)
     sys = assemble_state_system(m4, (0, -2, 0), labels)
-    assert _is_singular(sys)
+    assert _nullity(sys) == 2
     x_ls, *_ = np.linalg.lstsq(sys.a_eq, sys.b_eq, rcond=None)
     assert np.linalg.norm(sys.a_eq @ x_ls - sys.b_eq) < 1e-12
     calls = _count_lp_calls(monkeypatch)
     assert solve_state(m4, (0, -2, 0), labels) is None
-    assert len(calls) == 1
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("preloaded, w, labels", [
+    (True, (0, 0, 3), (0, 0, 0, 0)),
+    (False, (1, 0, 0), (1, 1, 0, 0)),
+], ids=["preloaded-stick-twist", "unpreloaded-slip-push"])
+def test_null_space_screen_rejects_without_lp(preloaded, w, labels,
+                                              monkeypatch):
+    # consistent singular states whose best max-min margin is -0.25 to
+    # -0.5: a phase-1 LP over the +-x_max box let them through, since its
+    # row equilibration scales their residuals down by ~x_max, and the
+    # whole box ladder ran; the null-space screen rejects them outright
+    model = four_contact(preloaded)
+    sys = assemble_state_system(model, w, labels)
+    assert 1 <= _nullity(sys) <= 2
+    x, margin = lp.max_min_slack(sys.a_eq, sys.b_eq, sys.a_in, sys.b_in,
+                                 -100.0, 100.0)
+    assert x is not None and margin < -0.2
+    calls = _count_lp_calls(monkeypatch)
+    assert solve_state(model, w, labels) is None
+    assert len(calls) == 0
 
 
 # independent feasibility check of every slip state by HiGHS (test-only:
@@ -172,8 +195,41 @@ def _highs(sys, *, relax, bounds):
     return res.status, (-res.fun if res.status == 0 else None)
 
 
-@pytest.mark.parametrize("preloaded", [False, True])
-@pytest.mark.parametrize("make", [three_contact, four_contact])
+def _grid(k):
+    return [math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)]
+
+
+# degenerate grasps whose singular states have null spaces of dimension
+# 1 to 3 (the fixtures reach only 2), which the interval, the polygon and
+# the phase-1 LP screens decide respectively
+def five_parallel(preloaded=False):
+    # four_contact plus a fifth contact on the left: all tangents are +-y
+    positions = [(-1, 1), (-1, -1), (1, -1), (1, 1), (-1, 0)]
+    normals = [(-1, 0), (-1, 0), (1, 0), (1, 0), (-1, 0)]
+    preload = [[1, 0], [1, 0], [1.5, 0], [1.5, 0], [1, 0]]
+    return GraspModel([Contact(p, n, 0.5) for p, n in zip(positions, normals)],
+                      preload=preload if preloaded else None)
+
+
+def pi4_grid(preloaded=False):
+    # positions and normals on the pi/4 grid, two of them not radial
+    return GraspModel([Contact(_grid(0), _grid(1), 0.5),
+                       Contact(_grid(3), _grid(3), 0.5),
+                       Contact(_grid(5), _grid(4), 0.5)])
+
+
+def antipodal(preloaded=False):
+    return GraspModel([Contact((-1, 0), (-1, 0), 0.5),
+                       Contact((1, 0), (1, 0), 0.5)],
+                      preload=[[1, 0], [1, 0]] if preloaded else None)
+
+
+@pytest.mark.parametrize("make, preloaded", [
+    (three_contact, False), (three_contact, True),
+    (four_contact, False), (four_contact, True),
+    (five_parallel, False), (five_parallel, True), (pi4_grid, False),
+    (antipodal, False), (antipodal, True),
+])
 def test_solve_state_agrees_with_highs(make, preloaded):
     model = make(preloaded)
     maps = build_maps(model)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from graspstab import (check_solution, check_stability, enumerate_slip_states,
-                       max_resistible, resistible_region)
+from graspstab import (Contact, GraspModel, check_solution, check_stability,
+                       enumerate_slip_states, max_resistible, resistible_region)
 from graspstab.generate import random_grasp
 
 from conftest import four_contact, three_contact
@@ -110,3 +110,87 @@ def test_random_grasp_witnesses_verify():
         v = check_stability(model, w)
         if v.stable:
             assert check_solution(model, w, v.witness)["max_violation"] < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# prepared states
+# ---------------------------------------------------------------------------
+
+def test_prepared_states_are_lazy_and_shared(m3p, monkeypatch):
+    from graspstab import equilibrium
+    from graspstab.equilibrium import PreparedStates
+
+    calls = []
+    assemble = equilibrium.assemble_state_system
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assemble(*args, **kwargs)
+
+    states = enumerate_slip_states(m3p)
+    wrenches = [(0, 0.5, 0), (0.4, -0.3, 0.2), (0, 1.05, 0), (0, 2, 0)]
+    fresh = [check_stability(m3p, w, states=states) for w in wrenches]
+    monkeypatch.setattr(equilibrium, "assemble_state_system", counted)
+    prepared = PreparedStates(m3p, states)
+    v = check_stability(m3p, (0, -1, 0), states=prepared, witness_policy="first")
+    # "first" stops at the first feasible state and prepares no further
+    assert v.stable and len(calls) == v.states_tried < len(states)
+    for w, ref in zip(wrenches, fresh):
+        shared = check_stability(m3p, w, states=prepared)
+        assert (shared.stable, shared.states_tried) == \
+            (ref.stable, ref.states_tried)
+        if shared.stable:
+            assert np.allclose(shared.witness.forces, ref.witness.forces,
+                               atol=1e-12)
+    # each state was assembled once, when a query first reached it
+    assert len(calls) == len(states)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: a rigid frame change of grasp and wrench together
+# ---------------------------------------------------------------------------
+
+def _moved(model, angle, shift):
+    """The grasp rotated by angle about the origin, then translated."""
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    contacts = [Contact(rot @ ct.position + shift, rot @ ct.normal, ct.mu)
+                for ct in model.contacts]
+    moved = GraspModel(contacts, stiffness=model.stiffness,
+                       preload=model.preload, options=model.options)
+    return moved, rot
+
+
+def _moved_wrench(w, rot, shift):
+    # the same line of action: the torque about the new origin gains t x f
+    f = rot @ np.asarray(w[:2], dtype=float)
+    return np.array([f[0], f[1], w[2] + shift[0] * f[1] - shift[1] * f[0]])
+
+
+FRAME_WRENCHES = [(0, -1, 0), (0, 1, 0), (0, 1.1, 0), (0, -2, 0), (0, 2, 0),
+                  (0, 0, 3), (0, 0, -3), (1, 0, 0), (0.4, -0.3, 0.2),
+                  (-1.5, 1.5, 1)]
+
+
+@pytest.mark.parametrize("preloaded", [False, True])
+@pytest.mark.parametrize("make", [three_contact, four_contact])
+def test_rigid_frame_change_keeps_verdict_and_forces(make, preloaded):
+    model = make(preloaded)
+    for angle, shift in [(0.7, (0.3, -1.2)), (-2.0, (2.5, 0.5))]:
+        shift = np.array(shift)
+        moved, rot = _moved(model, angle, shift)
+        for w in FRAME_WRENCHES:
+            v = check_stability(model, w)
+            mv = check_stability(moved, _moved_wrench(w, rot, shift))
+            assert v.stable == mv.stable, (angle, w)
+            if v.stable:
+                assert v.witness.labels == mv.witness.labels, (angle, w)
+                assert np.allclose(v.witness.forces, mv.witness.forces,
+                                   rtol=0, atol=1e-8), (angle, w)
+        # a pure force through the origin stays one under the rotation
+        rotated, rot = _moved(model, angle, np.zeros(2))
+        for u in [(0, 1), (1, 0), (0, -1), (1, 1)]:
+            r = max_resistible(model, u, tol=1e-2)
+            mr = max_resistible(rotated, rot @ np.array(u, dtype=float),
+                                tol=1e-2)
+            assert r.magnitude == mr.magnitude, (angle, u)
