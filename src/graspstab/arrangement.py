@@ -79,21 +79,17 @@ class ArrangementError(RuntimeError):
 
 @dataclass(eq=False)
 class OrientedPlane:
-    """A distinct plane through the origin with its contact memberships.
-
-    members: (contact index, role, orientation); orientation is +1 when
-    the contact's raw constraint normal equals the stored normal, -1 when
-    it is the negation.
-    """
+    """A distinct plane through the origin."""
 
     normal: np.ndarray
-    members: list[tuple[int, str, int]] = field(default_factory=list)
 
 
 @dataclass(eq=False)
 class PlaneArrangement:
     planes: list[OrientedPlane] = field(default_factory=list)
-    # per contact: (plane index, orientation)
+    # per contact: (plane index, orientation); orientation is +1 when the
+    # contact's raw constraint normal is the plane's normal, -1 when it is
+    # its negation
     tangent_ref: dict[int, tuple[int, int]] = field(default_factory=dict)
     separation_ref: dict[int, tuple[int, int]] = field(default_factory=dict)
 
@@ -110,11 +106,9 @@ class PlaneArrangement:
         for idx, plane in enumerate(self.planes):
             dot = float(plane.normal @ p)
             if abs(dot) > coincident:
-                orient = 1 if dot > 0 else -1
-                plane.members.append((contact, role, orient))
-                self._ref(role)[contact] = (idx, orient)
+                self._ref(role)[contact] = (idx, 1 if dot > 0 else -1)
                 return
-        self.planes.append(OrientedPlane(normal=p, members=[(contact, role, 1)]))
+        self.planes.append(OrientedPlane(normal=p))
         self._ref(role)[contact] = (len(self.planes) - 1, 1)
 
     def _ref(self, role):

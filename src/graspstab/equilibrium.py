@@ -5,12 +5,12 @@ For a fixed slip state the balance of the grasp is linear: equilibrium
 the cone edge at slipping contacts, zero tangential motion at sticking
 contacts, and zero force at detached contacts give a square system in
 (d, c). The load enters only the three equilibrium rows of its right-hand
-side, so a state is prepared once per grasp: assembled at zero load and
-its equality block factored by one SVD. A well-conditioned state is
-then decided for any wrench by two affine maps, its solution and its
-inequality slacks; a rank-deficient one is decided in the null space of
-its equalities, and an LP runs only to produce its point, or to screen
-a null space of three or more dimensions.
+side, so a state is prepared once per grasp: assembled at zero load,
+and one SVD of its equality block gives its solution family x_p(w) + N z
+as affine maps of the wrench w. A direct state (N empty) is decided by
+its slacks at x_p(w); any other state in its null space, and an LP runs
+only to produce its point, or to screen a null space of three or more
+dimensions.
 """
 
 from __future__ import annotations
@@ -46,10 +46,7 @@ class StateSystem:
     Equalities a_eq x = b_eq; inequalities a_in x >= b_in. ineq_kind
     tags each inequality row (unilateral / cone / slip_sign / separation)
     and slip_dirs maps slipping contacts to the d-row of their tangential
-    motion, used by the canonical-witness selection. svd holds the
-    factors (u, s, vt) of a_eq once ``factors`` has computed them; the
-    load does not enter a_eq, so copies that keep a_eq (``at``, and the
-    witness's extra rows) share the list and with it the factors.
+    motion, used by the canonical-witness selection.
     """
 
     labels: tuple[int, ...]
@@ -60,7 +57,6 @@ class StateSystem:
     ineq_kind: list[str]
     slip_dirs: dict[int, np.ndarray] = field(default_factory=dict)
     m: int = 0
-    svd: list = field(default_factory=list, repr=False)
 
     @property
     def n(self) -> int:
@@ -76,11 +72,6 @@ class StateSystem:
         moved.b_eq = self.b_eq.copy()
         moved.b_eq[:3] = -w
         return moved
-
-    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.svd:
-            self.svd.append(np.linalg.svd(self.a_eq))
-        return self.svd[0]
 
 
 @dataclass(eq=False)
@@ -101,91 +92,68 @@ class EquilibriumSolution:
 
 def assemble_state_system(model: GraspModel, w, state: SlipState | tuple,
                           maps: GraspMaps | None = None) -> StateSystem:
-    """Build the equality/inequality blocks for one slip state."""
+    """Build the equality/inequality blocks for one slip state.
+
+    Rows 0-2 are equilibrium; contact i owns equality rows 3+2i and 4+2i
+    (the rows of its force unknowns) and, in contact order, one
+    inequality row when detached, two when slipping and three when
+    sticking. Every inequality's right-hand side is zero.
+    """
     if maps is None:
         maps = build_maps(model)
     labels = state.labels if isinstance(state, SlipState) else tuple(state)
     w = as_wrench(w)
     m = model.m
     n = 3 + 2 * m
-    rows_eq, rhs_eq = [], []
-    rows_in, rhs_in, kinds = [], [], []
+    n_in = sum(1 if l == DETACHED else 3 if l == 0 else 2 for l in labels)
+    a_eq, b_eq = np.zeros((n, n)), np.zeros(n)
+    a_in = np.zeros((n_in, n))
+    kinds: list[str] = []
+    slip_dirs: dict[int, np.ndarray] = {}
 
     # net wrench of contact forces balances the applied wrench
-    eq_block = np.zeros((3, n))
-    eq_block[:, 3:] = maps.wrench
-    rows_eq.extend(eq_block)
-    rhs_eq.extend(-w)
+    a_eq[:3, 3:] = maps.wrench
+    b_eq[:3] = -w
 
+    r = 0  # next inequality row
     for i, label in enumerate(labels):
         mu = model.contacts[i].mu
-        k = model.stiffness[i]
-        c0n = model.preload[i, 0]
         ncol = maps.motion[:, 2 * i]
         tcol = maps.motion[:, 2 * i + 1]
         cn, ct = 3 + 2 * i, 3 + 2 * i + 1
 
         if label == DETACHED:
-            for j in (cn, ct):
-                row = np.zeros(n)
-                row[j] = 1.0
-                rows_eq.append(row)
-                rhs_eq.append(0.0)
-            row = np.zeros(n)  # must not penetrate: delta_n <= 0
-            row[:3] = -ncol
-            rows_in.append(row)
-            rhs_in.append(0.0)
+            a_eq[cn, cn] = a_eq[ct, ct] = 1.0
+            a_in[r, :3] = -ncol  # must not penetrate: delta_n <= 0
             kinds.append("separation")
+            r += 1
             continue
 
         # attached: normal spring law c_n = c0_n + k * delta_n
-        row = np.zeros(n)
-        row[cn] = 1.0
-        row[:3] = -k * ncol
-        rows_eq.append(row)
-        rhs_eq.append(c0n)
-
-        row = np.zeros(n)  # unilaterality
-        row[cn] = 1.0
-        rows_in.append(row)
-        rhs_in.append(0.0)
+        a_eq[cn, cn] = 1.0
+        a_eq[cn, :3] = -model.stiffness[i] * ncol
+        b_eq[cn] = model.preload[i, 0]
+        a_in[r, cn] = 1.0  # unilaterality
         kinds.append("unilateral")
 
         if label == 0:
-            row = np.zeros(n)  # no tangential motion
-            row[:3] = tcol
-            rows_eq.append(row)
-            rhs_eq.append(0.0)
-            for sgn in (1.0, -1.0):  # friction inside the cone
-                row = np.zeros(n)
-                row[cn] = mu
-                row[ct] = -sgn
-                rows_in.append(row)
-                rhs_in.append(0.0)
-                kinds.append("cone")
+            a_eq[ct, :3] = tcol  # no tangential motion
+            a_in[r + 1:r + 3, cn] = mu  # friction inside the cone
+            a_in[r + 1:r + 3, ct] = (-1.0, 1.0)
+            kinds += ["cone", "cone"]
+            r += 3
         else:
             # slipping: friction on the cone edge opposing the motion
-            row = np.zeros(n)
-            row[ct] = 1.0
-            row[cn] = mu * label  # label -1: c_t = +mu c_n; +1: c_t = -mu c_n
-            rows_eq.append(row)
-            rhs_eq.append(0.0)
-            row = np.zeros(n)  # assumed slip direction must agree
-            row[:3] = label * tcol
-            rows_in.append(row)
-            rhs_in.append(0.0)
+            a_eq[ct, ct] = 1.0
+            a_eq[ct, cn] = mu * label  # label -1: c_t = +mu c_n; +1: c_t = -mu c_n
+            slip_dirs[i] = label * tcol
+            a_in[r + 1, :3] = slip_dirs[i]  # assumed slip direction must agree
             kinds.append("slip_sign")
+            r += 2
 
-    sys = StateSystem(
-        labels=labels,
-        a_eq=np.array(rows_eq), b_eq=np.array(rhs_eq),
-        a_in=np.array(rows_in).reshape(-1, n), b_in=np.array(rhs_in),
-        ineq_kind=kinds, m=m,
-    )
-    for i, label in enumerate(labels):
-        if label in (-1, 1):
-            sys.slip_dirs[i] = label * maps.motion[:, 2 * i + 1]
-    return sys
+    return StateSystem(labels=labels, a_eq=a_eq, b_eq=b_eq, a_in=a_in,
+                       b_in=np.zeros(n_in), ineq_kind=kinds,
+                       slip_dirs=slip_dirs, m=m)
 
 
 def _project_onto_equalities(a_eq, b_eq, x: np.ndarray,
@@ -212,38 +180,51 @@ def _solution_from_x(sys: StateSystem, x: np.ndarray,
 
 @dataclass(eq=False)
 class PreparedState:
-    """One slip state's system at zero load, with its factors.
+    """One slip state's system at zero load and its solution family.
 
-    A direct (well-conditioned) state also carries the affine maps of
-    its solution and slacks in the wrench w:
-    x(w) = x0 + gain @ w and a_in x(w) - b_in = s0 + slack_gain @ w.
+    The load w enters only b_eq, so all of these are affine in w. The
+    equalities' solutions are x_p(w) + null @ z, with x_p(w) = x0 + gain @ w
+    the pseudo-inverse solution at the singular_rel cutoff and its
+    inequality slacks a_in x_p(w) - b_in = s0 + slack_gain @ w. The
+    equalities are consistent when cons0 + cons_gain @ w, their right-hand
+    side in the left null basis at the rank_eps cutoff, is small enough
+    (see ``solve_state``). A direct state has an empty null basis.
     """
 
     system: StateSystem
     index: int
-    direct: bool
-    x0: np.ndarray | None = None
-    gain: np.ndarray | None = None
-    s0: np.ndarray | None = None
-    slack_gain: np.ndarray | None = None
+    x0: np.ndarray
+    gain: np.ndarray
+    s0: np.ndarray
+    slack_gain: np.ndarray
+    null: np.ndarray
+    cons0: np.ndarray
+    cons_gain: np.ndarray
+
+    @property
+    def direct(self) -> bool:
+        return self.null.shape[1] == 0
 
 
 def prepare_state(model: GraspModel, state: SlipState | tuple, *,
                   maps: GraspMaps | None = None,
                   tols: Tolerances = DEFAULT_TOLS) -> PreparedState:
-    """Assemble one slip state at zero load and factor its equalities."""
+    """Assemble one slip state at zero load; its family from one SVD."""
     sys = assemble_state_system(model, np.zeros(3), state, maps)
     idx = state.index if isinstance(state, SlipState) else -1
-    u, sv, vt = sys.factors()
-    if sv[-1] <= tols.singular_rel * sv[0]:
-        return PreparedState(sys, idx, direct=False)
+    u, sv, vt = np.linalg.svd(sys.a_eq)
+    live = int(np.count_nonzero(sv > tols.singular_rel * sv[0]))
+    rank = int(np.count_nonzero(
+        sv > tols.rank_eps * max(sys.a_eq.shape) * sv[0]))
     # the load enters b_eq as -w on the three equilibrium rows, so
-    # x(w) = inv @ b_eq(0) - inv[:, :3] @ w with inv = V S^-1 U^T
-    inv = (vt.T / sv) @ u.T
+    # x_p(w) = inv @ b_eq(0) - inv[:, :3] @ w with inv = V S^-1 U^T
+    inv = (vt[:live].T / sv[:live]) @ u[:, :live].T
     x0, gain = inv @ sys.b_eq, -inv[:, :3]
-    return PreparedState(sys, idx, direct=True, x0=x0, gain=gain,
+    return PreparedState(sys, idx, x0=x0, gain=gain,
                          s0=sys.a_in @ x0 - sys.b_in,
-                         slack_gain=sys.a_in @ gain)
+                         slack_gain=sys.a_in @ gain, null=vt[live:].T,
+                         cons0=u[:, rank:].T @ sys.b_eq,
+                         cons_gain=-u[:3, rank:].T)
 
 
 class PreparedStates:
@@ -285,59 +266,57 @@ def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState,
                 tols: Tolerances = DEFAULT_TOLS) -> EquilibriumSolution | None:
     """Solve one slip state; None when its constraints are inconsistent.
 
-    The equality block is square by construction. If it is well
-    conditioned the direct solution is screened against the inequalities;
-    otherwise the feasibility program searches the solution family. A
-    PreparedState is used as it is; any other state is prepared first.
+    A direct state is decided by its slacks at its one solution. Any
+    other state is decided in its null space: the consistency test, then
+    the screen of ``_null_space_feasible``; the box ladder of
+    ``linear_feasibility`` then runs only to produce the point. Both
+    tests reject only what the ladder would, so the point is the one the
+    ladder alone returns. A PreparedState is used as it is; any other
+    state is prepared first.
     """
     prep = state if isinstance(state, PreparedState) else \
         prepare_state(model, state, maps=maps, tols=tols)
     w = as_wrench(w)
+    slack = prep.s0 + prep.slack_gain @ w
     if prep.direct:
-        if len(prep.s0) and \
-                np.min(prep.s0 + prep.slack_gain @ w) < -tols.ineq_slack:
+        if np.min(slack, initial=np.inf) < -tols.ineq_slack:
             return None
         return _solution_from_x(prep.system.at(w), prep.x0 + prep.gain @ w,
                                 prep.index)
 
     sys = prep.system.at(w)
+    # the ladder accepts only points whose max-norm residual is at most
+    # eq_tol, hence whose 2-norm residual is at most sqrt(rows) * eq_tol,
+    # and no point has a smaller residual than the norm of b_eq in the
+    # left null basis
+    if np.linalg.norm(prep.cons0 + prep.cons_gain @ w) > \
+            np.sqrt(len(sys.b_eq)) * _eq_tol(sys, tols)[1] or \
+            not _null_space_feasible(sys, prep.x0 + prep.gain @ w, slack,
+                                     prep.null, tols):
+        return None
     x = linear_feasibility(sys, tols=tols)
-    if x is None:
-        return None
-    return _solution_from_x(sys, x, prep.index)
+    return None if x is None else _solution_from_x(sys, x, prep.index)
 
 
-def _solution_family(sys: StateSystem, eq_tol: float, tols: Tolerances):
-    """(x_p, N) with x_p + N z spanning the equality solutions, or None.
-
-    None when the equalities are inconsistent: the ladder below accepts
-    only points whose max-norm residual is at most eq_tol, hence whose
-    2-norm residual is at most sqrt(rows) * eq_tol, and no point has a
-    smaller residual than ||Y^T b_eq||, with Y the left null basis at
-    numpy lstsq's rank cutoff. N (orthonormal columns) is the null basis
-    at the singular cutoff, so it also holds the nearly null directions.
-    """
-    rows, n = sys.a_eq.shape
-    if rows == 0:
-        return np.zeros(n), np.eye(n)
-    u, sv, vt = sys.factors()
-    rank = int(np.count_nonzero(sv > tols.rank_eps * max(rows, n) * sv[0]))
-    if np.linalg.norm(u[:, rank:].T @ sys.b_eq) > np.sqrt(rows) * eq_tol:
-        return None
-    live = int(np.count_nonzero(sv > tols.singular_rel * sv[0]))
-    x_p = vt[:live].T @ ((u[:, :live].T @ sys.b_eq) / sv[:live])
-    return x_p, vt[live:].T
+def _eq_tol(sys: StateSystem, tols: Tolerances) -> tuple[float, float]:
+    """(scale, eq_tol): the data's magnitude and the largest max-norm
+    equality residual the box ladder accepts."""
+    scale = max(1.0, float(np.max(np.abs(sys.b_eq), initial=0.0)),
+                float(np.max(np.abs(sys.b_in), initial=0.0)))
+    return scale, tols.eq_residual * (1.0 + scale)
 
 
-def _null_space_feasible(sys: StateSystem, x_p: np.ndarray, null: np.ndarray,
-                         tols: Tolerances) -> bool:
+def _null_space_feasible(sys: StateSystem, x_p: np.ndarray, slack: np.ndarray,
+                         null: np.ndarray, tols: Tolerances) -> bool:
     """Whether some x = x_p + N z meets the relaxed rows in the +-x_max box.
 
-    The rows are a_in x >= b_in - ineq_slack and |x| <= x_max, as
-    g z >= h. Nullity 0 checks x_p, nullity 1 the ends of the interval
-    of z, nullity 2 the vertices of the polygon of z (bounded by the box,
-    so it has a vertex when it is not empty); a larger nullity runs the
-    phase-1 LP over x.
+    slack is a_in x_p - b_in. The rows are a_in x >= b_in - ineq_slack and
+    |x| <= x_max, as g z >= h. The ladder's boxes all lie within +-x_max
+    and it accepts slack >= -ineq_slack, so where no such z exists every
+    rung fails too. Nullity 1 checks the ends of the interval of z,
+    nullity 2 the vertices of the polygon of z (bounded by the box, so it
+    has a vertex when it is not empty); a larger nullity runs the phase-1
+    LP over x.
     """
     k = null.shape[1]
     if k >= 3:
@@ -346,14 +325,12 @@ def _null_space_feasible(sys: StateSystem, x_p: np.ndarray, null: np.ndarray,
                              tols.x_max)
         return ok
     g = np.vstack([sys.a_in @ null, null, -null])
-    h = np.concatenate([sys.b_in - tols.ineq_slack - sys.a_in @ x_p,
+    h = np.concatenate([-tols.ineq_slack - slack,
                         -tols.x_max - x_p, -tols.x_max + x_p])
     g_norm = np.linalg.norm(g, axis=1)
     steep = g_norm > tols.flat_rel * np.concatenate(
         [np.linalg.norm(sys.a_in, axis=1), np.ones(2 * sys.n)])
-    if k == 0:
-        cand = np.zeros((1, 0))
-    elif k == 1:
+    if k == 1:
         gs, hs = g[steep, 0], h[steep]
         cand = np.array([[np.max(hs[gs > 0] / gs[gs > 0])],
                          [np.min(hs[gs < 0] / gs[gs < 0])]])
@@ -378,35 +355,15 @@ def linear_feasibility(sys: StateSystem, *, tols: Tolerances = DEFAULT_TOLS,
     Maximizes the minimum inequality slack subject to the equalities and
     a box bound on the unknowns. The box (and with it the tableau scale)
     grows geometrically up to the configured limit, so that solutions of
-    ordinary magnitude are computed at ordinary scale.
-
-    Two tests reject a state before that box ladder runs, from the
-    factors cached on the system; both only return None where the ladder
-    would, so every point it returns is the one the ladder alone would
-    return:
-
-    1. Consistency: the least-squares residual of the equalities must be
-       within reach of the ladder's residual tolerance (see
-       ``_solution_family``).
-    2. Null-space screen (feasibility callers only): the ladder's boxes
-       all lie within +-x_max and it accepts slack >= -ineq_slack, so if
-       no point x_p + N z of that box meets the inequalities relaxed by
-       ineq_slack, every rung fails too. Nullity up to 2 is decided in
-       closed form, without an LP.
+    ordinary magnitude are computed at ordinary scale. ``solve_state``
+    rejects infeasible states before this ladder runs, by tests that
+    reject only what it would, so the ladder alone returns the same
+    points.
 
     With ``objective`` given, minimizes it over the feasible set instead.
     """
     a_eq, b_eq = sys.a_eq, sys.b_eq
-
-    scale = max(1.0, float(np.max(np.abs(b_eq), initial=0.0)),
-                float(np.max(np.abs(sys.b_in), initial=0.0)))
-    eq_tol = tols.eq_residual * (1.0 + scale)
-
-    family = _solution_family(sys, eq_tol, tols)
-    if family is None:
-        return None
-    if objective is None and not _null_space_feasible(sys, *family, tols):
-        return None
+    scale, eq_tol = _eq_tol(sys, tols)
 
     box = 100.0 * scale
     while True:

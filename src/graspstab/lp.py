@@ -1,10 +1,12 @@
 """Small dense linear programs via two-phase simplex with Bland's rule.
 
-Every feasibility question in the package funnels through here: cell
-realizability in the motion-space arrangement, the fallback solve for
-singular per-state systems, and the canonical-witness selection. Problems
-are tiny (tens of rows), so the solver is a dense tableau; Bland's rule
-makes the pivot sequence deterministic and cycle-free.
+The package's remaining LPs run here: the box ladder that produces the
+point of a feasible singular slip state, the phase-1 screen of a null
+space of three or more dimensions, the canonical-witness selection and
+the balanced preload of generated grasps. The arrangement of slip states
+is built without LPs. Problems are tiny (tens of rows), so the solver is
+a dense tableau; Bland's rule makes the pivot sequence deterministic and
+cycle-free.
 
 The pivot loop itself is the hot kernel and lives in ``_simplex_py``;
 it is looked up there on every call, so it can be wrapped in place.

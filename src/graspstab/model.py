@@ -132,9 +132,6 @@ class GraspMaps:
 
     motion: np.ndarray
     wrench: np.ndarray
-    tangents: np.ndarray
-    normal_idx: np.ndarray
-    tangent_idx: np.ndarray
 
 
 def build_maps(model: GraspModel) -> GraspMaps:
@@ -142,23 +139,15 @@ def build_maps(model: GraspModel) -> GraspMaps:
     m = model.m
     motion = np.zeros((3, 2 * m))
     wrench = np.zeros((3, 2 * m))
-    tangents = np.zeros((m, 2))
     for i, c in enumerate(model.contacts):
         n, t, p = c.normal, c.tangent, c.position
-        tangents[i] = t
         motion[:2, 2 * i] = n
         motion[2, 2 * i] = cross2(p, n)
         motion[:2, 2 * i + 1] = t
         motion[2, 2 * i + 1] = cross2(p, t)
         wrench[:, 2 * i] = -motion[:, 2 * i]
         wrench[:, 2 * i + 1] = motion[:, 2 * i + 1]
-    return GraspMaps(
-        motion=motion,
-        wrench=wrench,
-        tangents=tangents,
-        normal_idx=np.arange(0, 2 * m, 2),
-        tangent_idx=np.arange(1, 2 * m, 2),
-    )
+    return GraspMaps(motion=motion, wrench=wrench)
 
 
 def contact_motion(maps: GraspMaps, d) -> np.ndarray:

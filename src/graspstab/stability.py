@@ -117,7 +117,7 @@ def _slip_objective(sys: StateSystem) -> np.ndarray:
 
 def _augment(sys: StateSystem, rows, rhs) -> StateSystem:
     rows = np.asarray(rows, dtype=float).reshape(-1, sys.n)
-    return replace(  # same equalities: shares their cached factors
+    return replace(
         sys, a_in=np.vstack([sys.a_in, rows]),
         b_in=np.concatenate([sys.b_in, np.atleast_1d(rhs)]),
         ineq_kind=sys.ineq_kind + ["pin"] * rows.shape[0])
@@ -204,9 +204,12 @@ def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
                    tols: Tolerances = DEFAULT_TOLS) -> DirectionResult:
     """Largest resistible force magnitude along a direction, by bisection.
 
-    Returns magnitude inf when the grasp still holds at the cap.
-    Stability is assumed radially monotone along the ray; the returned
-    bracket (stable, unstable) is the bisection's final certificate.
+    Returns magnitude inf when the grasp still holds at the cap. The
+    returned bracket (stable, unstable) certifies only its two probes:
+    stable at lo (lo = 0 is not probed) and unstable at hi. Stability
+    need not be monotone along a ray, and ROADMAP item 1 found rays of
+    random preloaded grasps that are not; there the magnitude is the end
+    of whichever stable stretch the bisection closes in on.
 
     The state systems do not depend on the load, so each is prepared
     (assembled and factored) at most once per call and every bisection

@@ -173,12 +173,16 @@ def test_null_space_screen_rejects_without_lp(preloaded, w, labels,
 # the program itself never uses it, being several times slower per LP).
 # Wrenches: Tables I and III, a grid, and two just inside the friction
 # limit of the indeterminate rows 5-6 of Table III, where the preloaded
-# all-stick state is singular and feasible with a margin of only 2.5e-4
+# all-stick state is singular and feasible with a margin of only 2.5e-4.
+# (0, +-0.5, +-1) reach nullity-1 states whose feasible points all lie
+# away from z = 0: four_contact's (-1, detached, 1, detached) under
+# (0, -0.5, 1) has slack -0.5 at z = 0 and a ladder margin of 0.5
 REF_WRENCHES = sorted(
     {(0.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, -2.0, 0.0), (0.0, 1.0, 0.0),
      (0.0, 1.1, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0), (0.0, 0.0, -3.0),
      (0.0, 1.999, 0.0), (0.0, -1.999, 0.0)}
-    | set(itertools.product((-1.5, 0.0, 1.5), (-1.5, 0.0, 1.5), (-1.0, 1.0))))
+    | set(itertools.product((-1.5, 0.0, 1.5), (-1.5, 0.0, 1.5), (-1.0, 1.0)))
+    | set(itertools.product((0.0,), (-0.5, 0.5), (-1.0, 1.0))))
 REF_MARGIN = 1e-6
 
 
