@@ -40,12 +40,13 @@ SOLVER_ERROR = 4
 def _wrench(text: str) -> np.ndarray:
     try:
         parts = [float(p) for p in text.split(",")]
-        if len(parts) != 3:
+        if len(parts) != 3 or not all(map(math.isfinite, parts)):
             raise ValueError
         return np.array(parts)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected wx,wy,tau (three comma-separated numbers), got {text!r}")
+            f"expected wx,wy,tau (three comma-separated finite numbers), "
+            f"got {text!r}")
 
 
 def _add_mode_flags(p):

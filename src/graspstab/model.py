@@ -180,6 +180,16 @@ def validate_model(model: GraspModel) -> list[str]:
         errors.append("model has no contacts")
         return errors
     for i, c in enumerate(model.contacts):
+        for what, value in (("position", c.position), ("normal", c.normal),
+                            ("friction coefficient", c.mu),
+                            ("stiffness", model.stiffness[i]),
+                            ("preload", model.preload[i])):
+            if not np.all(np.isfinite(value)):
+                errors.append(f"contact {i}: non-finite {what} {value}")
+    if errors:
+        # NaN makes every comparison below false, so it would pass them all
+        return errors
+    for i, c in enumerate(model.contacts):
         norm = float(np.linalg.norm(c.normal))
         if abs(norm - 1.0) > 1e-12:
             errors.append(f"contact {i}: normal is not unit length (|n|={norm!r})")

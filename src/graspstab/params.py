@@ -24,7 +24,9 @@ class Tolerances:
     # default), and their left singular vectors must annihilate b_eq
     rank_eps: float = 2.220446049250313e-16
     # a constraint row is flat in the null-space coordinates when its
-    # norm there is at most flat_rel times its norm in the unknowns
+    # norm there is at most flat_rel times its norm in the unknowns; a
+    # state is flat for the canonical witness when each of its slip rows
+    # is, so that no slip speed varies over its solutions
     flat_rel: float = 1e-12
     # relative slack with which a candidate null-space point (interval
     # end or polygon vertex) is accepted by the feasibility screen

@@ -99,20 +99,12 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
                        detachment=states.detachment)
 
     first_idx = feasible[0][0].index
-    if witness_policy == "first" or len(feasible) == 1:
+    if witness_policy == "first":
         witness = feasible[0][1]
     else:
         witness = _canonical_witness(w, feasible, tols)
     return Verdict(stable=True, witness=witness, states_tried=tried,
                    detachment=states.detachment, first_feasible=first_idx)
-
-
-def _slip_objective(sys: StateSystem) -> np.ndarray:
-    """Total slip speed as a linear functional of the unknowns."""
-    c = np.zeros(sys.n)
-    for row in sys.slip_dirs.values():
-        c[:3] += row
-    return c
 
 
 def _augment(sys: StateSystem, rows, rhs) -> StateSystem:
@@ -123,79 +115,72 @@ def _augment(sys: StateSystem, rows, rhs) -> StateSystem:
         ineq_kind=sys.ineq_kind + ["pin"] * rows.shape[0])
 
 
+def _least(sys: StateSystem, c: np.ndarray, sol: EquilibriumSolution,
+           flat: bool, tols: Tolerances) -> float:
+    """Least c x over sys; c x at sol for a flat state or a failed LP."""
+    x = None if flat else linear_feasibility(sys, tols=tols, objective=c)
+    return float(c[:3] @ sol.d) if x is None else float(c @ x)
+
+
 def _canonical_witness(w, feasible, tols) -> EquilibriumSolution:
     """Minimal total slip across all feasible states, deterministic ties.
 
-    Stage 1 minimizes the summed slip speed per state; stage 2, among
-    states within tolerance of the global minimum, lexicographically
-    maximizes the per-contact slip speeds in contact order; stage 3 picks
-    the max-min-slack point of the winning, fully pinned system.
+    Stage 1 minimizes each state's summed slip speed. Stage 2, among the
+    states within witness_tie of the least total t*, maximizes the
+    per-contact slip speeds lexicographically in contact order, each on
+    one system that caps the total and pins every speed found before it
+    to within witness_pin. Stage 3 takes the winner's max-min-slack point
+    of that pinned system. Where an LP fails, the state's own solution
+    stands in for its optimum or point.
+
+    Slip speeds depend on the motion alone, x_p(w)[:3] + N[:3] z. A
+    state is flat when no slip row r moves with N (|r N[:3]| <=
+    flat_rel |r|), as a direct state or one without slip is: its speeds
+    are read off its solution with no LP, and its solution is its point.
+
+    The pins hold to within witness_pin, which caps the stage-3 margin
+    near witness_pin / 2 (min_ineq_slack 5.0e-10 on Table III rows
+    7-10): the pinned point does not centre the forces the pins leave
+    free.
     """
     entries = []
     for st, sol in feasible:
         sys = st.system.at(w)
-        obj = _slip_objective(sys)
-        if not sys.slip_dirs:
-            entries.append((st, sol, sys, 0.0))
-            continue
-        x = linear_feasibility(sys, tols=tols, objective=obj)
-        if x is None:  # numerically marginal state: rank it by its solution
-            t_val = float(obj[:3] @ sol.d)
-        else:
-            t_val = float(obj @ x)
-        entries.append((st, sol, sys, t_val))
+        obj = np.zeros(sys.n)
+        obj[:3] = sum(sys.slip_dirs.values())  # total slip speed
+        flat = all(np.linalg.norm(r @ st.null[:3])
+                   <= tols.flat_rel * np.linalg.norm(r)
+                   for r in sys.slip_dirs.values())
+        entries.append((st, sol, sys, obj, flat,
+                        _least(sys, obj, sol, flat, tols)))
 
-    t_star = min(e[3] for e in entries)
-    eps = tols.witness_tie * (1.0 + abs(t_star))
-    tied = [e for e in entries if e[3] <= t_star + eps]
-    if len(tied) == 1:
-        st, sol, sys, t_val = tied[0]
-        if not sys.slip_dirs:
-            return sol
-        return _pinned_solution(st, sys, t_star, {}, tols) or sol
-
+    t_star = min(e[-1] for e in entries)
+    cap = t_star + tols.witness_tie * (1.0 + abs(t_star))
     best = None
-    for st, sol, sys, _t in tied:
-        pins: dict[int, float] = {}
-        vec = []
-        base = _augment(sys, -_slip_objective(sys), [-(t_star + eps)])
+    for st, sol, sys, obj, flat, t_val in entries:
+        if t_val > cap:
+            continue
+        pinned = _augment(sys, -obj, [-cap])
+        speeds = []
         for i in range(sys.m):
             if i not in sys.slip_dirs:
-                vec.append(0.0)
+                speeds.append(0.0)
                 continue
-            cur = base
-            for j, vj in pins.items():
-                row = np.zeros(sys.n)
-                row[:3] = sys.slip_dirs[j]
-                cur = _augment(cur, row, [vj - tols.witness_pin])
-            obj = np.zeros(sys.n)
-            obj[:3] = -sys.slip_dirs[i]
-            x = linear_feasibility(cur, tols=tols, objective=obj)
-            vi = float(-obj @ x) if x is not None else 0.0
-            pins[i] = vi
-            vec.append(vi)
-        key = tuple(np.round(vec, 9))
-        if best is None or key > best[0]:
-            best = (key, st, sol, sys, pins)
-
-    _key, st, sol, sys, pins = best
-    return _pinned_solution(st, sys, t_star, pins, tols) or sol
-
-
-def _pinned_solution(st, sys, t_star, pins, tols):
-    eps = tols.witness_tie * (1.0 + abs(t_star))
-    cur = sys
-    if sys.slip_dirs:
-        cur = _augment(cur, -_slip_objective(sys), [-(t_star + eps)])
-        for j, vj in pins.items():
             row = np.zeros(sys.n)
-            row[:3] = sys.slip_dirs[j]
-            cur = _augment(cur, row, [vj - tols.witness_pin])
-    x = linear_feasibility(cur, tols=tols)
-    if x is None:
-        return None
-    sol = _solution_from_x(sys, x, st.index)
-    return sol if sol.min_ineq_slack >= -tols.ineq_slack else None
+            row[:3] = sys.slip_dirs[i]
+            speeds.append(-_least(pinned, -row, sol, flat, tols))
+            pinned = _augment(pinned, row, [speeds[-1] - tols.witness_pin])
+        key = tuple(np.round(speeds, 9))
+        if best is None or key > best[0]:
+            best = (key, st, sol, sys, flat, pinned)
+
+    _key, st, sol, sys, flat, pinned = best
+    x = None if flat else linear_feasibility(pinned, tols=tols)
+    if x is not None:
+        pinned_sol = _solution_from_x(sys, x, st.index)
+        if pinned_sol.min_ineq_slack >= -tols.ineq_slack:
+            return pinned_sol
+    return sol
 
 
 def max_resistible(model: GraspModel, direction, tol: float = 1e-3,

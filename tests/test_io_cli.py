@@ -114,6 +114,42 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
     assert main(["check", str(bad), "--wrench", "0,0,0"]) == 3
 
 
+@pytest.mark.parametrize("text", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+def test_cli_rejects_non_finite_wrench(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", str(FIXTURES / "three_contact.grasp"), "--wrench", text])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
+
+
+# (fixture, text replaced, replacement): one non-finite value each
+NON_FINITE_GRASPS = {
+    "position": ("three_contact", "position: [0.0, -1.0]",
+                 "position: [.nan, -1.0]"),
+    "normal": ("three_contact", "normal: [1.0, 0.0]", "normal: [.inf, 0.0]"),
+    "mu": ("three_contact", "mu: 0.5}\n  - {position: [1.0",
+           "mu: .nan}\n  - {position: [1.0"),
+    "stiffness": ("three_contact", "stiffness: 1.0", "stiffness: .inf"),
+    "preload": ("three_contact_preload", "- [1.0, 0.0]", "- [.nan, 0.0]"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "enumerate"])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_GRASPS))
+def test_cli_rejects_non_finite_grasp(tmp_path, capsys, command, field):
+    fixture, old, new = NON_FINITE_GRASPS[field]
+    text = (FIXTURES / f"{fixture}.grasp").read_text()
+    assert text.count(old) == 1
+    bad = tmp_path / "non_finite.grasp"
+    bad.write_text(text.replace(old, new))
+    argv = [command, str(bad)] + (["--wrench", "0,-1,0"]
+                                  if command == "check" else [])
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
 def test_cli_solver_error_exit_code(monkeypatch, capsys):
     import graspstab.cli
     import graspstab.stability

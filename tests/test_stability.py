@@ -112,6 +112,52 @@ def test_random_grasp_witnesses_verify():
             assert check_solution(model, w, v.witness)["max_violation"] < 1e-8
 
 
+def _count_witness_lps(monkeypatch):
+    from graspstab import stability
+
+    calls = []
+    ladder = stability.linear_feasibility
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "linear_feasibility", counted)
+    return calls
+
+
+def test_direct_states_canonical_witness_runs_no_lp(m3, monkeypatch):
+    # Table I row 3: its three feasible states are all direct, so their
+    # slip speeds are read off their solutions
+    calls = _count_witness_lps(monkeypatch)
+    v = check_stability(m3, (0, -1, 0), detachment=True)
+    assert v.stable and calls == []
+    assert np.allclose(v.witness.forces, [[0, 0], [1, 0], [0, 0]],
+                       rtol=0, atol=1e-12)
+    assert np.allclose(v.witness.d, (0, -1, 0), rtol=0, atol=1e-12)
+
+
+def test_flat_singular_winner_keeps_its_solution():
+    # the winning state's null space moves only the forces, so no slip
+    # speed varies on it: its witness is its own max-min-slack point,
+    # whatever else is feasible, and so equals the "first" witness
+    from graspstab.generate import balanced_preload
+
+    r = math.sqrt(0.5)
+    contacts = [Contact(p, n, 0.5) for p, n in zip(
+        [(-0.5, -0.5), (0, 0.5), (0, -1.5), (0, 0.5)],
+        [(0, 1), (0, 1), (0, -1), (r, r)])]
+    model = GraspModel(contacts)
+    model.preload = balanced_preload(model)
+    w = (1.5, 0.5, 1)
+    canon = check_stability(model, w)
+    first = check_stability(model, w, witness_policy="first")
+    assert canon.witness.state_index == first.witness.state_index
+    assert np.allclose(canon.witness.forces, first.witness.forces,
+                       rtol=0, atol=1e-12)
+    assert canon.witness.min_ineq_slack > 1e-3
+
+
 # ---------------------------------------------------------------------------
 # prepared states
 # ---------------------------------------------------------------------------
