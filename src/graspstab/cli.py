@@ -216,6 +216,9 @@ def _analyse(parser, args, model, name) -> int:
     if args.command == "region":
         if args.directions < 4:
             parser.error("--directions must be at least 4")
+        for flag, value in (("--tol", args.tol), ("--cap", args.cap)):
+            if not (math.isfinite(value) and value > 0):
+                parser.error(f"{flag} must be finite and positive")
         detach = _detachment(model, args)
         sweep = resistible_region(model, args.directions, args.tol, args.cap,
                                   detachment=detach)

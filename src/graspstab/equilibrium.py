@@ -8,9 +8,12 @@ contacts, and zero force at detached contacts give a square system in
 side, so a state is prepared once per grasp: assembled at zero load,
 and one SVD of its equality block gives its solution family x_p(w) + N z
 as affine maps of the wrench w. A direct state (N empty) is decided by
-its slacks at x_p(w); any other state in its null space, and an LP runs
-only to produce its point, or to screen a null space of three or more
-dimensions.
+its slacks at x_p(w); any other state in its null space. Every LP over
+a state, the box ladder that produces a singular state's point, the
+canonical witness's objective and pin LPs and the screen of a null space
+of three or more dimensions, has x = x_p + N z and so runs in the k
+null-space coordinates (plus a margin), k <= 3 in practice, on one exact
+engine: Seidel's incremental algorithm (``nullspace_lp.small_lp``).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import lp
+from . import nullspace_lp
 from .arrangement import DETACHED, LABEL_NAMES, SlipState, SlipStateSet
 from .model import (GraspMaps, GraspModel, as_wrench, build_maps, cross2,
                     tangent_of, world_force)
@@ -44,9 +47,12 @@ class StateSystem:
     """Linear system of one slip state over x = (d[3], c[2m]).
 
     Equalities a_eq x = b_eq; inequalities a_in x >= b_in. ineq_kind
-    tags each inequality row (unilateral / cone / slip_sign / separation)
-    and slip_dirs maps slipping contacts to the d-row of their tangential
-    motion, used by the canonical-witness selection.
+    tags each inequality row (unilateral / cone / slip_sign / separation,
+    or pin for a row the canonical witness adds) and slip_dirs maps
+    slipping contacts to the d-row of their tangential motion, used by the
+    canonical-witness selection. factor is ``_factor(a_eq)``, kept by
+    ``prepare_state`` for a singular state so that its ladder reuses the
+    SVD.
     """
 
     labels: tuple[int, ...]
@@ -57,6 +63,7 @@ class StateSystem:
     ineq_kind: list[str]
     slip_dirs: dict[int, np.ndarray] = field(default_factory=dict)
     m: int = 0
+    factor: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -212,19 +219,32 @@ def prepare_state(model: GraspModel, state: SlipState | tuple, *,
     """Assemble one slip state at zero load; its family from one SVD."""
     sys = assemble_state_system(model, np.zeros(3), state, maps)
     idx = state.index if isinstance(state, SlipState) else -1
-    u, sv, vt = np.linalg.svd(sys.a_eq)
-    live = int(np.count_nonzero(sv > tols.singular_rel * sv[0]))
-    rank = int(np.count_nonzero(
-        sv > tols.rank_eps * max(sys.a_eq.shape) * sv[0]))
+    inv, null, left = _factor(sys.a_eq, tols)
+    if null.shape[1]:  # only a singular state reaches the box ladder
+        sys.factor = inv, null, left
     # the load enters b_eq as -w on the three equilibrium rows, so
-    # x_p(w) = inv @ b_eq(0) - inv[:, :3] @ w with inv = V S^-1 U^T
-    inv = (vt[:live].T / sv[:live]) @ u[:, :live].T
+    # x_p(w) = inv @ b_eq(0) - inv[:, :3] @ w
     x0, gain = inv @ sys.b_eq, -inv[:, :3]
     return PreparedState(sys, idx, x0=x0, gain=gain,
                          s0=sys.a_in @ x0 - sys.b_in,
-                         slack_gain=sys.a_in @ gain, null=vt[live:].T,
-                         cons0=u[:, rank:].T @ sys.b_eq,
-                         cons_gain=-u[:3, rank:].T)
+                         slack_gain=sys.a_in @ gain, null=null,
+                         cons0=left.T @ sys.b_eq, cons_gain=-left[:3].T)
+
+
+def _factor(a_eq: np.ndarray, tols: Tolerances):
+    """(inv, null, left) of an equality block, from one SVD U S V^T.
+
+    inv = V S^-1 U^T is its pseudo-inverse at the singular_rel cutoff and
+    null the right singular vectors below that cutoff; left holds the
+    left singular vectors beyond the rank_eps cutoff of the consistency
+    test.
+    """
+    u, sv, vt = np.linalg.svd(a_eq)
+    top = sv[0] if sv.size else 0.0
+    live = int(np.count_nonzero(sv > tols.singular_rel * top))
+    rank = int(np.count_nonzero(sv > tols.rank_eps * max(a_eq.shape) * top))
+    inv = (vt[:live].T / sv[:live]) @ u[:, :live].T
+    return inv, vt[live:].T, u[:, rank:]
 
 
 class PreparedStates:
@@ -315,18 +335,16 @@ def _null_space_feasible(sys: StateSystem, x_p: np.ndarray, slack: np.ndarray,
     and it accepts slack >= -ineq_slack, so where no such z exists every
     rung fails too. Nullity 1 checks the ends of the interval of z,
     nullity 2 the vertices of the polygon of z (bounded by the box, so it
-    has a vertex when it is not empty); a larger nullity runs the phase-1
-    LP over x.
+    has a vertex when it is not empty); a larger nullity asks the
+    null-space LP for any such z.
     """
     k = null.shape[1]
+    g, h = nullspace_lp.null_rows(sys, x_p, slack + tols.ineq_slack, null,
+                                  tols.x_max)
     if k >= 3:
-        ok, _x = lp.solve_lp(np.zeros(sys.n), sys.a_eq, sys.b_eq, sys.a_in,
-                             sys.b_in - tols.ineq_slack, -tols.x_max,
-                             tols.x_max)
-        return ok
-    g = np.vstack([sys.a_in @ null, null, -null])
-    h = np.concatenate([-tols.ineq_slack - slack,
-                        -tols.x_max - x_p, -tols.x_max + x_p])
+        bound = nullspace_lp.z_bound(sys.n, tols.x_max)
+        return nullspace_lp.small_lp(g, h, np.zeros(k), np.full(k, -bound),
+                                     np.full(k, bound), tols) is not None
     g_norm = np.linalg.norm(g, axis=1)
     steep = g_norm > tols.flat_rel * np.concatenate(
         [np.linalg.norm(sys.a_in, axis=1), np.ones(2 * sys.n)])
@@ -353,28 +371,28 @@ def linear_feasibility(sys: StateSystem, *, tols: Tolerances = DEFAULT_TOLS,
     """Point satisfying the state system, or None.
 
     Maximizes the minimum inequality slack subject to the equalities and
-    a box bound on the unknowns. The box (and with it the tableau scale)
-    grows geometrically up to the configured limit, so that solutions of
-    ordinary magnitude are computed at ordinary scale. ``solve_state``
-    rejects infeasible states before this ladder runs, by tests that
-    reject only what it would, so the ladder alone returns the same
-    points.
+    a box bound on the unknowns; pin rows (ineq_kind "pin") hold as hard
+    rows and take no part in the margin. The box grows geometrically from
+    ladder_start times the data's magnitude up to x_max, so that solutions
+    of ordinary magnitude are found at ordinary scale. Each rung is one
+    exact LP (``nullspace_lp.null_lp``) over x = x_p + N z, with x_p and
+    N from one SVD of the equality block. ``solve_state`` rejects
+    infeasible states before this ladder runs, by tests that reject only
+    what it would, so the ladder alone returns the same points.
 
     With ``objective`` given, minimizes it over the feasible set instead.
     """
     a_eq, b_eq = sys.a_eq, sys.b_eq
     scale, eq_tol = _eq_tol(sys, tols)
+    inv, null, _left = sys.factor or _factor(a_eq, tols)
+    x_p = inv @ b_eq
 
-    box = 100.0 * scale
+    box = tols.ladder_start * scale
     while True:
         box = min(box, tols.x_max)
-        if objective is None:
-            x, s = lp.max_min_slack(a_eq, b_eq, sys.a_in, sys.b_in,
-                                    -box, box, s_cap=1e3)
-            ok = x is not None and s >= -tols.ineq_slack
-        else:
-            ok, x = lp.solve_lp(objective, a_eq, b_eq, sys.a_in, sys.b_in,
-                                -box, box)
+        x, s = nullspace_lp.null_lp(sys, x_p, null, box, objective, tols)
+        ok = x is not None and (objective is not None
+                                or s >= -tols.ineq_slack)
         if ok:
             # the program's verdict is advisory: accept only a point that
             # verifiably satisfies the system at the working tolerances
@@ -388,7 +406,7 @@ def linear_feasibility(sys: StateSystem, *, tols: Tolerances = DEFAULT_TOLS,
                     return x
         if box >= tols.x_max:
             return None
-        box *= 100.0
+        box *= tols.ladder_step
 
 
 def check_solution(model: GraspModel, w, sol: EquilibriumSolution) -> dict:

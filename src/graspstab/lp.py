@@ -1,12 +1,16 @@
 """Small dense linear programs via two-phase simplex with Bland's rule.
 
-The package's remaining LPs run here: the box ladder that produces the
-point of a feasible singular slip state, the phase-1 screen of a null
-space of three or more dimensions, the canonical-witness selection and
-the balanced preload of generated grasps. The arrangement of slip states
-is built without LPs. Problems are tiny (tens of rows), so the solver is
-a dense tableau; Bland's rule makes the pivot sequence deterministic and
-cycle-free.
+Its one caller in the package is ``generate.balanced_preload``, the
+max-min-margin preload of generated grasps. Stability queries run no
+simplex: every slip-state LP is solved in the state's null space by
+``nullspace_lp.small_lp``, and the arrangement is built without LPs. The
+simplex stays because the preload's optimum need not be unique and the
+benchmark's stored query selections depend on the preloads it returns,
+so another solver must first be shown to return the same ones; the
+benchmark also still imports ``SimplexError`` and wraps ``solve_lp``,
+``max_min_slack`` and ``pivot_loop`` by name. Problems are tiny (tens of
+rows), so the solver is a dense tableau; Bland's rule makes the pivot
+sequence deterministic and cycle-free.
 
 The pivot loop itself is the hot kernel and lives in ``_simplex_py``;
 it is looked up there on every call, so it can be wrapped in place.

@@ -46,6 +46,17 @@ class Tolerances:
     witness_pin: float = 1e-9
     # box bound on unknowns in the feasibility program
     x_max: float = 1e6
+    # the box ladder: its first box is ladder_start times the data's
+    # magnitude, each rung multiplies it by ladder_step up to x_max, and
+    # the max-min-slack margin is capped at margin_cap
+    ladder_start: float = 100.0
+    ladder_step: float = 100.0
+    margin_cap: float = 1e3
+    # the null-space LP counts a unit row g y >= h as met when its
+    # residual is at least -lp_rel * (1 + |h| + |y|_1), and a row as
+    # parallel to the one it is projected onto when its norm there is at
+    # most lp_rel
+    lp_rel: float = 1e-12
 
 
 DEFAULT_TOLS = Tolerances()

@@ -108,6 +108,7 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
 
 
 def _augment(sys: StateSystem, rows, rhs) -> StateSystem:
+    """sys with the pin rows `rows x >= rhs`, which the ladder holds hard."""
     rows = np.asarray(rows, dtype=float).reshape(-1, sys.n)
     return replace(
         sys, a_in=np.vstack([sys.a_in, rows]),
@@ -129,19 +130,16 @@ def _canonical_witness(w, feasible, tols) -> EquilibriumSolution:
     states within witness_tie of the least total t*, maximizes the
     per-contact slip speeds lexicographically in contact order, each on
     one system that caps the total and pins every speed found before it
-    to within witness_pin. Stage 3 takes the winner's max-min-slack point
-    of that pinned system. Where an LP fails, the state's own solution
-    stands in for its optimum or point.
+    to within witness_pin. Stage 3 takes the winner's point of that
+    pinned system that maximizes the least slack of the state's own rows;
+    the cap and the pins hold as hard rows and set no margin, so the
+    point centres the forces they leave free. Where an LP fails, the
+    state's own solution stands in for its optimum or point.
 
     Slip speeds depend on the motion alone, x_p(w)[:3] + N[:3] z. A
     state is flat when no slip row r moves with N (|r N[:3]| <=
     flat_rel |r|), as a direct state or one without slip is: its speeds
     are read off its solution with no LP, and its solution is its point.
-
-    The pins hold to within witness_pin, which caps the stage-3 margin
-    near witness_pin / 2 (min_ineq_slack 5.0e-10 on Table III rows
-    7-10): the pinned point does not centre the forces the pins leave
-    free.
     """
     entries = []
     for st, sol in feasible:
@@ -200,8 +198,9 @@ def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
     (assembled and factored) at most once per call and every bisection
     probe reuses it; PreparedStates passed as ``states`` are shared.
     """
-    if tol <= 0 or cap <= 0:
-        raise ValueError("tol and cap must be positive")
+    if not (math.isfinite(tol) and math.isfinite(cap) and tol > 0
+            and cap > 0):
+        raise ValueError("tol and cap must be finite and positive")
     u = np.asarray(direction, dtype=float).reshape(2)
     u = u / np.linalg.norm(u)
     if states is None:

@@ -108,14 +108,16 @@ def test_feasibility_all_stick_underdetermined(m4p):
 
 
 def _count_lp_calls(monkeypatch):
+    """Calls of either LP solver: the simplex or the null-space engine."""
+    from graspstab import nullspace_lp
+
     calls = []
-    solve_lp = lp.solve_lp
+    for module, name in ((lp, "solve_lp"), (nullspace_lp, "small_lp")):
+        def counted(*args, _fn=getattr(module, name), **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve_lp(*args, **kwargs)
-
-    monkeypatch.setattr(lp, "solve_lp", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -205,7 +207,7 @@ def _grid(k):
 
 # degenerate grasps whose singular states have null spaces of dimension
 # 1 to 3 (the fixtures reach only 2), which the interval, the polygon and
-# the phase-1 LP screens decide respectively
+# the null-space LP screens decide respectively
 def five_parallel(preloaded=False):
     # four_contact plus a fifth contact on the left: all tangents are +-y
     positions = [(-1, 1), (-1, -1), (1, -1), (1, 1), (-1, 0)]

@@ -206,6 +206,19 @@ def test_cli_region_too_few_directions(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "nan"), ("--tol", "0"), ("--tol", "-1"), ("--tol", "inf"),
+    ("--cap", "nan"), ("--cap", "inf"), ("--cap", "0"),
+])
+def test_cli_region_rejects_bad_tol_and_cap(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["region", str(FIXTURES / "three_contact.grasp"), flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag} must be finite and positive" in captured.err
+
+
 def test_cli_gws_slice(capsys):
     code, out = run_cli(capsys, "gws", str(FIXTURES / "three_contact.grasp"),
                         "--slice", "0")

@@ -9,7 +9,7 @@ from graspstab import (Contact, GraspModel, check_solution, check_stability,
                        enumerate_slip_states, max_resistible, resistible_region)
 from graspstab.generate import random_grasp
 
-from conftest import four_contact, three_contact
+from conftest import FIXTURES, four_contact, three_contact
 
 
 def test_unpreloaded_upward_force_unstable(m3):
@@ -79,6 +79,17 @@ def test_max_resistible_passive_direction_uncapped(m3):
 def test_max_resistible_rejects_bad_args(m3):
     with pytest.raises(ValueError):
         max_resistible(m3, (0, 1), tol=-1)
+
+
+@pytest.mark.parametrize("bad", [
+    {"tol": 0}, {"tol": math.nan}, {"tol": math.inf},
+    {"cap": 0}, {"cap": -1}, {"cap": math.nan}, {"cap": math.inf},
+])
+def test_max_resistible_rejects_non_finite_or_zero_args(m3, bad):
+    # a NaN tol ended the bisection at once, with cap / 2 for the +y pull
+    # of three_contact, which holds nothing
+    with pytest.raises(ValueError, match="finite and positive"):
+        max_resistible(m3, (0, 1), **bad)
 
 
 def test_region_sweep_unpreloaded(m3):
@@ -156,6 +167,34 @@ def test_flat_singular_winner_keeps_its_solution():
     assert np.allclose(canon.witness.forces, first.witness.forces,
                        rtol=0, atol=1e-12)
     assert canon.witness.min_ineq_slack > 1e-3
+
+
+def test_query_path_runs_no_simplex(monkeypatch):
+    # every state LP runs in its null space; the dense simplex serves only
+    # the balanced preload of generated grasps
+    from graspstab import lp
+    from graspstab.grasp_io import load_grasp_file
+    from test_acceptance import TABLE_I, TABLE_III
+
+    calls = []
+    solve_lp = lp.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_lp", counted)
+    for w, preloaded, *_ in TABLE_I:
+        check_stability(three_contact(preloaded), w)
+    for w, preloaded, *_ in TABLE_III:
+        check_stability(four_contact(preloaded), w, detachment=True)
+    for w in [(0, 0, 3), (0, 0, -3)]:
+        check_stability(four_contact(False), w, detachment=False)
+    for path in sorted(FIXTURES.glob("*.grasp")):
+        resistible_region(load_grasp_file(path)[0], 8)
+    assert calls == []
+    random_grasp(4, 0, preload="auto")
+    assert calls
 
 
 # ---------------------------------------------------------------------------
