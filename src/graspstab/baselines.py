@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrangement import DETACHED
-from .equilibrium import EquilibriumSolution, solve_state
+from .equilibrium import EquilibriumSolution, PreparedStates
 from .model import GraspModel, as_wrench, build_maps, cross2, tangent_of, world_force
 from .params import DEFAULT_TOLS, Tolerances
-from .stability import Verdict
+from .stability import Verdict, _feasible_states
 
 __all__ = [
     "WrenchPolytope",
@@ -33,6 +33,9 @@ __all__ = [
     "linear_compliance_verdict",
 ]
 
+# label vectors per batch of the exhaustive search
+_BATCH = 256
+
 
 def brute_force_verdict(model: GraspModel, w, *, detachment: bool | None = None,
                         max_contacts: int = 12,
@@ -40,7 +43,10 @@ def brute_force_verdict(model: GraspModel, w, *, detachment: bool | None = None,
     """Exhaustive label-vector search; exponential but exact.
 
     Every contact tries slip-/stick/slip+; zero-preload contacts also try
-    detached when detachment is enabled.
+    detached when detachment is enabled. The label vectors are decided
+    in product order, _BATCH at a time (see PreparedStates), so a stable
+    query prepares no batch past the one holding its first feasible
+    vector.
     """
     if model.m > max_contacts:
         raise ValueError(f"brute force limited to {max_contacts} contacts")
@@ -55,13 +61,15 @@ def brute_force_verdict(model: GraspModel, w, *, detachment: bool | None = None,
             labels = labels + [DETACHED]
         per_contact.append(labels)
 
+    combos = itertools.product(*per_contact)
     tried = 0
-    for combo in itertools.product(*per_contact):
-        tried += 1
-        sol = solve_state(model, w, combo, maps=maps, tols=tols)
-        if sol is not None:
-            return Verdict(stable=True, witness=sol, states_tried=tried,
-                           detachment=detachment)
+    while chunk := list(itertools.islice(combos, _BATCH)):
+        batch = PreparedStates(model, chunk, maps=maps, tols=tols)
+        n_tried, feasible = _feasible_states(model, batch, w, True, tols)
+        tried += n_tried
+        if feasible:
+            return Verdict(stable=True, witness=feasible[0][1],
+                           states_tried=tried, detachment=detachment)
     return Verdict(stable=False, witness=None, states_tried=tried,
                    detachment=detachment)
 

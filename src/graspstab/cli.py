@@ -10,7 +10,7 @@ Subcommands:
   gen        emit a random general-position grasp file
 
 Exit codes: 0 analysis ran (either verdict), 2 parse/usage error,
-3 validation error, 4 the LP solver failed during the analysis.
+3 validation error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import time
 
 import numpy as np
 
-from . import lp
 from .arrangement import enumerate_slip_states
 from .baselines import brute_force_verdict, gws_l1, gws_slice, linear_compliance_verdict
 from .equilibrium import check_solution
@@ -34,7 +33,6 @@ from .stability import check_stability, resistible_region
 
 PARSE_ERROR = 2
 VALIDATION_ERROR = 3
-SOLVER_ERROR = 4
 
 
 def _wrench(text: str) -> np.ndarray:
@@ -157,11 +155,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
 
-    try:
-        return _analyse(parser, args, model, name)
-    except lp.SimplexError as exc:
-        print(f"error: solver failed: {exc}", file=sys.stderr)
-        return SOLVER_ERROR
+    return _analyse(parser, args, model, name)
 
 
 def _analyse(parser, args, model, name) -> int:

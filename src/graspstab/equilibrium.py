@@ -5,10 +5,12 @@ For a fixed slip state the balance of the grasp is linear: equilibrium
 the cone edge at slipping contacts, zero tangential motion at sticking
 contacts, and zero force at detached contacts give a square system in
 (d, c). The load enters only the three equilibrium rows of its right-hand
-side, so a state is prepared once per grasp: assembled at zero load,
-and one SVD of its equality block gives its solution family x_p(w) + N z
-as affine maps of the wrench w. A direct state (N empty) is decided by
-its slacks at x_p(w); any other state in its null space. Every LP over
+side, so a grasp's states are prepared once, as one batch: assembled
+at zero load from per-contact label templates, and one SVD call over
+the stacked equality blocks gives each state's solution family
+x_p(w) + N z as affine maps of the wrench w. A direct state (N empty) is
+decided by its slacks at x_p(w), all of a grasp's at once; any other
+state in its null space, one at a time. Every LP over
 a state, the box ladder that produces a singular state's point, the
 canonical witness's objective and pin LPs and the screen of a null space
 of three or more dimensions, has x = x_p + N z and so runs in the k
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nullspace_lp
-from .arrangement import DETACHED, LABEL_NAMES, SlipState, SlipStateSet
+from .arrangement import DETACHED, LABEL_NAMES, SlipState
 from .model import (GraspMaps, GraspModel, as_wrench, build_maps, cross2,
                     tangent_of, world_force)
 from .params import DEFAULT_TOLS, Tolerances
@@ -50,9 +52,9 @@ class StateSystem:
     tags each inequality row (unilateral / cone / slip_sign / separation,
     or pin for a row the canonical witness adds) and slip_dirs maps
     slipping contacts to the d-row of their tangential motion, used by the
-    canonical-witness selection. factor is ``_factor(a_eq)``, kept by
-    ``prepare_state`` for a singular state so that its ladder reuses the
-    SVD.
+    canonical-witness selection. factor is (pseudo-inverse, null basis)
+    of a_eq, kept by ``PreparedStates`` for a singular state so that its
+    ladder reuses the batch's SVD.
     """
 
     labels: tuple[int, ...]
@@ -97,70 +99,107 @@ class EquilibriumSolution:
         return tuple(LABEL_NAMES[l] for l in self.labels)
 
 
+# Per-contact label templates are indexed by label + 1: slip- 0, stick 1,
+# slip+ 2, detached 3. Each contact owns three inequality slots; _KINDS
+# names the rows a label fills, in slot order, and the rest are padding.
+_KINDS = (("unilateral", "slip_sign"), ("unilateral", "cone", "cone"),
+          ("unilateral", "slip_sign"), ("separation",))
+_SLOT_VALID = np.array([[s < len(kinds) for s in range(3)] for kinds in _KINDS])
+
+
+def _templates(model: GraspModel, maps: GraspMaps):
+    """Every label's rows of every contact: equality rows (m, 4, 2, n),
+    their right-hand sides at zero load (m, 4, 2) and inequality slots
+    (m, 4, 3, n), each inequality's right-hand side being zero."""
+    m = model.m
+    n = 3 + 2 * m
+    eq, rhs = np.zeros((m, 4, 2, n)), np.zeros((m, 4, 2))
+    ineq = np.zeros((m, 4, 3, n))
+    for i, contact in enumerate(model.contacts):
+        mu = contact.mu
+        ncol = maps.motion[:, 2 * i]
+        tcol = maps.motion[:, 2 * i + 1]
+        cn, ct = 3 + 2 * i, 3 + 2 * i + 1
+
+        # detached: no force, and no penetration: delta_n <= 0
+        eq[i, 3, 0, cn] = eq[i, 3, 1, ct] = 1.0
+        ineq[i, 3, 0, :3] = -ncol
+
+        # attached: normal spring law c_n = c0_n + k * delta_n, unilaterality
+        eq[i, :3, 0, cn] = 1.0
+        eq[i, :3, 0, :3] = -model.stiffness[i] * ncol
+        rhs[i, :3, 0] = model.preload[i, 0]
+        ineq[i, :3, 0, cn] = 1.0
+
+        # sticking: no tangential motion, friction inside the cone
+        eq[i, 1, 1, :3] = tcol
+        ineq[i, 1, 1:, cn] = mu
+        ineq[i, 1, 1:, ct] = (-1.0, 1.0)
+
+        # slipping: friction on the cone edge opposing the motion
+        # (label -1: c_t = +mu c_n; +1: c_t = -mu c_n), and the assumed
+        # slip direction must agree
+        for label in (-1, 1):
+            eq[i, label + 1, 1, ct] = 1.0
+            eq[i, label + 1, 1, cn] = mu * label
+            ineq[i, label + 1, 1, :3] = label * tcol
+    return eq, rhs, ineq
+
+
+def _assemble(model: GraspModel, maps: GraspMaps, labels: np.ndarray):
+    """The stacked blocks at zero load of the label vectors labels (S, m).
+
+    Returns a_eq (S, n, n), b_eq (S, n), the padded inequality blocks
+    a_in (S, 3m, n), three slots per contact, and their validity (S, 3m).
+    Rows 0-2 are equilibrium; contact i owns equality rows 3+2i and 4+2i
+    (the rows of its force unknowns) and inequality slots 3i to 3i+2:
+    one row when detached, two when slipping and three when sticking.
+    """
+    eq, rhs, ineq = _templates(model, maps)
+    s, m = labels.shape
+    n = 3 + 2 * m
+    pick = np.arange(m), labels + 1
+    a_eq = np.zeros((s, n, n))
+    # net wrench of contact forces balances the applied wrench
+    a_eq[:, :3, 3:] = maps.wrench
+    a_eq[:, 3:] = eq[pick].reshape(s, 2 * m, n)
+    b_eq = np.zeros((s, n))
+    b_eq[:, 3:] = rhs[pick].reshape(s, 2 * m)
+    return (a_eq, b_eq, ineq[pick].reshape(s, 3 * m, n),
+            _SLOT_VALID[labels + 1].reshape(s, 3 * m))
+
+
+def _system(model: GraspModel, maps: GraspMaps, labels: tuple[int, ...],
+            a_eq, b_eq, a_in, valid) -> StateSystem:
+    """One state's StateSystem from its stacked blocks."""
+    kinds = [kind for label in labels for kind in _KINDS[label + 1]]
+    slip_dirs = {i: label * maps.motion[:, 2 * i + 1]
+                 for i, label in enumerate(labels) if label in (-1, 1)}
+    return StateSystem(labels=labels, a_eq=a_eq, b_eq=b_eq, a_in=a_in[valid],
+                       b_in=np.zeros(len(kinds)), ineq_kind=kinds,
+                       slip_dirs=slip_dirs, m=model.m)
+
+
+def _label_array(labels, m: int) -> np.ndarray:
+    return np.array(labels, dtype=np.intp).reshape(-1, m)
+
+
 def assemble_state_system(model: GraspModel, w, state: SlipState | tuple,
                           maps: GraspMaps | None = None) -> StateSystem:
     """Build the equality/inequality blocks for one slip state.
 
-    Rows 0-2 are equilibrium; contact i owns equality rows 3+2i and 4+2i
-    (the rows of its force unknowns) and, in contact order, one
-    inequality row when detached, two when slipping and three when
+    The one-state case of the stacked assembly of ``PreparedStates``:
+    contact i owns equality rows 3+2i and 4+2i and, in contact order,
+    one inequality row when detached, two when slipping and three when
     sticking. Every inequality's right-hand side is zero.
     """
     if maps is None:
         maps = build_maps(model)
     labels = state.labels if isinstance(state, SlipState) else tuple(state)
-    w = as_wrench(w)
-    m = model.m
-    n = 3 + 2 * m
-    n_in = sum(1 if l == DETACHED else 3 if l == 0 else 2 for l in labels)
-    a_eq, b_eq = np.zeros((n, n)), np.zeros(n)
-    a_in = np.zeros((n_in, n))
-    kinds: list[str] = []
-    slip_dirs: dict[int, np.ndarray] = {}
-
-    # net wrench of contact forces balances the applied wrench
-    a_eq[:3, 3:] = maps.wrench
-    b_eq[:3] = -w
-
-    r = 0  # next inequality row
-    for i, label in enumerate(labels):
-        mu = model.contacts[i].mu
-        ncol = maps.motion[:, 2 * i]
-        tcol = maps.motion[:, 2 * i + 1]
-        cn, ct = 3 + 2 * i, 3 + 2 * i + 1
-
-        if label == DETACHED:
-            a_eq[cn, cn] = a_eq[ct, ct] = 1.0
-            a_in[r, :3] = -ncol  # must not penetrate: delta_n <= 0
-            kinds.append("separation")
-            r += 1
-            continue
-
-        # attached: normal spring law c_n = c0_n + k * delta_n
-        a_eq[cn, cn] = 1.0
-        a_eq[cn, :3] = -model.stiffness[i] * ncol
-        b_eq[cn] = model.preload[i, 0]
-        a_in[r, cn] = 1.0  # unilaterality
-        kinds.append("unilateral")
-
-        if label == 0:
-            a_eq[ct, :3] = tcol  # no tangential motion
-            a_in[r + 1:r + 3, cn] = mu  # friction inside the cone
-            a_in[r + 1:r + 3, ct] = (-1.0, 1.0)
-            kinds += ["cone", "cone"]
-            r += 3
-        else:
-            # slipping: friction on the cone edge opposing the motion
-            a_eq[ct, ct] = 1.0
-            a_eq[ct, cn] = mu * label  # label -1: c_t = +mu c_n; +1: c_t = -mu c_n
-            slip_dirs[i] = label * tcol
-            a_in[r + 1, :3] = slip_dirs[i]  # assumed slip direction must agree
-            kinds.append("slip_sign")
-            r += 2
-
-    return StateSystem(labels=labels, a_eq=a_eq, b_eq=b_eq, a_in=a_in,
-                       b_in=np.zeros(n_in), ineq_kind=kinds,
-                       slip_dirs=slip_dirs, m=m)
+    a_eq, b_eq, a_in, valid = _assemble(model, maps,
+                                        _label_array(labels, model.m))
+    b_eq[0, :3] = -as_wrench(w)
+    return _system(model, maps, labels, a_eq[0], b_eq[0], a_in[0], valid[0])
 
 
 def _project_onto_equalities(a_eq, b_eq, x: np.ndarray,
@@ -194,8 +233,9 @@ class PreparedState:
     the pseudo-inverse solution at the singular_rel cutoff and its
     inequality slacks a_in x_p(w) - b_in = s0 + slack_gain @ w. The
     equalities are consistent when cons0 + cons_gain @ w, their right-hand
-    side in the left null basis at the rank_eps cutoff, is small enough
-    (see ``solve_state``). A direct state has an empty null basis.
+    side in the left null basis at the rank_eps cutoff (zero-padded to n
+    rows), is small enough (see ``solve_state``). A direct state has an
+    empty null basis.
     """
 
     system: StateSystem
@@ -212,64 +252,128 @@ class PreparedState:
     def direct(self) -> bool:
         return self.null.shape[1] == 0
 
+    def solution_at(self, w: np.ndarray) -> EquilibriumSolution:
+        """The solution x_p(w) under w: a direct state's only one."""
+        return _solution_from_x(self.system.at(w), self.x0 + self.gain @ w,
+                                self.index)
+
 
 def prepare_state(model: GraspModel, state: SlipState | tuple, *,
                   maps: GraspMaps | None = None,
                   tols: Tolerances = DEFAULT_TOLS) -> PreparedState:
     """Assemble one slip state at zero load; its family from one SVD."""
-    sys = assemble_state_system(model, np.zeros(3), state, maps)
-    idx = state.index if isinstance(state, SlipState) else -1
-    inv, null, left = _factor(sys.a_eq, tols)
-    if null.shape[1]:  # only a singular state reaches the box ladder
-        sys.factor = inv, null, left
-    # the load enters b_eq as -w on the three equilibrium rows, so
-    # x_p(w) = inv @ b_eq(0) - inv[:, :3] @ w
-    x0, gain = inv @ sys.b_eq, -inv[:, :3]
-    return PreparedState(sys, idx, x0=x0, gain=gain,
-                         s0=sys.a_in @ x0 - sys.b_in,
-                         slack_gain=sys.a_in @ gain, null=null,
-                         cons0=left.T @ sys.b_eq, cons_gain=-left[:3].T)
+    return PreparedStates(model, [state], maps=maps, tols=tols)[0]
 
 
 def _factor(a_eq: np.ndarray, tols: Tolerances):
-    """(inv, null, left) of an equality block, from one SVD U S V^T.
+    """(inv, u, vt, live, rank) of a stack of equality blocks (S, r, n).
 
-    inv = V S^-1 U^T is its pseudo-inverse at the singular_rel cutoff and
-    null the right singular vectors below that cutoff; left holds the
-    left singular vectors beyond the rank_eps cutoff of the consistency
-    test.
+    From one SVD call U S V^T over the stack: inv = V S^-1 U^T is each
+    block's pseudo-inverse at the singular_rel cutoff, live its count of
+    singular values above that cutoff (the right singular vectors beyond
+    it span its null space) and rank its count above the rank_eps cutoff
+    of the consistency test (the left singular vectors beyond it span
+    its left null space).
     """
     u, sv, vt = np.linalg.svd(a_eq)
-    top = sv[0] if sv.size else 0.0
-    live = int(np.count_nonzero(sv > tols.singular_rel * top))
-    rank = int(np.count_nonzero(sv > tols.rank_eps * max(a_eq.shape) * top))
-    inv = (vt[:live].T / sv[:live]) @ u[:, :live].T
-    return inv, vt[live:].T, u[:, rank:]
+    top = sv[:, :1]
+    keep = sv > tols.singular_rel * top
+    live = np.count_nonzero(keep, axis=1)
+    rank = np.count_nonzero(sv > tols.rank_eps * max(a_eq.shape[1:]) * top,
+                            axis=1)
+    p = sv.shape[1]
+    scaled = np.divide(vt[:, :p].transpose(0, 2, 1), sv[:, None, :],
+                       out=np.zeros((len(sv), vt.shape[1], p)),
+                       where=keep[:, None, :])
+    return scaled @ u[:, :, :p].transpose(0, 2, 1), u, vt, live, rank
 
 
 class PreparedStates:
-    """A grasp's slip states, each prepared when it is first reached.
+    """A grasp's slip states, prepared as one batch.
+
+    Every state is assembled at zero load from per-contact label
+    templates: the equality blocks stacked (S, n, n) and the inequality
+    blocks padded to three slots per contact (S, 3m, n), padding rows
+    zero. One SVD call factors the stack. For each state the batch keeps
+    x0, gain, s0 and slack_gain (see PreparedState; zero on the padding),
+    the null basis, the consistency map zero-padded to n rows and
+    max|b_eq[3:]|, so ``candidates`` screens every state against a
+    wrench in a few array operations. Indexing slices one state out as a
+    PreparedState, kept for later queries.
 
     The systems depend on the grasp alone, so one instance serves any
-    number of wrenches; iteration follows the canonical order of the
-    underlying SlipStateSet.
+    number of wrenches. ``states`` is a SlipStateSet, in its canonical
+    order, or a sequence of SlipStates or label vectors (whose index is
+    -1 and which have no detachment setting).
     """
 
-    def __init__(self, model: GraspModel, states: SlipStateSet, *,
+    def __init__(self, model: GraspModel, states, *,
+                 maps: GraspMaps | None = None,
                  tols: Tolerances = DEFAULT_TOLS):
         self.model = model
         self.states = states
         self.tols = tols
-        self.detachment = states.detachment
-        self._maps = build_maps(model)
-        self._prepared: list[PreparedState] = []
+        self.detachment = getattr(states, "detachment", None)
+        self._maps = build_maps(model) if maps is None else maps
+        self._labels = [st.labels if isinstance(st, SlipState) else tuple(st)
+                        for st in states]
+        self._index = [st.index if isinstance(st, SlipState) else -1
+                       for st in states]
+        a_eq, b_eq, a_in, self._valid = _assemble(
+            model, self._maps, _label_array(self._labels, model.m))
+        self._inv, u, self._vt, self._live, rank = _factor(a_eq, tols)
+        self._a_eq, self._b_eq, self._a_in = a_eq, b_eq, a_in
+        n = a_eq.shape[-1]
+        self.direct = self._live == n
+        # the load enters b_eq as -w on the three equilibrium rows, so
+        # x_p(w) = inv @ b_eq(0) - inv[:, :3] @ w
+        self._x0 = np.einsum("sij,sj->si", self._inv, b_eq)
+        self._gain = -self._inv[:, :, :3]
+        self._s0 = np.einsum("sij,sj->si", a_in, self._x0)
+        self._slack_gain = a_in @ self._gain
+        # b_eq in the left null basis, the columns of u beyond the rank
+        ut = u.transpose(0, 2, 1)
+        beyond = np.arange(n) >= rank[:, None]
+        self._cons0 = np.where(beyond, np.einsum("sij,sj->si", ut, b_eq), 0.0)
+        self._cons_gain = np.where(beyond[:, :, None], -ut[:, :, :3], 0.0)
+        self._b_max = np.max(np.abs(b_eq[:, 3:]), axis=1, initial=0.0)
+        self._prepared: dict[int, PreparedState] = {}
 
-    def __iter__(self):
-        for i, st in enumerate(self.states):
-            if i == len(self._prepared):
-                self._prepared.append(prepare_state(
-                    self.model, st, maps=self._maps, tols=self.tols))
-            yield self._prepared[i]
+    def __len__(self) -> int:
+        return len(self._labels)
+
+    def __getitem__(self, p: int) -> PreparedState:
+        """The state at position p, sliced out of the batch once."""
+        prep = self._prepared.get(p)
+        if prep is None:
+            valid = self._valid[p]
+            sys = _system(self.model, self._maps, self._labels[p],
+                          self._a_eq[p], self._b_eq[p], self._a_in[p], valid)
+            null = self._vt[p, self._live[p]:].T
+            if null.shape[1]:  # only a singular state reaches the box ladder
+                sys.factor = self._inv[p], null
+            prep = self._prepared[p] = PreparedState(
+                sys, self._index[p], x0=self._x0[p], gain=self._gain[p],
+                s0=self._s0[p, valid], slack_gain=self._slack_gain[p, valid],
+                null=null, cons0=self._cons0[p], cons_gain=self._cons_gain[p])
+        return prep
+
+    def candidates(self, w: np.ndarray) -> np.ndarray:
+        """Positions, in order, of the states that may hold under w.
+
+        A direct state is kept when its slacks at x_p(w) pass, which
+        makes it feasible; a singular one when its equalities pass the
+        consistency test of ``solve_state``, which still decides it.
+        """
+        tols = self.tols
+        slack = self._s0 + self._slack_gain @ w
+        cons = np.linalg.norm(self._cons0 + self._cons_gain @ w, axis=1)
+        scale = np.maximum(max(1.0, float(np.max(np.abs(w)))), self._b_max)
+        bound = np.sqrt(self._b_eq.shape[1]) * tols.eq_residual * (1.0 + scale)
+        keep = np.where(self.direct,
+                        ~(np.min(slack, axis=1) < -tols.ineq_slack),
+                        ~(cons > bound))
+        return np.flatnonzero(keep)
 
     @classmethod
     def of(cls, model: GraspModel, states, tols: Tolerances) -> PreparedStates:
@@ -301,8 +405,7 @@ def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState,
     if prep.direct:
         if np.min(slack, initial=np.inf) < -tols.ineq_slack:
             return None
-        return _solution_from_x(prep.system.at(w), prep.x0 + prep.gain @ w,
-                                prep.index)
+        return prep.solution_at(w)
 
     sys = prep.system.at(w)
     # the ladder accepts only points whose max-norm residual is at most
@@ -384,7 +487,11 @@ def linear_feasibility(sys: StateSystem, *, tols: Tolerances = DEFAULT_TOLS,
     """
     a_eq, b_eq = sys.a_eq, sys.b_eq
     scale, eq_tol = _eq_tol(sys, tols)
-    inv, null, _left = sys.factor or _factor(a_eq, tols)
+    if sys.factor is None:
+        inv, _u, vt, live, _rank = _factor(a_eq[None], tols)
+        inv, null = inv[0], vt[0, live[0]:].T
+    else:
+        inv, null = sys.factor
     x_p = inv @ b_eq
 
     box = tols.ladder_start * scale

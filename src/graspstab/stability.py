@@ -76,24 +76,20 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
       "canonical" - deterministic minimal-slip witness (see module doc).
     The verdict itself is identical under either policy.
 
-    Each state is prepared (assembled and factored) when it is first
-    tried; PreparedStates of this grasp passed as ``states`` keep those
-    preparations for the next query.
+    The grasp's states are prepared as one batch (see PreparedStates):
+    every direct state is decided and every singular state's consistency
+    screened in a few array operations, and the singular states left are
+    decided one by one in canonical order, "first" stopping at the first
+    feasible state. PreparedStates of this grasp passed as ``states``
+    keep the batch for the next query.
     """
     w = as_wrench(w)
     if states is None:
         states = enumerate_slip_states(model, detachment=detachment, tols=tols)
     states = PreparedStates.of(model, states, tols)
 
-    feasible: list[tuple[PreparedState, EquilibriumSolution]] = []
-    tried = 0
-    for prep in states:
-        tried += 1
-        sol = solve_state(model, w, prep, tols=tols)
-        if sol is not None:
-            feasible.append((prep, sol))
-            if witness_policy == "first":
-                break
+    tried, feasible = _feasible_states(model, states, w,
+                                       witness_policy == "first", tols)
     if not feasible:
         return Verdict(stable=False, witness=None, states_tried=tried,
                        detachment=states.detachment)
@@ -105,6 +101,27 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
         witness = _canonical_witness(w, feasible, tols)
     return Verdict(stable=True, witness=witness, states_tried=tried,
                    detachment=states.detachment, first_feasible=first_idx)
+
+
+def _feasible_states(model: GraspModel, states: PreparedStates, w,
+                     first: bool, tols: Tolerances):
+    """(states tried, [(state, solution)]) of the feasible states in order.
+
+    Only the candidates of ``states.candidates`` are walked: a direct one
+    is feasible outright, a singular one is decided by ``solve_state``.
+    With first, the walk ends at the first feasible state, and so does
+    the count of states tried.
+    """
+    feasible: list[tuple[PreparedState, EquilibriumSolution]] = []
+    for p in states.candidates(w).tolist():
+        prep = states[p]
+        sol = prep.solution_at(w) if prep.direct else \
+            solve_state(model, w, prep, tols=tols)
+        if sol is not None:
+            feasible.append((prep, sol))
+            if first:
+                return p + 1, feasible
+    return len(states), feasible
 
 
 def _augment(sys: StateSystem, rows, rhs) -> StateSystem:
@@ -194,9 +211,10 @@ def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
     random preloaded grasps that are not; there the magnitude is the end
     of whichever stable stretch the bisection closes in on.
 
-    The state systems do not depend on the load, so each is prepared
-    (assembled and factored) at most once per call and every bisection
-    probe reuses it; PreparedStates passed as ``states`` are shared.
+    The state systems do not depend on the load, so they are prepared
+    as one batch (assembled and factored) once per call and every
+    bisection probe decides all direct states in one array pass over
+    it; PreparedStates passed as ``states`` are shared.
     """
     if not (math.isfinite(tol) and math.isfinite(cap) and tol > 0
             and cap > 0):
@@ -231,8 +249,8 @@ def resistible_region(model: GraspModel, n_directions: int, tol: float = 1e-3,
     """max_resistible over uniformly spaced force directions.
 
     The slip states and their systems depend only on the geometry, so
-    they are enumerated and prepared once per grasp and shared by every
-    direction and bisection probe.
+    they are enumerated and prepared as one batch once per grasp and
+    shared by every direction and bisection probe.
     """
     if n_directions < 4:
         raise ValueError("need at least 4 directions")

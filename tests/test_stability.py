@@ -5,11 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from graspstab import (Contact, GraspModel, check_solution, check_stability,
-                       enumerate_slip_states, max_resistible, resistible_region)
+from hypothesis import given, settings
+
+from graspstab import (Contact, GraspModel, build_maps, check_solution,
+                       check_stability, enumerate_slip_states,
+                       linear_feasibility, max_resistible, prepare_state,
+                       resistible_region, solve_state)
+from graspstab.arrangement import DETACHED
+from graspstab.equilibrium import PreparedStates
 from graspstab.generate import random_grasp
+from graspstab.grasp_io import load_grasp_file
+from graspstab.params import DEFAULT_TOLS
+from graspstab.stability import _feasible_states
 
 from conftest import FIXTURES, four_contact, three_contact
+from test_arrangement import degenerate_grasps
 
 
 def test_unpreloaded_upward_force_unstable(m3):
@@ -201,12 +211,12 @@ def test_query_path_runs_no_simplex(monkeypatch):
 # prepared states
 # ---------------------------------------------------------------------------
 
-def test_prepared_states_are_lazy_and_shared(m3p, monkeypatch):
+def test_prepared_states_batch_is_built_once_and_shared(m3p, monkeypatch):
     from graspstab import equilibrium
     from graspstab.equilibrium import PreparedStates
 
     calls = []
-    assemble = equilibrium.assemble_state_system
+    assemble = equilibrium._assemble
 
     def counted(*args, **kwargs):
         calls.append(1)
@@ -215,11 +225,13 @@ def test_prepared_states_are_lazy_and_shared(m3p, monkeypatch):
     states = enumerate_slip_states(m3p)
     wrenches = [(0, 0.5, 0), (0.4, -0.3, 0.2), (0, 1.05, 0), (0, 2, 0)]
     fresh = [check_stability(m3p, w, states=states) for w in wrenches]
-    monkeypatch.setattr(equilibrium, "assemble_state_system", counted)
+    monkeypatch.setattr(equilibrium, "_assemble", counted)
     prepared = PreparedStates(m3p, states)
+    # the whole batch is assembled and factored up front, once
+    assert len(calls) == 1
     v = check_stability(m3p, (0, -1, 0), states=prepared, witness_policy="first")
-    # "first" stops at the first feasible state and prepares no further
-    assert v.stable and len(calls) == v.states_tried < len(states)
+    # "first" stops at the first feasible state
+    assert v.stable and v.states_tried < len(states)
     for w, ref in zip(wrenches, fresh):
         shared = check_stability(m3p, w, states=prepared)
         assert (shared.stable, shared.states_tried) == \
@@ -227,8 +239,139 @@ def test_prepared_states_are_lazy_and_shared(m3p, monkeypatch):
         if shared.stable:
             assert np.allclose(shared.witness.forces, ref.witness.forces,
                                atol=1e-12)
-    # each state was assembled once, when a query first reached it
-    assert len(calls) == len(states)
+    # every later query shared that batch and its sliced-out states
+    assert len(calls) == 1
+    assert prepared[0] is prepared[0]
+
+
+# ---------------------------------------------------------------------------
+# the batch against the per-state loop
+# ---------------------------------------------------------------------------
+
+def _rows_of(model, labels):
+    """One state's blocks at zero load, assembled row by row."""
+    maps = build_maps(model)
+    m = model.m
+    n = 3 + 2 * m
+    a_eq, b_eq = np.zeros((n, n)), np.zeros(n)
+    a_eq[:3, 3:] = maps.wrench
+    rows, kinds = [], []
+    for i, label in enumerate(labels):
+        ncol, tcol = maps.motion[:, 2 * i], maps.motion[:, 2 * i + 1]
+        cn, ct = 3 + 2 * i, 4 + 2 * i
+        mu = model.contacts[i].mu
+        a_eq[cn, cn] = 1.0
+        if label == DETACHED:
+            a_eq[ct, ct] = 1.0
+            rows.append(np.r_[-ncol, np.zeros(2 * m)])
+            kinds.append("separation")
+            continue
+        a_eq[cn, :3] = -model.stiffness[i] * ncol
+        b_eq[cn] = model.preload[i, 0]
+        rows.append(np.eye(n)[cn])
+        kinds.append("unilateral")
+        if label == 0:
+            a_eq[ct, :3] = tcol
+            for sign in (-1.0, 1.0):
+                cone = np.zeros(n)
+                cone[cn], cone[ct] = mu, sign
+                rows.append(cone)
+                kinds.append("cone")
+        else:
+            a_eq[ct, ct], a_eq[ct, cn] = 1.0, mu * label
+            rows.append(np.r_[label * tcol, np.zeros(2 * m)])
+            kinds.append("slip_sign")
+    return a_eq, b_eq, np.array(rows), kinds
+
+
+def _assert_batch_matches_loop(model, detachment, wrenches):
+    states = enumerate_slip_states(model, detachment=detachment)
+    batch = PreparedStates(model, states)
+    loop = [prepare_state(model, st) for st in states]
+    for p, st in enumerate(states):
+        sys = batch[p].system
+        a_eq, b_eq, a_in, kinds = _rows_of(model, st.labels)
+        assert np.array_equal(sys.a_eq, a_eq), st.labels
+        assert np.array_equal(sys.b_eq, b_eq), st.labels
+        assert np.array_equal(sys.a_in, a_in), st.labels
+        assert sys.ineq_kind == kinds, st.labels
+    for w in wrenches:
+        w = np.asarray(w, dtype=float)
+        _tried, feasible = _feasible_states(model, batch, w, False,
+                                            DEFAULT_TOLS)
+        ref = [p for p, prep in enumerate(loop)
+               if solve_state(model, w, prep) is not None]
+        assert [prep.index for prep, _sol in feasible] == ref, w
+        first = check_stability(model, w, states=batch, witness_policy="first")
+        canon = check_stability(model, w, states=batch)
+        assert first.stable == canon.stable == bool(ref), w
+        assert first.states_tried == (ref[0] + 1 if ref else len(states)), w
+        assert canon.states_tried == len(states), w
+        assert first.first_feasible == canon.first_feasible == \
+            (ref[0] if ref else -1), w
+        # the array screen rejects a singular state only where the box
+        # ladder, which never reads the consistency map, finds no point
+        kept = set(batch.candidates(w).tolist())
+        for p in np.flatnonzero(~batch.direct):
+            if p not in kept:
+                assert linear_feasibility(batch[p].system.at(w)) is None, \
+                    (w, states.states[p].labels)
+
+
+def _consistency_loads(model, count):
+    """Loads on which a singular state's equalities, consistent only on a
+    set of loads because the preload enters them, just hold."""
+    batch = PreparedStates(model, enumerate_slip_states(model, detachment=True))
+    loads = []
+    for p in np.flatnonzero(~batch.direct):
+        prep = batch[p]
+        if len(loads) < count and np.abs(prep.cons0).max() > 1e-6 and \
+                np.abs(prep.cons_gain).max() > 1e-6:
+            w, *_ = np.linalg.lstsq(prep.cons_gain, -prep.cons0, rcond=None)
+            loads.append(w)
+    return loads
+
+
+def test_batched_decision_matches_per_state_loop_random():
+    rng = np.random.default_rng(99)
+    for k in range(8):
+        m = 2 + k % 4
+        model = random_grasp(m, rng=rng, preload="auto" if k % 2 else "none",
+                             detachment=True)
+        wrenches = rng.normal(size=(5, 3)) * [2.0, 2.0, 1.5]
+        _assert_batch_matches_loop(model, True, [
+            *wrenches, *_consistency_loads(model, 2)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(degenerate_grasps())
+def test_batched_decision_matches_per_state_loop_degenerate(case):
+    model, detachment = case
+    _assert_batch_matches_loop(model, detachment, [
+        (0, -1, 0), (0, 1, 0), (0.5, 0, 0), (-1, 0.5, 0.5), (0, 0, 1),
+        (0, 0, 0)])
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: contact relabelling
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.grasp")),
+                         ids=lambda p: p.stem)
+def test_contact_permutation_keeps_verdict_and_capacity(path):
+    model = load_grasp_file(path)[0]
+    m = model.m
+    for perm in [list(range(m))[::-1], list(range(1, m)) + [0]]:
+        permuted = GraspModel([model.contacts[i] for i in perm],
+                              stiffness=model.stiffness[perm],
+                              preload=model.preload[perm],
+                              options=model.options)
+        for w in FRAME_WRENCHES:
+            assert check_stability(model, w).stable == \
+                check_stability(permuted, w).stable, (perm, w)
+        for u in [(0, 1), (1, 0), (0, -1), (-1, 0.5)]:
+            assert max_resistible(model, u, tol=1e-2).magnitude == \
+                max_resistible(permuted, u, tol=1e-2).magnitude, (perm, u)
 
 
 # ---------------------------------------------------------------------------
