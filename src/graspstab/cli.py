@@ -50,13 +50,10 @@ def _wrench(text: str) -> np.ndarray:
 def _add_mode_flags(p):
     p.add_argument("--no-detach", action="store_true",
                    help="disable contact detachment")
-    p.add_argument("--strict-eq4", action="store_true",
-                   help="enforce the normal spring law on every contact "
-                        "unconditionally (alias of --no-detach)")
 
 
 def _detachment(model, args) -> bool:
-    if getattr(args, "no_detach", False) or getattr(args, "strict_eq4", False):
+    if getattr(args, "no_detach", False):
         return False
     return model.options.detachment
 

@@ -10,12 +10,12 @@ at zero load from per-contact label templates, and one SVD call over
 the stacked equality blocks gives each state's solution family
 x_p(w) + N z as affine maps of the wrench w. A direct state (N empty) is
 decided by its slacks at x_p(w), all of a grasp's at once; any other
-state in its null space, one at a time. Every LP over
-a state, the box ladder that produces a singular state's point, the
-canonical witness's objective and pin LPs and the screen of a null space
-of three or more dimensions, has x = x_p + N z and so runs in the k
-null-space coordinates (plus a margin), k <= 3 in practice, on one exact
-engine: Seidel's incremental algorithm (``nullspace_lp.small_lp``).
+state in its null space, one at a time. Every LP over a state, the
+screen that decides a singular state, the box ladder that produces its
+point and the canonical witness's objective and pin LPs, has
+x = x_p + N z and so runs in the k null-space coordinates (plus a
+margin), k <= 3 in practice, on one exact engine: Seidel's incremental
+algorithm (``nullspace_lp.small_lp``).
 """
 
 from __future__ import annotations
@@ -392,11 +392,11 @@ def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState,
 
     A direct state is decided by its slacks at its one solution. Any
     other state is decided in its null space: the consistency test, then
-    the screen of ``_null_space_feasible``; the box ladder of
-    ``linear_feasibility`` then runs only to produce the point. Both
-    tests reject only what the ladder would, so the point is the one the
-    ladder alone returns. A PreparedState is used as it is; any other
-    state is prepared first.
+    one feasibility LP over the whole null space (``_null_space_feasible``);
+    the box ladder of ``linear_feasibility`` then runs only to produce the
+    point. Both tests reject only what the ladder would, so the point is
+    the one the ladder alone returns. A PreparedState is used as it is;
+    any other state is prepared first.
     """
     prep = state if isinstance(state, PreparedState) else \
         prepare_state(model, state, maps=maps, tols=tols)
@@ -436,37 +436,15 @@ def _null_space_feasible(sys: StateSystem, x_p: np.ndarray, slack: np.ndarray,
     slack is a_in x_p - b_in. The rows are a_in x >= b_in - ineq_slack and
     |x| <= x_max, as g z >= h. The ladder's boxes all lie within +-x_max
     and it accepts slack >= -ineq_slack, so where no such z exists every
-    rung fails too. Nullity 1 checks the ends of the interval of z,
-    nullity 2 the vertices of the polygon of z (bounded by the box, so it
-    has a vertex when it is not empty); a larger nullity asks the
-    null-space LP for any such z.
+    rung fails too. One feasibility call of the null-space LP decides
+    this at every nullity.
     """
     k = null.shape[1]
     g, h = nullspace_lp.null_rows(sys, x_p, slack + tols.ineq_slack, null,
                                   tols.x_max)
-    if k >= 3:
-        bound = nullspace_lp.z_bound(sys.n, tols.x_max)
-        return nullspace_lp.small_lp(g, h, np.zeros(k), np.full(k, -bound),
-                                     np.full(k, bound), tols) is not None
-    g_norm = np.linalg.norm(g, axis=1)
-    steep = g_norm > tols.flat_rel * np.concatenate(
-        [np.linalg.norm(sys.a_in, axis=1), np.ones(2 * sys.n)])
-    if k == 1:
-        gs, hs = g[steep, 0], h[steep]
-        cand = np.array([[np.max(hs[gs > 0] / gs[gs > 0])],
-                         [np.min(hs[gs < 0] / gs[gs < 0])]])
-    else:
-        gs, hs, gn = g[steep], h[steep], g_norm[steep]
-        i, j = np.triu_indices(len(gs), 1)
-        det = gs[i, 0] * gs[j, 1] - gs[i, 1] * gs[j, 0]
-        keep = np.abs(det) > tols.flat_rel * gn[i] * gn[j]
-        i, j, det = i[keep], j[keep], det[keep]
-        cand = np.stack([(hs[i] * gs[j, 1] - hs[j] * gs[i, 1]) / det,
-                         (gs[i, 0] * hs[j] - gs[j, 0] * hs[i]) / det], axis=1)
-    resid = g @ cand.T - h[:, None]
-    allow = tols.vertex_slack * (1.0 + np.abs(h)[:, None]
-                                 + np.outer(g_norm, np.linalg.norm(cand, axis=1)))
-    return bool(np.any(np.all(resid >= -allow, axis=0)))
+    bound = nullspace_lp.z_bound(sys.n, tols.x_max)
+    return nullspace_lp.small_lp(g, h, np.zeros(k), np.full(k, -bound),
+                                 np.full(k, bound), tols) is not None
 
 
 def linear_feasibility(sys: StateSystem, *, tols: Tolerances = DEFAULT_TOLS,

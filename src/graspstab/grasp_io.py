@@ -149,11 +149,11 @@ def format_grasp(model: GraspModel, name: str = "generated") -> str:
             f"  - {{position: [{px!r}, {py!r}], "
             f"normal: [{nx!r}, {ny!r}], mu: {float(c.mu)!r}}}")
     ks = model.stiffness
-    if np.allclose(ks, ks[0]):
+    if np.all(ks == ks[0]):
         lines.append(f"stiffness: {float(ks[0])!r}")
     else:
         lines.append("stiffness: [" + ", ".join(repr(float(k)) for k in ks) + "]")
-    if np.allclose(model.preload, 0.0):
+    if not np.any(model.preload):
         lines.append("preload: none")
     else:
         lines.append("preload:")

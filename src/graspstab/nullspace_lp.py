@@ -3,8 +3,9 @@
 Every LP over a slip state has x = x_p + N z, so it runs in the k
 coordinates z of the state's null space, plus a margin for max-min-slack
 problems; k is at most 3 on every grasp measured. ``small_lp`` solves
-such a program exactly with Seidel's incremental algorithm, and
-``null_lp`` builds one rung of the box ladder of
+such a program exactly with Seidel's incremental algorithm, at every k:
+it is the feasibility screen that decides a singular state, on the rows
+of ``null_rows``, and ``null_lp`` builds one rung of the box ladder of
 ``equilibrium.linear_feasibility`` on it.
 """
 

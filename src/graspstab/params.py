@@ -16,21 +16,18 @@ class Tolerances:
     # relative singular-value cutoff below which a square system is
     # handed to the feasibility program instead of a direct solve; the
     # right singular vectors below it span the null space that the
-    # feasibility screens search
+    # feasibility screen searches
     singular_rel: float = 1e-10
     # rank cutoff of the consistency test, per row or column of the
     # equality block: singular values at most
     # rank_eps * max(rows, cols) * s_max count as zero (numpy lstsq's
     # default), and their left singular vectors must annihilate b_eq
     rank_eps: float = 2.220446049250313e-16
-    # a constraint row is flat in the null-space coordinates when its
-    # norm there is at most flat_rel times its norm in the unknowns; a
-    # state is flat for the canonical witness when each of its slip rows
-    # is, so that no slip speed varies over its solutions
+    # a state is flat for the canonical witness when each of its slip
+    # rows has norm in the null-space coordinates at most flat_rel times
+    # its norm in the unknowns, so that no slip speed varies over its
+    # solutions
     flat_rel: float = 1e-12
-    # relative slack with which a candidate null-space point (interval
-    # end or polygon vertex) is accepted by the feasibility screen
-    vertex_slack: float = 1e-9
     # a residual below this needs no projection onto the equalities
     projection_skip: float = 1e-13
     # "plane contains ray" test of the arrangement: |n . d| at most this

@@ -7,7 +7,10 @@ solution. The verdict is order-independent; the reported witness is not,
 because neighbouring states can share solution families. The canonical
 witness therefore minimizes the total slip speed over all feasible
 states and breaks remaining ties by concentrating slip on the
-lowest-indexed contacts, which pins a unique, reproducible motion.
+lowest-indexed contacts. The same input always gives the same witness,
+but it is not unique: where the winner's max-min-slack optimum is a
+face rather than a point, the LP engine's fixed row order and its
+nearest-to-zero rule pick one point of that face.
 """
 
 from __future__ import annotations

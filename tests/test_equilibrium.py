@@ -107,14 +107,44 @@ def test_feasibility_all_stick_underdetermined(m4p):
     assert report["max_violation"] < 1e-9
 
 
-def _count_lp_calls(monkeypatch):
-    """Calls of either LP solver: the simplex or the null-space engine."""
-    from graspstab import nullspace_lp
+def _grid(k):
+    return [math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)]
 
-    calls = []
-    for module, name in ((lp, "solve_lp"), (nullspace_lp, "small_lp")):
-        def counted(*args, _fn=getattr(module, name), **kwargs):
-            calls.append(1)
+
+# degenerate grasps whose singular states have null spaces of dimension
+# 1 to 3 (the fixtures reach only 2); one null-space LP screens them all
+def five_parallel(preloaded=False):
+    # four_contact plus a fifth contact on the left: all tangents are +-y
+    positions = [(-1, 1), (-1, -1), (1, -1), (1, 1), (-1, 0)]
+    normals = [(-1, 0), (-1, 0), (1, 0), (1, 0), (-1, 0)]
+    preload = [[1, 0], [1, 0], [1.5, 0], [1.5, 0], [1, 0]]
+    return GraspModel([Contact(p, n, 0.5) for p, n in zip(positions, normals)],
+                      preload=preload if preloaded else None)
+
+
+def pi4_grid(preloaded=False):
+    # positions and normals on the pi/4 grid, two of them not radial
+    return GraspModel([Contact(_grid(0), _grid(1), 0.5),
+                       Contact(_grid(3), _grid(3), 0.5),
+                       Contact(_grid(5), _grid(4), 0.5)])
+
+
+def antipodal(preloaded=False):
+    return GraspModel([Contact((-1, 0), (-1, 0), 0.5),
+                       Contact((1, 0), (1, 0), 0.5)],
+                      preload=[[1, 0], [1, 0]] if preloaded else None)
+
+
+def _count_calls(monkeypatch):
+    """Calls of the simplex, of the null-space LP engine and of the box
+    ladder, by name."""
+    from graspstab import equilibrium, nullspace_lp
+
+    calls = {"solve_lp": 0, "small_lp": 0, "linear_feasibility": 0}
+    for module, name in ((lp, "solve_lp"), (nullspace_lp, "small_lp"),
+                         (equilibrium, "linear_feasibility")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
@@ -131,44 +161,48 @@ def test_inconsistent_singular_state_rejected_without_lp(m3, monkeypatch):
     # singular and its least-squares residual is far from zero
     labels = (-1, -1, -1)
     assert _nullity(assemble_state_system(m3, (0, -2, 0), labels)) >= 1
-    calls = _count_lp_calls(monkeypatch)
+    calls = _count_calls(monkeypatch)
     assert solve_state(m3, (0, -2, 0), labels) is None
-    assert len(calls) == 0
+    assert calls == {"solve_lp": 0, "small_lp": 0, "linear_feasibility": 0}
 
 
-def test_consistent_infeasible_singular_state_rejected_without_lp(m4, monkeypatch):
+def test_consistent_infeasible_singular_state_rejected_before_the_ladder(
+        m4, monkeypatch):
     # all-stick under a downward push without preload: the equalities have
     # solutions, but no passive forces balance the load (Table III row 4);
-    # its null space is a plane, so the polygon screen decides it
+    # the screen, one null-space LP, rejects it before the box ladder runs
     labels = (0, 0, 0, 0)
     sys = assemble_state_system(m4, (0, -2, 0), labels)
     assert _nullity(sys) == 2
     x_ls, *_ = np.linalg.lstsq(sys.a_eq, sys.b_eq, rcond=None)
     assert np.linalg.norm(sys.a_eq @ x_ls - sys.b_eq) < 1e-12
-    calls = _count_lp_calls(monkeypatch)
+    calls = _count_calls(monkeypatch)
     assert solve_state(m4, (0, -2, 0), labels) is None
-    assert len(calls) == 0
+    assert calls == {"solve_lp": 0, "small_lp": 1, "linear_feasibility": 0}
 
 
-@pytest.mark.parametrize("preloaded, w, labels", [
-    (True, (0, 0, 3), (0, 0, 0, 0)),
-    (False, (1, 0, 0), (1, 1, 0, 0)),
-], ids=["preloaded-stick-twist", "unpreloaded-slip-push"])
-def test_null_space_screen_rejects_without_lp(preloaded, w, labels,
-                                              monkeypatch):
+@pytest.mark.parametrize("make, preloaded, w, labels, nullity", [
+    (four_contact, True, (0, 0, 3), (0, 0, 0, 0), 2),
+    (four_contact, False, (1, 0, 0), (1, 1, 0, 0), 1),
+    (five_parallel, False, (-1, -2, -1), (0, 0, 0, 0, 0), 3),
+], ids=["preloaded-stick-twist", "unpreloaded-slip-push",
+        "five-parallel-stick"])
+def test_null_space_screen_rejects_before_the_ladder(make, preloaded, w,
+                                                     labels, nullity,
+                                                     monkeypatch):
     # consistent singular states whose best max-min margin is -0.25 to
-    # -0.5: a phase-1 LP over the +-x_max box let them through, since its
-    # row equilibration scales their residuals down by ~x_max, and the
-    # whole box ladder ran; the null-space screen rejects them outright
-    model = four_contact(preloaded)
+    # -0.85: a phase-1 LP over the +-x_max box let the first two into the
+    # box ladder, since its row equilibration scales their residuals down
+    # by ~x_max; the screen rejects all three before the ladder runs
+    model = make(preloaded)
     sys = assemble_state_system(model, w, labels)
-    assert 1 <= _nullity(sys) <= 2
+    assert _nullity(sys) == nullity
     x, margin = lp.max_min_slack(sys.a_eq, sys.b_eq, sys.a_in, sys.b_in,
                                  -100.0, 100.0)
     assert x is not None and margin < -0.2
-    calls = _count_lp_calls(monkeypatch)
+    calls = _count_calls(monkeypatch)
     assert solve_state(model, w, labels) is None
-    assert len(calls) == 0
+    assert calls == {"solve_lp": 0, "small_lp": 1, "linear_feasibility": 0}
 
 
 # independent feasibility check of every slip state by HiGHS (test-only:
@@ -199,35 +233,6 @@ def _highs(sys, *, relax, bounds):
                   b_eq=sys.b_eq, bounds=[bounds] * n + [(0.0, 1.0)],
                   method="highs")
     return res.status, (-res.fun if res.status == 0 else None)
-
-
-def _grid(k):
-    return [math.cos(k * math.pi / 4), math.sin(k * math.pi / 4)]
-
-
-# degenerate grasps whose singular states have null spaces of dimension
-# 1 to 3 (the fixtures reach only 2), which the interval, the polygon and
-# the null-space LP screens decide respectively
-def five_parallel(preloaded=False):
-    # four_contact plus a fifth contact on the left: all tangents are +-y
-    positions = [(-1, 1), (-1, -1), (1, -1), (1, 1), (-1, 0)]
-    normals = [(-1, 0), (-1, 0), (1, 0), (1, 0), (-1, 0)]
-    preload = [[1, 0], [1, 0], [1.5, 0], [1.5, 0], [1, 0]]
-    return GraspModel([Contact(p, n, 0.5) for p, n in zip(positions, normals)],
-                      preload=preload if preloaded else None)
-
-
-def pi4_grid(preloaded=False):
-    # positions and normals on the pi/4 grid, two of them not radial
-    return GraspModel([Contact(_grid(0), _grid(1), 0.5),
-                       Contact(_grid(3), _grid(3), 0.5),
-                       Contact(_grid(5), _grid(4), 0.5)])
-
-
-def antipodal(preloaded=False):
-    return GraspModel([Contact((-1, 0), (-1, 0), 0.5),
-                       Contact((1, 0), (1, 0), 0.5)],
-                      preload=[[1, 0], [1, 0]] if preloaded else None)
 
 
 @pytest.mark.parametrize("make, preloaded", [
