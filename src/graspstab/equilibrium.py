@@ -10,12 +10,14 @@ at zero load from per-contact label templates, and one SVD call over
 the stacked equality blocks gives each state's solution family
 x_p(w) + N z as affine maps of the wrench w. A direct state (N empty) is
 decided by its slacks at x_p(w), all of a grasp's at once; any other
-state in its null space, one at a time. Every LP over a state, the
-screen that decides a singular state, the box ladder that produces its
-point and the canonical witness's objective and pin LPs, has
-x = x_p + N z and so runs in the k null-space coordinates (plus a
-margin), k <= 3 in practice, on one exact engine: Seidel's incremental
-algorithm (``nullspace_lp.small_lp``).
+state in its null space, one at a time. Along a ray of loads w = t u
+the maps are affine in t, so each state holds on an interval of t,
+found without probing (``PreparedStates.stable_intervals``). Every LP
+over a state, the screen that decides a singular state, the box ladder
+that produces its point and the canonical witness's objective and pin
+LPs, has x = x_p + N z and so runs in the k null-space coordinates
+(plus a margin), k <= 3 in practice, on one exact engine: Seidel's
+incremental algorithm (``nullspace_lp.small_lp``).
 """
 
 from __future__ import annotations
@@ -365,15 +367,59 @@ class PreparedStates:
         makes it feasible; a singular one when its equalities pass the
         consistency test of ``solve_state``, which still decides it.
         """
-        tols = self.tols
         slack = self._s0 + self._slack_gain @ w
+        keep = np.where(self.direct,
+                        ~(np.min(slack, axis=1) < -self.tols.ineq_slack),
+                        self._consistent(w))
+        return np.flatnonzero(keep)
+
+    def _consistent(self, w: np.ndarray) -> np.ndarray:
+        """Whether each state's equalities pass the consistency test of
+        ``solve_state`` under w."""
         cons = np.linalg.norm(self._cons0 + self._cons_gain @ w, axis=1)
         scale = np.maximum(max(1.0, float(np.max(np.abs(w)))), self._b_max)
-        bound = np.sqrt(self._b_eq.shape[1]) * tols.eq_residual * (1.0 + scale)
-        keep = np.where(self.direct,
-                        ~(np.min(slack, axis=1) < -tols.ineq_slack),
-                        ~(cons > bound))
-        return np.flatnonzero(keep)
+        bound = np.sqrt(self._b_eq.shape[1]) * self.tols.eq_residual * (
+            1.0 + scale)
+        return ~(cons > bound)
+
+    def stable_intervals(self, u, cap: float) -> list[tuple[float, float]]:
+        """The loads t in [0, cap] under which some state holds w = t u.
+
+        Returned as sorted, disjoint closed intervals (lo, hi). Along the
+        ray every state's system is affine in t, so each state holds on
+        an interval of t, and the merged intervals are the stable set.
+        A direct state holds where s0 + t (slack_gain u) >= -ineq_slack:
+        one array pass gives every direct state's interval. A singular
+        state's consistency map cons0 + t (cons_gain u) is affine in t
+        too. Where it passes the consistency test at t = 0 and t = cap,
+        it is consistent on the whole ray, and its interval is the least
+        and the largest t over (z, t) under the rows and the +-x_max box
+        of ``_null_space_feasible``: two ``small_lp`` calls in k + 1
+        variables. Any other singular state is consistent only on a band
+        about eq_residual wide around one load, or nowhere; it is left
+        out. Intervals merge where one starts at or before the end of
+        the one before it, and once they cover [0, cap] no LP runs.
+        """
+        u = as_wrench(u)
+        direct = self.direct
+        # direct states: row r holds from or up to its root t_r
+        base = -self.tols.ineq_slack - self._s0[direct]
+        rate = self._slack_gain[direct] @ u
+        root = np.divide(base, rate, out=np.zeros_like(base), where=rate != 0)
+        lo = np.max(np.where(rate > 0, root, 0.0), axis=1, initial=0.0)
+        hi = np.min(np.where(rate < 0, root, cap), axis=1, initial=cap)
+        held = (lo <= hi) & ~np.any((rate == 0) & (base > 0), axis=1)
+        spans = _merged(zip(lo[held].tolist(), hi[held].tolist()))
+
+        whole = ~direct & self._consistent(np.zeros(3)) & \
+            self._consistent(cap * u)
+        for p in np.flatnonzero(whole).tolist():
+            if spans == [(0.0, cap)]:  # nothing is left to add
+                break
+            span = _singular_span(self[p], u, cap, self.tols)
+            if span is not None:
+                spans = _merged([*spans, span])
+        return spans
 
     @classmethod
     def of(cls, model: GraspModel, states, tols: Tolerances) -> PreparedStates:
@@ -445,6 +491,49 @@ def _null_space_feasible(sys: StateSystem, x_p: np.ndarray, slack: np.ndarray,
     bound = nullspace_lp.z_bound(sys.n, tols.x_max)
     return nullspace_lp.small_lp(g, h, np.zeros(k), np.full(k, -bound),
                                  np.full(k, bound), tols) is not None
+
+
+def _merged(spans) -> list[tuple[float, float]]:
+    """The union of closed intervals (lo, hi) as sorted disjoint ones."""
+    merged: list[tuple[float, float]] = []
+    for lo, hi in sorted(spans):
+        if merged and lo <= merged[-1][1]:
+            start, end = merged.pop()
+            lo, hi = start, max(end, hi)
+        merged.append((lo, hi))
+    return merged
+
+
+def _singular_span(prep: PreparedState, u: np.ndarray, cap: float,
+                   tols: Tolerances) -> tuple[float, float] | None:
+    """(least, largest) t in [0, cap] at which the singular state holds
+    w = t u, by the test of ``_null_space_feasible``; None if at none.
+
+    Under t u, x_p and its slack move by t (gain u) and t (slack_gain u),
+    so the screen's rows g z >= h(t) become rows over (z, t).
+    """
+    sys, null = prep.system, prep.null
+    k = null.shape[1]
+    g, h = nullspace_lp.null_rows(sys, prep.x0, prep.s0 + tols.ineq_slack,
+                                  null, tols.x_max)
+    move = prep.gain @ u
+    g = np.column_stack([g, np.concatenate([prep.slack_gain @ u, move,
+                                            -move])])
+    bound = nullspace_lp.z_bound(sys.n, tols.x_max)
+    lo = np.append(np.full(k, -bound), 0.0)
+    hi = np.append(np.full(k, bound), cap)
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
+    least = nullspace_lp.small_lp(g, h, c, lo, hi, tols)
+    largest = None if least is None else \
+        nullspace_lp.small_lp(g, h, -c, lo, hi, tols)
+    if largest is None:
+        return None
+    # t is exact to the LP's relative accuracy over its range [0, cap]
+    near = tols.lp_rel * cap
+    least, largest = float(least[-1]), float(largest[-1])
+    return (0.0 if least <= near else least,
+            cap if largest >= cap - near else largest)
 
 
 def linear_feasibility(sys: StateSystem, *, tols: Tolerances = DEFAULT_TOLS,

@@ -5,7 +5,9 @@ coordinates z of the state's null space, plus a margin for max-min-slack
 problems; k is at most 3 on every grasp measured. ``small_lp`` solves
 such a program exactly with Seidel's incremental algorithm, at every k:
 it is the feasibility screen that decides a singular state, on the rows
-of ``null_rows``, and ``null_lp`` builds one rung of the box ladder of
+of ``null_rows``, and the least and largest load along a ray at which
+that screen passes, on the same rows with the load as one more
+variable; ``null_lp`` builds one rung of the box ladder of
 ``equilibrium.linear_feasibility`` on it.
 """
 

@@ -51,9 +51,20 @@ class Verdict:
 
 @dataclass(eq=False)
 class DirectionResult:
+    """How far a pure force along ``direction`` can grow (see max_resistible).
+
+    magnitude is the midpoint of bracket, the (stable, unstable) loads on
+    the bisection grid that close in on the first exit from the stable
+    stretch that starts at zero load, or math.inf when that stretch
+    reaches the cap (bracket None). stable_intervals are the merged
+    closed intervals of loads in [0, cap] under which the grasp holds,
+    further stretches included.
+    """
+
     direction: np.ndarray
     magnitude: float  # math.inf = at least the cap
     bracket: tuple[float, float] | None  # final (stable, unstable) magnitudes
+    stable_intervals: tuple[tuple[float, float], ...] = ()
 
     @property
     def at_least_cap(self) -> bool:
@@ -205,19 +216,21 @@ def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
                    cap: float = 1e3, *, detachment: bool | None = None,
                    states: SlipStateSet | PreparedStates | None = None,
                    tols: Tolerances = DEFAULT_TOLS) -> DirectionResult:
-    """Largest resistible force magnitude along a direction, by bisection.
+    """Largest force magnitude a load ramping up from zero along a
+    direction meets before the grasp first fails.
 
-    Returns magnitude inf when the grasp still holds at the cap. The
-    returned bracket (stable, unstable) certifies only its two probes:
-    stable at lo (lo = 0 is not probed) and unstable at hi. Stability
-    need not be monotone along a ray, and ROADMAP item 1 found rays of
-    random preloaded grasps that are not; there the magnitude is the end
-    of whichever stable stretch the bisection closes in on.
-
-    The state systems do not depend on the load, so they are prepared
-    as one batch (assembled and factored) once per call and every
-    bisection probe decides all direct states in one array pass over
-    it; PreparedStates passed as ``states`` are shared.
+    The stable set along the ray is computed exactly, as merged per-state
+    intervals (``PreparedStates.stable_intervals``), so no monotonicity is
+    assumed: the first exit E is the end of the stretch that starts at
+    zero load, whatever holds beyond it. Magnitude inf means that stretch
+    reaches the cap. Otherwise the result is placed on the grid of a
+    bisection of [0, cap] to within tol, with "mid <= E" as its test: the
+    bracket (lo, hi) has lo stable, hi unstable (past E, and before the
+    next stretch, if one starts within the grid's step), hi - lo <= tol,
+    or lo and hi adjacent floats where tol is finer than their spacing,
+    and the magnitude is its midpoint. When zero load is not itself
+    stable the bracket is (0, h). The batch is built once per call, or
+    shared through ``states``; no stability query runs.
     """
     if not (math.isfinite(tol) and math.isfinite(cap) and tol > 0
             and cap > 0):
@@ -228,22 +241,28 @@ def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
         states = enumerate_slip_states(model, detachment=detachment, tols=tols)
     states = PreparedStates.of(model, states, tols)
 
-    def stable_at(mag: float) -> bool:
-        w = np.array([mag * u[0], mag * u[1], 0.0])
-        return check_stability(model, w, states=states,
-                               witness_policy="first", tols=tols).stable
-
-    if stable_at(cap):
-        return DirectionResult(direction=u, magnitude=math.inf, bracket=None)
+    spans = tuple(states.stable_intervals((u[0], u[1], 0.0), cap))
+    from_zero = bool(spans) and spans[0][0] <= 0.0
+    first_exit = spans[0][1] if from_zero else 0.0
+    if first_exit >= cap:
+        return DirectionResult(direction=u, magnitude=math.inf, bracket=None,
+                               stable_intervals=spans)
+    later = spans[1:] if from_zero else spans
+    after = later[0][0] if later else math.inf
+    # bisection's own steps, "mid <= E" in place of a probe; they go on
+    # while hi lies in the next stretch, and stop where no float is left
+    # between lo and hi
     lo, hi = 0.0, cap
-    while hi - lo > tol:
+    while hi - lo > tol or hi >= after:
         mid = 0.5 * (lo + hi)
-        if stable_at(mid):
+        if not lo < mid < hi:
+            break
+        if mid <= first_exit:
             lo = mid
         else:
             hi = mid
     return DirectionResult(direction=u, magnitude=0.5 * (lo + hi),
-                           bracket=(lo, hi))
+                           bracket=(lo, hi), stable_intervals=spans)
 
 
 def resistible_region(model: GraspModel, n_directions: int, tol: float = 1e-3,
@@ -253,7 +272,7 @@ def resistible_region(model: GraspModel, n_directions: int, tol: float = 1e-3,
 
     The slip states and their systems depend only on the geometry, so
     they are enumerated and prepared as one batch once per grasp and
-    shared by every direction and bisection probe.
+    shared by every direction's stable intervals.
     """
     if n_directions < 4:
         raise ValueError("need at least 4 directions")

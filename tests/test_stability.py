@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import importlib.util
 import math
 
 import numpy as np
 import pytest
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graspstab import (Contact, GraspModel, build_maps, check_solution,
                        check_stability, enumerate_slip_states,
@@ -13,12 +15,12 @@ from graspstab import (Contact, GraspModel, build_maps, check_solution,
                        resistible_region, solve_state)
 from graspstab.arrangement import DETACHED
 from graspstab.equilibrium import PreparedStates
-from graspstab.generate import random_grasp
+from graspstab.generate import balanced_preload, random_grasp
 from graspstab.grasp_io import load_grasp_file
 from graspstab.params import DEFAULT_TOLS
 from graspstab.stability import _feasible_states
 
-from conftest import FIXTURES, four_contact, three_contact
+from conftest import FIXTURES, REPO, four_contact, three_contact
 from test_arrangement import degenerate_grasps
 
 
@@ -102,6 +104,13 @@ def test_max_resistible_rejects_non_finite_or_zero_args(m3, bad):
         max_resistible(m3, (0, 1), **bad)
 
 
+def test_max_resistible_tol_below_float_spacing_ends(m3p):
+    # no bracket narrower than the floats near the exit exists: it ends
+    # at two adjacent floats (the probing bisection looped forever)
+    lo, hi = max_resistible(m3p, (0, 1), tol=1e-300).bracket
+    assert np.nextafter(lo, math.inf) == hi
+
+
 def test_region_sweep_unpreloaded(m3):
     sweep = resistible_region(m3, 8, tol=1e-3, cap=1e3)
     for res in sweep.results:
@@ -162,8 +171,6 @@ def test_flat_singular_winner_keeps_its_solution():
     # the winning state's null space moves only the forces, so no slip
     # speed varies on it: its witness is its own max-min-slack point,
     # whatever else is feasible, and so equals the "first" witness
-    from graspstab.generate import balanced_preload
-
     r = math.sqrt(0.5)
     contacts = [Contact(p, n, 0.5) for p, n in zip(
         [(-0.5, -0.5), (0, 0.5), (0, -1.5), (0, 0.5)],
@@ -353,25 +360,113 @@ def test_batched_decision_matches_per_state_loop_degenerate(case):
 
 
 # ---------------------------------------------------------------------------
+# degenerate geometry against the oracle that shares nothing with the batch
+# ---------------------------------------------------------------------------
+
+_spec = importlib.util.spec_from_file_location(
+    "stabbench_oracle", REPO / "stabbench" / "oracle.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+
+
+@st.composite
+def preloaded_degenerate_grasps(draw):
+    """degenerate_grasps cut to at most four contacts, for the exhaustive
+    oracle; or, with a balanced preload, at most two of its contacts, each
+    squeezed by an opposed contact on its normal line, so that a positive
+    balanced preload mostly exists (zero where none does)."""
+    model, detachment = draw(degenerate_grasps())
+    if not draw(st.booleans()):
+        return GraspModel(model.contacts[:4]), detachment
+    contacts = []
+    for c in model.contacts[:2]:
+        depth = 0.5 * draw(st.integers(1, 4))
+        contacts += [c, Contact(c.position - depth * c.normal, -c.normal,
+                                c.mu)]
+    model = GraspModel(contacts)
+    model.preload = balanced_preload(model)
+    return model, detachment
+
+
+@settings(max_examples=50, deadline=None)
+@given(preloaded_degenerate_grasps())
+def test_degenerate_verdicts_match_independent_oracle(case):
+    # stabbench/oracle.py decides each label vector by a direct solve or
+    # HiGHS, apart from PreparedStates, which brute_force_verdict shares
+    model, detachment = case
+    for w in [(0, -1, 0), (0, 1, 0), (0.5, 0, 0), (-1, 0.5, 0.5), (0, 0, 1),
+              (0.3, -0.7, -0.2)]:
+        assert check_stability(model, w, detachment=detachment,
+                               witness_policy="first").stable == \
+            oracle.oracle_verdict(model, w, detachment), w
+
+
+# ---------------------------------------------------------------------------
 # metamorphic: contact relabelling
 # ---------------------------------------------------------------------------
+
+def _permutations(model):
+    """(perm, the grasp with contact perm[i] as its contact i): reversed
+    and rotated by one."""
+    m = model.m
+    for perm in [list(range(m))[::-1], list(range(1, m)) + [0]]:
+        yield perm, GraspModel([model.contacts[i] for i in perm],
+                               stiffness=model.stiffness[perm],
+                               preload=model.preload[perm],
+                               options=model.options)
+
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.grasp")),
                          ids=lambda p: p.stem)
 def test_contact_permutation_keeps_verdict_and_capacity(path):
     model = load_grasp_file(path)[0]
-    m = model.m
-    for perm in [list(range(m))[::-1], list(range(1, m)) + [0]]:
-        permuted = GraspModel([model.contacts[i] for i in perm],
-                              stiffness=model.stiffness[perm],
-                              preload=model.preload[perm],
-                              options=model.options)
+    for perm, permuted in _permutations(model):
         for w in FRAME_WRENCHES:
             assert check_stability(model, w).stable == \
                 check_stability(permuted, w).stable, (perm, w)
         for u in [(0, 1), (1, 0), (0, -1), (-1, 0.5)]:
             assert max_resistible(model, u, tol=1e-2).magnitude == \
                 max_resistible(permuted, u, tol=1e-2).magnitude, (perm, u)
+
+
+GRID_WRENCHES = [(fx, fy, tz) for fx in (-2, -1, 0, 1, 2) for fy in (-2, 0, 2)
+                 for tz in (-1, 0, 1)]
+
+
+def _untied_direct_winner(model, w) -> bool:
+    """Whether every feasible state under w is direct and one has a total
+    slip speed below every other's by more than the witness tie."""
+    states = PreparedStates(model, enumerate_slip_states(model))
+    _tried, feasible = _feasible_states(model, states, np.asarray(w, float),
+                                        False, DEFAULT_TOLS)
+    if not feasible or not all(prep.direct for prep, _sol in feasible):
+        return False
+    totals = sorted(sum(prep.system.slip_dirs.values(), np.zeros(3)) @ sol.d
+                    for prep, sol in feasible)
+    return len(totals) == 1 or totals[1] - totals[0] > \
+        DEFAULT_TOLS.witness_tie * (1.0 + abs(totals[0]))
+
+
+def test_contact_permutation_permutes_an_untied_witness():
+    # with no tie the canonical witness is one state's only solution, so
+    # relabelling the contacts relabels it and nothing else; the
+    # four-contact fixtures, whose normals are parallel, give no such case
+    cases = 0
+    for path in sorted(FIXTURES.glob("*.grasp")):
+        model = load_grasp_file(path)[0]
+        untied = [w for w in GRID_WRENCHES if _untied_direct_winner(model, w)]
+        for perm, permuted in _permutations(model):
+            for w in untied:
+                v = check_stability(model, w).witness
+                pv = check_stability(permuted, w).witness
+                assert pv.labels == tuple(v.labels[i] for i in perm), \
+                    (path.stem, perm, w)
+                assert np.allclose(pv.forces, v.forces[perm], rtol=0,
+                                   atol=1e-12), (path.stem, perm, w)
+                assert np.allclose(pv.d, v.d, rtol=0, atol=1e-12), \
+                    (path.stem, perm, w)
+                cases += 1
+    assert cases >= 20
 
 
 # ---------------------------------------------------------------------------
