@@ -13,25 +13,25 @@ from .baselines import (WrenchPolytope, brute_force_verdict, gws_l1,
                         gws_slice, linear_compliance_verdict)
 from .equilibrium import (EquilibriumSolution, PreparedState, PreparedStates,
                           StateSystem, assemble_state_system, check_solution,
-                          linear_feasibility, prepare_state, solve_state)
+                          linear_feasibility, solve_state)
 from .generate import balanced_preload, random_grasp
 from .grasp_io import (GraspFileError, GraspValidationError, format_grasp,
                        load_grasp_file, parse_grasp_text)
 from .model import (Contact, GraspMaps, GraspModel, Options, build_maps,
                     contact_motion, validate_model, world_force)
-from .params import Tolerances
 from .stability import (RegionSweep, Verdict, check_stability, max_resistible,
                         resistible_region)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Contact", "GraspModel", "GraspMaps", "Options", "Tolerances",
+    "Contact", "GraspModel", "GraspMaps", "Options",
     "build_maps", "contact_motion", "validate_model", "world_force",
     "DETACHED", "SlipState", "SlipStateSet", "enumerate_slip_states",
     "zaslavsky_bound",
     "StateSystem", "EquilibriumSolution", "assemble_state_system",
-    "PreparedState", "PreparedStates", "prepare_state", "solve_state", "linear_feasibility", "check_solution",
+    "PreparedState", "PreparedStates", "solve_state", "linear_feasibility",
+    "check_solution",
     "Verdict", "RegionSweep", "check_stability", "max_resistible",
     "resistible_region",
     "WrenchPolytope", "brute_force_verdict", "gws_l1", "gws_slice",

@@ -24,7 +24,7 @@ arcs and faces of the circle arrangement (Zaslavsky 1975; Edelsbrunner,
            the dual region-adjacency graph, a partial cube.
 
 No linear program runs; "plane l contains ray d" means
-|n_l . d| <= Tolerances.geom_margin. The whole construction takes
+|n_l . d| <= GEOM_MARGIN (``params.py``). The whole construction takes
 O(n^2 log n) for n planes, and the state count is quadratic in the
 number of contacts.
 
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import GraspMaps, GraspModel, build_maps
-from .params import DEFAULT_TOLS, Tolerances
+from .params import GEOM_MARGIN, PLANE_COINCIDENT, ZERO_PRELOAD
 
 __all__ = [
     "DETACHED",
@@ -100,12 +100,11 @@ class PlaneArrangement:
     def normals(self) -> np.ndarray:
         return np.array([p.normal for p in self.planes]).reshape(-1, 3)
 
-    def _add(self, raw: np.ndarray, contact: int, role: str,
-             coincident: float) -> None:
+    def _add(self, raw: np.ndarray, contact: int, role: str) -> None:
         p = raw / np.linalg.norm(raw)
         for idx, plane in enumerate(self.planes):
             dot = float(plane.normal @ p)
-            if abs(dot) > coincident:
+            if abs(dot) > PLANE_COINCIDENT:
                 self._ref(role)[contact] = (idx, 1 if dot > 0 else -1)
                 return
         self.planes.append(OrientedPlane(normal=p))
@@ -115,22 +114,21 @@ class PlaneArrangement:
         return self.tangent_ref if role == "tangent" else self.separation_ref
 
 
-def tangent_planes(maps: GraspMaps, tols: Tolerances = DEFAULT_TOLS) -> PlaneArrangement:
+def tangent_planes(maps: GraspMaps) -> PlaneArrangement:
     """One oriented plane per distinct zero-tangential-motion constraint."""
     arr = PlaneArrangement()
     m = maps.motion.shape[1] // 2
     for i in range(m):
-        arr._add(maps.motion[:, 2 * i + 1].copy(), i, "tangent", tols.plane_coincident)
+        arr._add(maps.motion[:, 2 * i + 1].copy(), i, "tangent")
     return arr
 
 
-def separation_planes(model: GraspModel, maps: GraspMaps, arr: PlaneArrangement,
-                      tols: Tolerances = DEFAULT_TOLS) -> PlaneArrangement:
+def separation_planes(model: GraspModel, maps: GraspMaps,
+                      arr: PlaneArrangement) -> PlaneArrangement:
     """Extend the arrangement with separation planes of zero-preload contacts."""
     for i in range(model.m):
-        if model.preload[i, 0] <= tols.zero_preload:
-            arr._add(maps.motion[:, 2 * i].copy(), i, "separation",
-                     tols.plane_coincident)
+        if model.preload[i, 0] <= ZERO_PRELOAD:
+            arr._add(maps.motion[:, 2 * i].copy(), i, "separation")
     return arr
 
 
@@ -167,12 +165,11 @@ class DualGraph:
         return adj
 
 
-def line_states(arr: PlaneArrangement, tols: Tolerances = DEFAULT_TOLS
-                ) -> list[CellState]:
+def line_states(arr: PlaneArrangement) -> list[CellState]:
     """Ray cells: the two rays of every line in which planes meet.
 
     Planes i < j meet along d = n_i x n_j. Pairs are grouped by the set Z
-    of planes that contain d (|n . d| <= geom_margin), so three or more
+    of planes that contain d (|n . d| <= GEOM_MARGIN), so three or more
     planes through one line give one pair of rays. A ray's signs are
     sign(n . d) off Z and 0 on Z; when every plane contains the line both
     rays have the all-zero sign vector and only their witnesses differ.
@@ -185,7 +182,7 @@ def line_states(arr: PlaneArrangement, tols: Tolerances = DEFAULT_TOLS
     dirs = np.cross(normals[first], normals[second])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     vals = dirs @ normals.T
-    zero = np.abs(vals) <= tols.geom_margin
+    zero = np.abs(vals) <= GEOM_MARGIN
     rows = np.arange(len(pairs))
     zero[rows, first] = zero[rows, second] = True
     signs = np.where(zero, 0, np.sign(vals)).astype(int)
@@ -405,9 +402,8 @@ def cell_labels(cell: CellState, arr: PlaneArrangement, m: int,
     return tuple(labels)
 
 
-def enumerate_slip_states(model: GraspModel, *, detachment: bool | None = None,
-                          maps: GraspMaps | None = None,
-                          tols: Tolerances = DEFAULT_TOLS) -> SlipStateSet:
+def enumerate_slip_states(model: GraspModel, *,
+                          detachment: bool | None = None) -> SlipStateSet:
     """Every slip state consistent with some rigid object motion.
 
     With detachment enabled, cells on the separating side of a
@@ -416,15 +412,14 @@ def enumerate_slip_states(model: GraspModel, *, detachment: bool | None = None,
     are exactly the arrangement's cells. The all-stick origin state is
     always present and always first.
     """
-    if maps is None:
-        maps = build_maps(model)
+    maps = build_maps(model)
     if detachment is None:
         detachment = model.options.detachment
-    arr = tangent_planes(maps, tols)
+    arr = tangent_planes(maps)
     if detachment:
-        separation_planes(model, maps, arr, tols)
+        separation_planes(model, maps, arr)
 
-    lines = line_states(arr, tols)
+    lines = line_states(arr)
     facets = facet_states(arr, lines)
     regions = enumerate_regions(arr, facets)
     graph = build_dual_graph(regions, facets)

@@ -20,7 +20,7 @@ import numpy as np
 from .arrangement import DETACHED
 from .equilibrium import EquilibriumSolution, PreparedStates
 from .model import GraspModel, as_wrench, build_maps, cross2, tangent_of, world_force
-from .params import DEFAULT_TOLS, Tolerances
+from .params import INEQ_SLACK, SINGULAR_REL, ZERO_PRELOAD
 from .stability import Verdict, _feasible_states
 
 __all__ = [
@@ -38,8 +38,7 @@ _BATCH = 256
 
 
 def brute_force_verdict(model: GraspModel, w, *, detachment: bool | None = None,
-                        max_contacts: int = 12,
-                        tols: Tolerances = DEFAULT_TOLS) -> Verdict:
+                        max_contacts: int = 12) -> Verdict:
     """Exhaustive label-vector search; exponential but exact.
 
     Every contact tries slip-/stick/slip+; zero-preload contacts also try
@@ -53,19 +52,18 @@ def brute_force_verdict(model: GraspModel, w, *, detachment: bool | None = None,
     if detachment is None:
         detachment = model.options.detachment
     w = as_wrench(w)
-    maps = build_maps(model)
     per_contact = []
     for i in range(model.m):
         labels = [-1, 0, 1]
-        if detachment and model.preload[i, 0] <= tols.zero_preload:
+        if detachment and model.preload[i, 0] <= ZERO_PRELOAD:
             labels = labels + [DETACHED]
         per_contact.append(labels)
 
     combos = itertools.product(*per_contact)
     tried = 0
     while chunk := list(itertools.islice(combos, _BATCH)):
-        batch = PreparedStates(model, chunk, maps=maps, tols=tols)
-        n_tried, feasible = _feasible_states(model, batch, w, True, tols)
+        batch = PreparedStates(model, chunk)
+        n_tried, feasible = _feasible_states(model, batch, w, True)
         tried += n_tried
         if feasible:
             return Verdict(stable=True, witness=feasible[0][1],
@@ -185,8 +183,8 @@ def polygon_contains(poly: np.ndarray, point, margin: float = 0.0) -> bool:
     return True
 
 
-def linear_compliance_verdict(model: GraspModel, w, tangent_stiffness,
-                              *, tols: Tolerances = DEFAULT_TOLS) -> Verdict:
+def linear_compliance_verdict(model: GraspModel, w,
+                              tangent_stiffness) -> Verdict:
     """Fully linear springs on both force components, then cone screening.
 
     Tangential force resists tangential motion (c_t = c0_t - k_t delta_t),
@@ -211,7 +209,7 @@ def linear_compliance_verdict(model: GraspModel, w, tangent_stiffness,
         stiffness += k_t[i] * np.outer(tcol, tcol)
 
     sv = np.linalg.svd(stiffness, compute_uv=False)
-    if sv[-1] <= tols.singular_rel * max(sv[0], 1.0):
+    if sv[-1] <= SINGULAR_REL * max(sv[0], 1.0):
         return Verdict(stable=False, witness=None, states_tried=1,
                        detachment=False)
     d = np.linalg.solve(stiffness, w)
@@ -223,9 +221,9 @@ def linear_compliance_verdict(model: GraspModel, w, tangent_stiffness,
         c_n = model.preload[i, 0] + model.stiffness[i] * deltas[i, 0]
         c_t = model.preload[i, 1] - k_t[i] * deltas[i, 1]
         forces[i] = (c_n, c_t)
-        if c_n < -tols.ineq_slack:
+        if c_n < -INEQ_SLACK:
             ok = False
-        if abs(c_t) > model.contacts[i].mu * c_n + tols.ineq_slack:
+        if abs(c_t) > model.contacts[i].mu * c_n + INEQ_SLACK:
             ok = False
     labels = tuple(0 if abs(dt) <= 1e-12 else (1 if dt > 0 else -1)
                    for dt in deltas[:, 1])

@@ -31,7 +31,8 @@ from . import nullspace_lp
 from .arrangement import DETACHED, LABEL_NAMES, SlipState
 from .model import (GraspMaps, GraspModel, as_wrench, build_maps, cross2,
                     tangent_of, world_force)
-from .params import DEFAULT_TOLS, Tolerances
+from .params import (EQ_RESIDUAL, INEQ_SLACK, LADDER_START, LADDER_STEP,
+                     LP_REL, PROJECTION_SKIP, RANK_EPS, SINGULAR_REL, X_MAX)
 
 __all__ = [
     "StateSystem",
@@ -39,7 +40,6 @@ __all__ = [
     "PreparedState",
     "PreparedStates",
     "assemble_state_system",
-    "prepare_state",
     "solve_state",
     "linear_feasibility",
     "check_solution",
@@ -186,8 +186,8 @@ def _label_array(labels, m: int) -> np.ndarray:
     return np.array(labels, dtype=np.intp).reshape(-1, m)
 
 
-def assemble_state_system(model: GraspModel, w, state: SlipState | tuple,
-                          maps: GraspMaps | None = None) -> StateSystem:
+def assemble_state_system(model: GraspModel, w,
+                          state: SlipState | tuple) -> StateSystem:
     """Build the equality/inequality blocks for one slip state.
 
     The one-state case of the stacked assembly of ``PreparedStates``:
@@ -195,8 +195,7 @@ def assemble_state_system(model: GraspModel, w, state: SlipState | tuple,
     one inequality row when detached, two when slipping and three when
     sticking. Every inequality's right-hand side is zero.
     """
-    if maps is None:
-        maps = build_maps(model)
+    maps = build_maps(model)
     labels = state.labels if isinstance(state, SlipState) else tuple(state)
     a_eq, b_eq, a_in, valid = _assemble(model, maps,
                                         _label_array(labels, model.m))
@@ -204,13 +203,12 @@ def assemble_state_system(model: GraspModel, w, state: SlipState | tuple,
     return _system(model, maps, labels, a_eq[0], b_eq[0], a_in[0], valid[0])
 
 
-def _project_onto_equalities(a_eq, b_eq, x: np.ndarray,
-                             tols: Tolerances) -> np.ndarray:
+def _project_onto_equalities(a_eq, b_eq, x: np.ndarray) -> np.ndarray:
     """Minimal-norm correction pulling x onto the equality manifold."""
     if a_eq.shape[0] == 0:
         return x
     residual = a_eq @ x - b_eq
-    if np.max(np.abs(residual)) < tols.projection_skip:
+    if np.max(np.abs(residual)) < PROJECTION_SKIP:
         return x
     corr, *_ = np.linalg.lstsq(a_eq, residual, rcond=None)
     return x - corr
@@ -232,10 +230,10 @@ class PreparedState:
 
     The load w enters only b_eq, so all of these are affine in w. The
     equalities' solutions are x_p(w) + null @ z, with x_p(w) = x0 + gain @ w
-    the pseudo-inverse solution at the singular_rel cutoff and its
+    the pseudo-inverse solution at the SINGULAR_REL cutoff and its
     inequality slacks a_in x_p(w) - b_in = s0 + slack_gain @ w. The
     equalities are consistent when cons0 + cons_gain @ w, their right-hand
-    side in the left null basis at the rank_eps cutoff (zero-padded to n
+    side in the left null basis at the RANK_EPS cutoff (zero-padded to n
     rows), is small enough (see ``solve_state``). A direct state has an
     empty null basis.
     """
@@ -260,28 +258,21 @@ class PreparedState:
                                 self.index)
 
 
-def prepare_state(model: GraspModel, state: SlipState | tuple, *,
-                  maps: GraspMaps | None = None,
-                  tols: Tolerances = DEFAULT_TOLS) -> PreparedState:
-    """Assemble one slip state at zero load; its family from one SVD."""
-    return PreparedStates(model, [state], maps=maps, tols=tols)[0]
-
-
-def _factor(a_eq: np.ndarray, tols: Tolerances):
+def _factor(a_eq: np.ndarray):
     """(inv, u, vt, live, rank) of a stack of equality blocks (S, r, n).
 
     From one SVD call U S V^T over the stack: inv = V S^-1 U^T is each
-    block's pseudo-inverse at the singular_rel cutoff, live its count of
+    block's pseudo-inverse at the SINGULAR_REL cutoff, live its count of
     singular values above that cutoff (the right singular vectors beyond
-    it span its null space) and rank its count above the rank_eps cutoff
+    it span its null space) and rank its count above the RANK_EPS cutoff
     of the consistency test (the left singular vectors beyond it span
     its left null space).
     """
     u, sv, vt = np.linalg.svd(a_eq)
     top = sv[:, :1]
-    keep = sv > tols.singular_rel * top
+    keep = sv > SINGULAR_REL * top
     live = np.count_nonzero(keep, axis=1)
-    rank = np.count_nonzero(sv > tols.rank_eps * max(a_eq.shape[1:]) * top,
+    rank = np.count_nonzero(sv > RANK_EPS * max(a_eq.shape[1:]) * top,
                             axis=1)
     p = sv.shape[1]
     scaled = np.divide(vt[:, :p].transpose(0, 2, 1), sv[:, None, :],
@@ -309,21 +300,18 @@ class PreparedStates:
     -1 and which have no detachment setting).
     """
 
-    def __init__(self, model: GraspModel, states, *,
-                 maps: GraspMaps | None = None,
-                 tols: Tolerances = DEFAULT_TOLS):
+    def __init__(self, model: GraspModel, states):
         self.model = model
         self.states = states
-        self.tols = tols
         self.detachment = getattr(states, "detachment", None)
-        self._maps = build_maps(model) if maps is None else maps
+        self._maps = build_maps(model)
         self._labels = [st.labels if isinstance(st, SlipState) else tuple(st)
                         for st in states]
         self._index = [st.index if isinstance(st, SlipState) else -1
                        for st in states]
         a_eq, b_eq, a_in, self._valid = _assemble(
             model, self._maps, _label_array(self._labels, model.m))
-        self._inv, u, self._vt, self._live, rank = _factor(a_eq, tols)
+        self._inv, u, self._vt, self._live, rank = _factor(a_eq)
         self._a_eq, self._b_eq, self._a_in = a_eq, b_eq, a_in
         n = a_eq.shape[-1]
         self.direct = self._live == n
@@ -369,7 +357,7 @@ class PreparedStates:
         """
         slack = self._s0 + self._slack_gain @ w
         keep = np.where(self.direct,
-                        ~(np.min(slack, axis=1) < -self.tols.ineq_slack),
+                        ~(np.min(slack, axis=1) < -INEQ_SLACK),
                         self._consistent(w))
         return np.flatnonzero(keep)
 
@@ -378,8 +366,7 @@ class PreparedStates:
         ``solve_state`` under w."""
         cons = np.linalg.norm(self._cons0 + self._cons_gain @ w, axis=1)
         scale = np.maximum(max(1.0, float(np.max(np.abs(w)))), self._b_max)
-        bound = np.sqrt(self._b_eq.shape[1]) * self.tols.eq_residual * (
-            1.0 + scale)
+        bound = np.sqrt(self._b_eq.shape[1]) * EQ_RESIDUAL * (1.0 + scale)
         return ~(cons > bound)
 
     def stable_intervals(self, u, cap: float) -> list[tuple[float, float]]:
@@ -388,22 +375,22 @@ class PreparedStates:
         Returned as sorted, disjoint closed intervals (lo, hi). Along the
         ray every state's system is affine in t, so each state holds on
         an interval of t, and the merged intervals are the stable set.
-        A direct state holds where s0 + t (slack_gain u) >= -ineq_slack:
+        A direct state holds where s0 + t (slack_gain u) >= -INEQ_SLACK:
         one array pass gives every direct state's interval. A singular
         state's consistency map cons0 + t (cons_gain u) is affine in t
         too. Where it passes the consistency test at t = 0 and t = cap,
         it is consistent on the whole ray, and its interval is the least
-        and the largest t over (z, t) under the rows and the +-x_max box
+        and the largest t over (z, t) under the rows and the +-X_MAX box
         of ``_null_space_feasible``: two ``small_lp`` calls in k + 1
         variables. Any other singular state is consistent only on a band
-        about eq_residual wide around one load, or nowhere; it is left
+        about EQ_RESIDUAL wide around one load, or nowhere; it is left
         out. Intervals merge where one starts at or before the end of
         the one before it, and once they cover [0, cap] no LP runs.
         """
         u = as_wrench(u)
         direct = self.direct
         # direct states: row r holds from or up to its root t_r
-        base = -self.tols.ineq_slack - self._s0[direct]
+        base = -INEQ_SLACK - self._s0[direct]
         rate = self._slack_gain[direct] @ u
         root = np.divide(base, rate, out=np.zeros_like(base), where=rate != 0)
         lo = np.max(np.where(rate > 0, root, 0.0), axis=1, initial=0.0)
@@ -416,24 +403,23 @@ class PreparedStates:
         for p in np.flatnonzero(whole).tolist():
             if spans == [(0.0, cap)]:  # nothing is left to add
                 break
-            span = _singular_span(self[p], u, cap, self.tols)
+            span = _singular_span(self[p], u, cap)
             if span is not None:
                 spans = _merged([*spans, span])
         return spans
 
     @classmethod
-    def of(cls, model: GraspModel, states, tols: Tolerances) -> PreparedStates:
-        """states itself when it is prepared for this grasp and tolerances."""
+    def of(cls, model: GraspModel, states) -> PreparedStates:
+        """states itself when it is prepared for this grasp."""
         if isinstance(states, cls):
-            if states.model is model and states.tols == tols:
+            if states.model is model:
                 return states
             states = states.states
-        return cls(model, states, tols=tols)
+        return cls(model, states)
 
 
-def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState,
-                *, maps: GraspMaps | None = None,
-                tols: Tolerances = DEFAULT_TOLS) -> EquilibriumSolution | None:
+def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState
+                ) -> EquilibriumSolution | None:
     """Solve one slip state; None when its constraints are inconsistent.
 
     A direct state is decided by its slacks at its one solution. Any
@@ -445,11 +431,11 @@ def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState,
     any other state is prepared first.
     """
     prep = state if isinstance(state, PreparedState) else \
-        prepare_state(model, state, maps=maps, tols=tols)
+        PreparedStates(model, [state])[0]
     w = as_wrench(w)
     slack = prep.s0 + prep.slack_gain @ w
     if prep.direct:
-        if np.min(slack, initial=np.inf) < -tols.ineq_slack:
+        if np.min(slack, initial=np.inf) < -INEQ_SLACK:
             return None
         return prep.solution_at(w)
 
@@ -459,38 +445,37 @@ def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState,
     # and no point has a smaller residual than the norm of b_eq in the
     # left null basis
     if np.linalg.norm(prep.cons0 + prep.cons_gain @ w) > \
-            np.sqrt(len(sys.b_eq)) * _eq_tol(sys, tols)[1] or \
+            np.sqrt(len(sys.b_eq)) * _eq_tol(sys)[1] or \
             not _null_space_feasible(sys, prep.x0 + prep.gain @ w, slack,
-                                     prep.null, tols):
+                                     prep.null):
         return None
-    x = linear_feasibility(sys, tols=tols)
+    x = linear_feasibility(sys)
     return None if x is None else _solution_from_x(sys, x, prep.index)
 
 
-def _eq_tol(sys: StateSystem, tols: Tolerances) -> tuple[float, float]:
+def _eq_tol(sys: StateSystem) -> tuple[float, float]:
     """(scale, eq_tol): the data's magnitude and the largest max-norm
     equality residual the box ladder accepts."""
     scale = max(1.0, float(np.max(np.abs(sys.b_eq), initial=0.0)),
                 float(np.max(np.abs(sys.b_in), initial=0.0)))
-    return scale, tols.eq_residual * (1.0 + scale)
+    return scale, EQ_RESIDUAL * (1.0 + scale)
 
 
 def _null_space_feasible(sys: StateSystem, x_p: np.ndarray, slack: np.ndarray,
-                         null: np.ndarray, tols: Tolerances) -> bool:
-    """Whether some x = x_p + N z meets the relaxed rows in the +-x_max box.
+                         null: np.ndarray) -> bool:
+    """Whether some x = x_p + N z meets the relaxed rows in the +-X_MAX box.
 
-    slack is a_in x_p - b_in. The rows are a_in x >= b_in - ineq_slack and
-    |x| <= x_max, as g z >= h. The ladder's boxes all lie within +-x_max
-    and it accepts slack >= -ineq_slack, so where no such z exists every
+    slack is a_in x_p - b_in. The rows are a_in x >= b_in - INEQ_SLACK and
+    |x| <= X_MAX, as g z >= h. The ladder's boxes all lie within +-X_MAX
+    and it accepts slack >= -INEQ_SLACK, so where no such z exists every
     rung fails too. One feasibility call of the null-space LP decides
     this at every nullity.
     """
     k = null.shape[1]
-    g, h = nullspace_lp.null_rows(sys, x_p, slack + tols.ineq_slack, null,
-                                  tols.x_max)
-    bound = nullspace_lp.z_bound(sys.n, tols.x_max)
+    g, h = nullspace_lp.null_rows(sys, x_p, slack + INEQ_SLACK, null, X_MAX)
+    bound = nullspace_lp.z_bound(sys.n, X_MAX)
     return nullspace_lp.small_lp(g, h, np.zeros(k), np.full(k, -bound),
-                                 np.full(k, bound), tols) is not None
+                                 np.full(k, bound)) is not None
 
 
 def _merged(spans) -> list[tuple[float, float]]:
@@ -504,8 +489,8 @@ def _merged(spans) -> list[tuple[float, float]]:
     return merged
 
 
-def _singular_span(prep: PreparedState, u: np.ndarray, cap: float,
-                   tols: Tolerances) -> tuple[float, float] | None:
+def _singular_span(prep: PreparedState, u: np.ndarray, cap: float
+                   ) -> tuple[float, float] | None:
     """(least, largest) t in [0, cap] at which the singular state holds
     w = t u, by the test of ``_null_space_feasible``; None if at none.
 
@@ -514,36 +499,36 @@ def _singular_span(prep: PreparedState, u: np.ndarray, cap: float,
     """
     sys, null = prep.system, prep.null
     k = null.shape[1]
-    g, h = nullspace_lp.null_rows(sys, prep.x0, prep.s0 + tols.ineq_slack,
-                                  null, tols.x_max)
+    g, h = nullspace_lp.null_rows(sys, prep.x0, prep.s0 + INEQ_SLACK, null,
+                                  X_MAX)
     move = prep.gain @ u
     g = np.column_stack([g, np.concatenate([prep.slack_gain @ u, move,
                                             -move])])
-    bound = nullspace_lp.z_bound(sys.n, tols.x_max)
+    bound = nullspace_lp.z_bound(sys.n, X_MAX)
     lo = np.append(np.full(k, -bound), 0.0)
     hi = np.append(np.full(k, bound), cap)
     c = np.zeros(k + 1)
     c[-1] = 1.0
-    least = nullspace_lp.small_lp(g, h, c, lo, hi, tols)
+    least = nullspace_lp.small_lp(g, h, c, lo, hi)
     largest = None if least is None else \
-        nullspace_lp.small_lp(g, h, -c, lo, hi, tols)
+        nullspace_lp.small_lp(g, h, -c, lo, hi)
     if largest is None:
         return None
     # t is exact to the LP's relative accuracy over its range [0, cap]
-    near = tols.lp_rel * cap
+    near = LP_REL * cap
     least, largest = float(least[-1]), float(largest[-1])
     return (0.0 if least <= near else least,
             cap if largest >= cap - near else largest)
 
 
-def linear_feasibility(sys: StateSystem, *, tols: Tolerances = DEFAULT_TOLS,
+def linear_feasibility(sys: StateSystem, *,
                        objective=None) -> np.ndarray | None:
     """Point satisfying the state system, or None.
 
     Maximizes the minimum inequality slack subject to the equalities and
     a box bound on the unknowns; pin rows (ineq_kind "pin") hold as hard
     rows and take no part in the margin. The box grows geometrically from
-    ladder_start times the data's magnitude up to x_max, so that solutions
+    LADDER_START times the data's magnitude up to X_MAX, so that solutions
     of ordinary magnitude are found at ordinary scale. Each rung is one
     exact LP (``nullspace_lp.null_lp``) over x = x_p + N z, with x_p and
     N from one SVD of the equality block. ``solve_state`` rejects
@@ -553,34 +538,33 @@ def linear_feasibility(sys: StateSystem, *, tols: Tolerances = DEFAULT_TOLS,
     With ``objective`` given, minimizes it over the feasible set instead.
     """
     a_eq, b_eq = sys.a_eq, sys.b_eq
-    scale, eq_tol = _eq_tol(sys, tols)
+    scale, eq_tol = _eq_tol(sys)
     if sys.factor is None:
-        inv, _u, vt, live, _rank = _factor(a_eq[None], tols)
+        inv, _u, vt, live, _rank = _factor(a_eq[None])
         inv, null = inv[0], vt[0, live[0]:].T
     else:
         inv, null = sys.factor
     x_p = inv @ b_eq
 
-    box = tols.ladder_start * scale
+    box = LADDER_START * scale
     while True:
-        box = min(box, tols.x_max)
-        x, s = nullspace_lp.null_lp(sys, x_p, null, box, objective, tols)
-        ok = x is not None and (objective is not None
-                                or s >= -tols.ineq_slack)
+        box = min(box, X_MAX)
+        x, s = nullspace_lp.null_lp(sys, x_p, null, box, objective)
+        ok = x is not None and (objective is not None or s >= -INEQ_SLACK)
         if ok:
             # the program's verdict is advisory: accept only a point that
             # verifiably satisfies the system at the working tolerances
-            x = _project_onto_equalities(a_eq, b_eq, x, tols)
+            x = _project_onto_equalities(a_eq, b_eq, x)
             eq_res = float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0))
             slack = (float(np.min(sys.a_in @ x - sys.b_in))
                      if len(sys.b_in) else np.inf)
-            if eq_res <= eq_tol and slack >= -tols.ineq_slack:
+            if eq_res <= eq_tol and slack >= -INEQ_SLACK:
                 hits_box = float(np.max(np.abs(x))) > 0.9 * box
-                if not hits_box or box >= tols.x_max:
+                if not hits_box or box >= X_MAX:
                     return x
-        if box >= tols.x_max:
+        if box >= X_MAX:
             return None
-        box *= tols.ladder_step
+        box *= LADDER_STEP
 
 
 def check_solution(model: GraspModel, w, sol: EquilibriumSolution) -> dict:

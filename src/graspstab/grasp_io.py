@@ -52,12 +52,22 @@ _CONTACT_FIELDS = {"position", "normal", "mu"}
 _OPTION_FIELDS = {"detachment"}
 
 
+def _number(value, ctx):
+    # YAML's true and false would pass float() as 1 and 0
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise GraspFileError(f"{ctx}: expected a number, got {value!r}")
+
+
 def _pair(value, ctx):
     try:
         x, y = value
-        return [float(x), float(y)]
     except (TypeError, ValueError) as exc:
         raise GraspFileError(f"{ctx}: expected a pair of numbers, got {value!r}") from exc
+    return [_number(x, ctx), _number(y, ctx)]
 
 
 def parse_grasp_text(text: str) -> tuple[GraspModel, str]:
@@ -93,7 +103,7 @@ def parse_grasp_text(text: str) -> tuple[GraspModel, str]:
         contacts.append(Contact(
             _pair(entry["position"], f"{ctx} position"),
             _pair(entry["normal"], f"{ctx} normal"),
-            float(entry["mu"]),
+            _number(entry["mu"], f"{ctx} mu"),
         ))
     m = len(contacts)
 
@@ -101,9 +111,10 @@ def parse_grasp_text(text: str) -> tuple[GraspModel, str]:
     if isinstance(stiffness, list):
         if len(stiffness) != m:
             raise GraspFileError(f"stiffness list has {len(stiffness)} entries for {m} contacts")
-        stiffness = [float(k) for k in stiffness]
+        stiffness = [_number(k, f"stiffness {i}")
+                     for i, k in enumerate(stiffness)]
     else:
-        stiffness = float(stiffness)
+        stiffness = _number(stiffness, "stiffness")
 
     preload = doc.get("preload", "none")
     if preload in ("none", None):
@@ -121,7 +132,11 @@ def parse_grasp_text(text: str) -> tuple[GraspModel, str]:
     unknown = set(options) - _OPTION_FIELDS
     if unknown:
         raise GraspFileError(f"options: unknown field(s): {', '.join(sorted(unknown))}")
-    opts = Options(detachment=bool(options.get("detachment", True)))
+    detachment = options.get("detachment", True)
+    if not isinstance(detachment, bool):
+        raise GraspFileError(
+            f"options: detachment: expected true or false, got {detachment!r}")
+    opts = Options(detachment=detachment)
 
     model = GraspModel(contacts, stiffness=stiffness, preload=preload, options=opts)
     violations = validate_model(model)

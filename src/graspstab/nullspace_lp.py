@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .params import DEFAULT_TOLS, Tolerances
+from .params import LP_REL, MARGIN_CAP
 
 if TYPE_CHECKING:
     from .equilibrium import StateSystem
@@ -44,10 +44,10 @@ def null_rows(sys: StateSystem, x_p: np.ndarray, slack: np.ndarray,
 
 
 def null_lp(sys: StateSystem, x_p: np.ndarray, null: np.ndarray, box: float,
-            objective, tols: Tolerances) -> tuple[np.ndarray | None, float]:
+            objective) -> tuple[np.ndarray | None, float]:
     """One rung of the ladder in the null-space coordinates x = x_p + N z.
 
-    With no objective, maximizes the margin s (at most margin_cap) by which
+    With no objective, maximizes the margin s (at most MARGIN_CAP) by which
     every row of the state's own a_in x >= b_in holds, while its pin rows
     (ineq_kind "pin") hold as they are; with an objective, minimizes it
     over the rows as they are. Both within the box |x| <= box. Returns
@@ -58,7 +58,7 @@ def null_lp(sys: StateSystem, x_p: np.ndarray, null: np.ndarray, box: float,
     bound = z_bound(sys.n, box)
     if objective is not None:
         y = small_lp(g, h, np.asarray(objective, dtype=float) @ null,
-                     np.full(k, -bound), np.full(k, bound), tols)
+                     np.full(k, -bound), np.full(k, bound))
         return (None, np.nan) if y is None else (x_p + null @ y, np.nan)
     # the margin enters the state's own rows, g z - s >= h
     margin = np.zeros((len(h), 1))
@@ -68,13 +68,12 @@ def null_lp(sys: StateSystem, x_p: np.ndarray, null: np.ndarray, box: float,
     c = np.zeros(k + 1)
     c[-1] = -1.0
     lo = np.append(np.full(k, -bound), s_lo)
-    hi = np.append(np.full(k, bound), tols.margin_cap)
-    y = small_lp(np.hstack([g, -margin]), h, c, lo, hi, tols)
+    hi = np.append(np.full(k, bound), MARGIN_CAP)
+    y = small_lp(np.hstack([g, -margin]), h, c, lo, hi)
     return (None, np.nan) if y is None else (x_p + null @ y[:k], y[-1])
 
 
-def small_lp(g, h, c, lo, hi, tols: Tolerances = DEFAULT_TOLS
-             ) -> np.ndarray | None:
+def small_lp(g, h, c, lo, hi) -> np.ndarray | None:
     """Minimize c y subject to g y >= h and lo <= y <= hi; None if infeasible.
 
     Seidel's incremental algorithm (Seidel 1991, "Small-dimensional
@@ -93,41 +92,40 @@ def small_lp(g, h, c, lo, hi, tols: Tolerances = DEFAULT_TOLS
     c = np.asarray(c, dtype=float)
     h = np.asarray(h, dtype=float)
     g = np.asarray(g, dtype=float).reshape(len(h), len(c))
-    eps = tols.lp_rel
     norm = np.sqrt(np.einsum("ij,ij->i", g, g))
-    flat = norm <= eps
+    flat = norm <= LP_REL
     if flat.any():
-        if np.any(h[flat] > eps * (1.0 + np.abs(h[flat]))):
+        if np.any(h[flat] > LP_REL * (1.0 + np.abs(h[flat]))):
             return None
         g, h, norm = g[~flat], h[~flat], norm[~flat]
     c_norm = np.abs(c).max() if c.size else 0.0
     return _seidel(g / norm[:, None], h / norm,
                    c / c_norm if c_norm > 0 else c,
-                   np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
-                   eps)
+                   np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
 
 
-def _seidel(g, h, c, lo, hi, eps):
+def _seidel(g, h, c, lo, hi):
     """small_lp on rows whose entries are at most about 1, c likewise."""
     if len(c) == 1:
-        return _interval(g[:, 0], h, c[0], lo[0], hi[0], eps)
+        return _interval(g[:, 0], h, c[0], lo[0], hi[0])
     # the box vertex that is optimal before any row is added
-    y = np.where(c > eps, lo, np.where(c < -eps, hi, np.clip(0.0, lo, hi)))
+    y = np.where(c > LP_REL, lo,
+                 np.where(c < -LP_REL, hi, np.clip(0.0, lo, hi)))
     i = 0
     while i < len(h):
-        bad = np.flatnonzero(g[i:] @ y - h[i:] < -eps * (
+        bad = np.flatnonzero(g[i:] @ y - h[i:] < -LP_REL * (
             1.0 + np.abs(h[i:]) + np.abs(y).sum()))
         if bad.size == 0:
             break
         i += int(bad[0])
-        y = _on_row(g, h, c, lo, hi, i, eps)
+        y = _on_row(g, h, c, lo, hi, i)
         if y is None:
             return None
         i += 1
     return y
 
 
-def _on_row(g, h, c, lo, hi, i, eps):
+def _on_row(g, h, c, lo, hi, i):
     """The optimum over rows before i and the box, on row i's hyperplane.
 
     The variable j with the largest coefficient in row i is eliminated,
@@ -135,7 +133,7 @@ def _on_row(g, h, c, lo, hi, i, eps):
     Row i is violated, so where it is flat no point meets it.
     """
     j = int(np.argmax(np.abs(g[i])))
-    if abs(g[i, j]) <= eps:
+    if abs(g[i, j]) <= LP_REL:
         return None
     keep = np.arange(len(c)) != j
     q = g[i, keep] / g[i, j]
@@ -143,7 +141,7 @@ def _on_row(g, h, c, lo, hi, i, eps):
     sub = _seidel(np.vstack([-q, q, g[:i, keep] - np.outer(g[:i, j], q)]),
                   np.concatenate([[lo[j] - t, t - hi[j]],
                                   h[:i] - g[:i, j] * t]),
-                  c[keep] - c[j] * q, lo[keep], hi[keep], eps)
+                  c[keep] - c[j] * q, lo[keep], hi[keep])
     if sub is None:
         return None
     y = np.empty(len(c))
@@ -152,20 +150,20 @@ def _on_row(g, h, c, lo, hi, i, eps):
     return y
 
 
-def _interval(a, b, c, lo, hi, eps):
+def _interval(a, b, c, lo, hi):
     """The one-variable case: the end of the interval of y that c prefers."""
-    up, down = a > eps, a < -eps
+    up, down = a > LP_REL, a < -LP_REL
     flat = ~(up | down)
-    if flat.any() and np.any(b[flat] > eps * (1.0 + np.abs(b[flat]))):
+    if flat.any() and np.any(b[flat] > LP_REL * (1.0 + np.abs(b[flat]))):
         return None
     low = max(lo, (b[up] / a[up]).max()) if up.any() else lo
     high = min(hi, (b[down] / a[down]).min()) if down.any() else hi
     if low > high:
-        if low - high > eps * (1.0 + abs(low) + abs(high)):
+        if low - high > LP_REL * (1.0 + abs(low) + abs(high)):
             return None
         return np.array([0.5 * (low + high)])
-    if c > eps:
+    if c > LP_REL:
         return np.array([low])
-    if c < -eps:
+    if c < -LP_REL:
         return np.array([high])
     return np.array([min(max(0.0, low), high)])

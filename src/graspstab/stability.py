@@ -28,7 +28,7 @@ from .equilibrium import (EquilibriumSolution, PreparedState, PreparedStates,
 # name (stabbench/tracing.py)
 from .equilibrium import assemble_state_system  # noqa: F401
 from .model import GraspModel, as_wrench
-from .params import DEFAULT_TOLS, Tolerances
+from .params import FLAT_REL, INEQ_SLACK, WITNESS_PIN, WITNESS_TIE
 
 __all__ = [
     "Verdict",
@@ -58,7 +58,11 @@ class DirectionResult:
     stretch that starts at zero load, or math.inf when that stretch
     reaches the cap (bracket None). stable_intervals are the merged
     closed intervals of loads in [0, cap] under which the grasp holds,
-    further stretches included.
+    further stretches included. Their ends are exact only up to the
+    width of the singular states they leave out, those consistent only
+    on a band of loads about EQ_RESIDUAL wide (see
+    ``PreparedStates.stable_intervals``): the grasp may still hold just
+    past an end.
     """
 
     direction: np.ndarray
@@ -81,8 +85,7 @@ class RegionSweep:
 
 def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
                     states: SlipStateSet | PreparedStates | None = None,
-                    witness_policy: str = "canonical",
-                    tols: Tolerances = DEFAULT_TOLS) -> Verdict:
+                    witness_policy: str = "canonical") -> Verdict:
     """Decide passive equilibrium under the wrench w.
 
     witness_policy:
@@ -99,11 +102,11 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
     """
     w = as_wrench(w)
     if states is None:
-        states = enumerate_slip_states(model, detachment=detachment, tols=tols)
-    states = PreparedStates.of(model, states, tols)
+        states = enumerate_slip_states(model, detachment=detachment)
+    states = PreparedStates.of(model, states)
 
     tried, feasible = _feasible_states(model, states, w,
-                                       witness_policy == "first", tols)
+                                       witness_policy == "first")
     if not feasible:
         return Verdict(stable=False, witness=None, states_tried=tried,
                        detachment=states.detachment)
@@ -112,13 +115,13 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
     if witness_policy == "first":
         witness = feasible[0][1]
     else:
-        witness = _canonical_witness(w, feasible, tols)
+        witness = _canonical_witness(w, feasible)
     return Verdict(stable=True, witness=witness, states_tried=tried,
                    detachment=states.detachment, first_feasible=first_idx)
 
 
 def _feasible_states(model: GraspModel, states: PreparedStates, w,
-                     first: bool, tols: Tolerances):
+                     first: bool):
     """(states tried, [(state, solution)]) of the feasible states in order.
 
     Only the candidates of ``states.candidates`` are walked: a direct one
@@ -130,7 +133,7 @@ def _feasible_states(model: GraspModel, states: PreparedStates, w,
     for p in states.candidates(w).tolist():
         prep = states[p]
         sol = prep.solution_at(w) if prep.direct else \
-            solve_state(model, w, prep, tols=tols)
+            solve_state(model, w, prep)
         if sol is not None:
             feasible.append((prep, sol))
             if first:
@@ -148,20 +151,20 @@ def _augment(sys: StateSystem, rows, rhs) -> StateSystem:
 
 
 def _least(sys: StateSystem, c: np.ndarray, sol: EquilibriumSolution,
-           flat: bool, tols: Tolerances) -> float:
+           flat: bool) -> float:
     """Least c x over sys; c x at sol for a flat state or a failed LP."""
-    x = None if flat else linear_feasibility(sys, tols=tols, objective=c)
+    x = None if flat else linear_feasibility(sys, objective=c)
     return float(c[:3] @ sol.d) if x is None else float(c @ x)
 
 
-def _canonical_witness(w, feasible, tols) -> EquilibriumSolution:
+def _canonical_witness(w, feasible) -> EquilibriumSolution:
     """Minimal total slip across all feasible states, deterministic ties.
 
     Stage 1 minimizes each state's summed slip speed. Stage 2, among the
-    states within witness_tie of the least total t*, maximizes the
+    states within WITNESS_TIE of the least total t*, maximizes the
     per-contact slip speeds lexicographically in contact order, each on
     one system that caps the total and pins every speed found before it
-    to within witness_pin. Stage 3 takes the winner's point of that
+    to within WITNESS_PIN. Stage 3 takes the winner's point of that
     pinned system that maximizes the least slack of the state's own rows;
     the cap and the pins hold as hard rows and set no margin, so the
     point centres the forces they leave free. Where an LP fails, the
@@ -169,7 +172,7 @@ def _canonical_witness(w, feasible, tols) -> EquilibriumSolution:
 
     Slip speeds depend on the motion alone, x_p(w)[:3] + N[:3] z. A
     state is flat when no slip row r moves with N (|r N[:3]| <=
-    flat_rel |r|), as a direct state or one without slip is: its speeds
+    FLAT_REL |r|), as a direct state or one without slip is: its speeds
     are read off its solution with no LP, and its solution is its point.
     """
     entries = []
@@ -178,13 +181,13 @@ def _canonical_witness(w, feasible, tols) -> EquilibriumSolution:
         obj = np.zeros(sys.n)
         obj[:3] = sum(sys.slip_dirs.values())  # total slip speed
         flat = all(np.linalg.norm(r @ st.null[:3])
-                   <= tols.flat_rel * np.linalg.norm(r)
+                   <= FLAT_REL * np.linalg.norm(r)
                    for r in sys.slip_dirs.values())
         entries.append((st, sol, sys, obj, flat,
-                        _least(sys, obj, sol, flat, tols)))
+                        _least(sys, obj, sol, flat)))
 
     t_star = min(e[-1] for e in entries)
-    cap = t_star + tols.witness_tie * (1.0 + abs(t_star))
+    cap = t_star + WITNESS_TIE * (1.0 + abs(t_star))
     best = None
     for st, sol, sys, obj, flat, t_val in entries:
         if t_val > cap:
@@ -197,25 +200,25 @@ def _canonical_witness(w, feasible, tols) -> EquilibriumSolution:
                 continue
             row = np.zeros(sys.n)
             row[:3] = sys.slip_dirs[i]
-            speeds.append(-_least(pinned, -row, sol, flat, tols))
-            pinned = _augment(pinned, row, [speeds[-1] - tols.witness_pin])
+            speeds.append(-_least(pinned, -row, sol, flat))
+            pinned = _augment(pinned, row, [speeds[-1] - WITNESS_PIN])
         key = tuple(np.round(speeds, 9))
         if best is None or key > best[0]:
             best = (key, st, sol, sys, flat, pinned)
 
     _key, st, sol, sys, flat, pinned = best
-    x = None if flat else linear_feasibility(pinned, tols=tols)
+    x = None if flat else linear_feasibility(pinned)
     if x is not None:
         pinned_sol = _solution_from_x(sys, x, st.index)
-        if pinned_sol.min_ineq_slack >= -tols.ineq_slack:
+        if pinned_sol.min_ineq_slack >= -INEQ_SLACK:
             return pinned_sol
     return sol
 
 
 def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
                    cap: float = 1e3, *, detachment: bool | None = None,
-                   states: SlipStateSet | PreparedStates | None = None,
-                   tols: Tolerances = DEFAULT_TOLS) -> DirectionResult:
+                   states: SlipStateSet | PreparedStates | None = None
+                   ) -> DirectionResult:
     """Largest force magnitude a load ramping up from zero along a
     direction meets before the grasp first fails.
 
@@ -236,10 +239,13 @@ def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
             and cap > 0):
         raise ValueError("tol and cap must be finite and positive")
     u = np.asarray(direction, dtype=float).reshape(2)
-    u = u / np.linalg.norm(u)
+    norm = np.linalg.norm(u)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"direction {u} has no finite, nonzero norm")
+    u = u / norm
     if states is None:
-        states = enumerate_slip_states(model, detachment=detachment, tols=tols)
-    states = PreparedStates.of(model, states, tols)
+        states = enumerate_slip_states(model, detachment=detachment)
+    states = PreparedStates.of(model, states)
 
     spans = tuple(states.stable_intervals((u[0], u[1], 0.0), cap))
     from_zero = bool(spans) and spans[0][0] <= 0.0
@@ -266,8 +272,8 @@ def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
 
 
 def resistible_region(model: GraspModel, n_directions: int, tol: float = 1e-3,
-                      cap: float = 1e3, *, detachment: bool | None = None,
-                      tols: Tolerances = DEFAULT_TOLS) -> RegionSweep:
+                      cap: float = 1e3, *, detachment: bool | None = None
+                      ) -> RegionSweep:
     """max_resistible over uniformly spaced force directions.
 
     The slip states and their systems depend only on the geometry, so
@@ -277,13 +283,12 @@ def resistible_region(model: GraspModel, n_directions: int, tol: float = 1e-3,
     if n_directions < 4:
         raise ValueError("need at least 4 directions")
     states = PreparedStates(
-        model, enumerate_slip_states(model, detachment=detachment, tols=tols),
-        tols=tols)
+        model, enumerate_slip_states(model, detachment=detachment))
     results = []
     for j in range(n_directions):
         ang = 2.0 * math.pi * j / n_directions
         res = max_resistible(model, (math.cos(ang), math.sin(ang)), tol, cap,
-                             states=states, tols=tols)
+                             states=states)
         results.append(res)
     return RegionSweep(results=results, n_directions=n_directions, tol=tol,
                        cap=cap)

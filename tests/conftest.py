@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,64 @@ def four_contact(preloaded: bool = False) -> GraspModel:
     normals = [(-1, 0), (-1, 0), (1, 0), (1, 0)]
     contacts = [Contact(p, n, 0.5) for p, n in zip(positions, normals)]
     return GraspModel(contacts, preload=FOUR_PRELOAD if preloaded else None)
+
+
+def cell_euler(states) -> tuple[int, int]:
+    """(rays - facets + regions, the value the sphere requires).
+
+    That value is 2, or 1 for a lone plane, whose one facet is a whole
+    circle with no ray on it. Counted on the cells themselves, not on
+    the dual graph, whose face count is defined by Euler's formula.
+    """
+    cells = states.cells
+    chi = len(cells["lines"]) - len(cells["facets"]) + len(cells["regions"])
+    return chi, 1 if states.arrangement.n_planes == 1 else 2
+
+
+def partial_cube_problem(states) -> str | None:
+    """Why the regions joined across each facet are no partial cube, or None.
+
+    The two regions beside a facet of plane i with witness z take their
+    signs from the normals at z +- delta n_i, where delta is half the
+    least |n_j . z| over the other planes. The two must differ in plane
+    i's sign alone and both be listed regions, every region must border
+    a facet, and the graph distance between any two regions must equal
+    the number of signs in which they differ.
+    """
+    normals = states.arrangement.normals()
+    regions = [r.signs for r in states.cells["regions"]]
+    index = {signs: k for k, signs in enumerate(regions)}
+    adj = [set() for _ in regions]
+    for k, facet in enumerate(states.cells["facets"]):
+        i = facet.signs.index(0)
+        dist = np.abs(normals @ facet.witness)
+        delta = 0.5 * np.delete(dist, i).min(initial=1.0)
+        ends = [tuple(np.sign(normals @ (facet.witness + s * delta * normals[i]))
+                      .astype(int).tolist()) for s in (1, -1)]
+        if np.flatnonzero(np.not_equal(*ends)).tolist() != [i]:
+            return f"facet {k}: its sides {ends} differ off plane {i}"
+        if any(end not in index for end in ends):
+            return f"facet {k}: a side of {ends} is no listed region"
+        a, b = index[ends[0]], index[ends[1]]
+        adj[a].add(b)
+        adj[b].add(a)
+    signs = np.array(regions).reshape(len(regions), -1)
+    for src in range(len(regions)):
+        hops = np.full(len(regions), -1)
+        hops[src] = 0
+        queue = deque([src])
+        while queue:
+            a = queue.popleft()
+            for b in adj[a]:
+                if hops[b] < 0:
+                    hops[b] = hops[a] + 1
+                    queue.append(b)
+        differ = np.count_nonzero(signs != signs[src], axis=1)
+        bad = np.flatnonzero(hops != differ)
+        if bad.size:
+            return (f"regions {src} and {bad[0]}: {hops[bad[0]]} hops apart, "
+                    f"{differ[bad[0]]} signs")
+    return None
 
 
 @pytest.fixture

@@ -20,7 +20,8 @@ from graspstab.arrangement import DETACHED
 from graspstab.baselines import polygon_contains
 from graspstab.generate import random_grasp
 
-from conftest import four_contact, three_contact
+from conftest import (cell_euler, four_contact, partial_cube_problem,
+                      three_contact)
 
 VALUE_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
@@ -205,12 +206,17 @@ def test_criterion_7_arrangement_invariants():
         if graph.n_vertices - graph.n_edges + graph.n_faces != 2:
             problems.append(f"run {run}: Euler violated")
             break
+        chi, expected = cell_euler(states)
+        if chi != expected:
+            problems.append(f"run {run}: rays - facets + regions = {chi}")
+            break
         regions = states.cells["regions"]
         ok_cube = all(
             sum(a != b for a, b in zip(regions[i].signs, regions[j].signs)) == 1
             for i, j, _p in graph.edges)
-        if not ok_cube:
-            problems.append(f"run {run}: partial-cube violated")
+        cube = partial_cube_problem(states)
+        if not ok_cube or cube is not None:
+            problems.append(f"run {run}: partial-cube violated {cube or ''}")
             break
         n = arr.n_planes
         rays = states.cells["lines"]

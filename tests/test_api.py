@@ -1,0 +1,53 @@
+"""The public API carries no solver tolerances and no precomputed maps.
+
+Every threshold is a constant of ``graspstab.params``, and every entry
+point builds the grasp's maps from the model itself.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+
+import graspstab
+from graspstab import equilibrium, params
+from graspstab.equilibrium import PreparedStates
+
+MODULES = ["arrangement", "baselines", "equilibrium", "generate", "grasp_io",
+           "model", "nullspace_lp", "stability"]
+# functions whose maps are their input
+TAKE_MAPS = {"tangent_planes", "separation_planes", "contact_motion"}
+
+
+def _public_callables():
+    for module in [graspstab] + [importlib.import_module(f"graspstab.{name}")
+                                 for name in MODULES]:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if callable(obj):
+                yield f"{module.__name__}.{name}", obj
+    for name, method in inspect.getmembers(PreparedStates, callable):
+        if not name.startswith("_"):
+            yield f"PreparedStates.{name}", method
+
+
+def test_no_entry_point_takes_tolerances_or_maps():
+    found = []
+    for name, obj in _public_callables():
+        try:
+            names = inspect.signature(obj).parameters
+        except ValueError:  # no signature to read
+            continue
+        if "tols" in names:
+            found.append(f"{name}(tols)")
+        if "maps" in names and name.rsplit(".", 1)[-1] not in TAKE_MAPS:
+            found.append(f"{name}(maps)")
+    assert found == []
+
+
+def test_tolerances_are_gone():
+    assert not hasattr(params, "Tolerances")
+    assert not hasattr(params, "DEFAULT_TOLS")
+    assert not hasattr(equilibrium, "prepare_state")
+    assert "Tolerances" not in graspstab.__all__
+    assert "prepare_state" not in graspstab.__all__

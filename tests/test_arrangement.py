@@ -17,7 +17,8 @@ from graspstab.cli import main
 from graspstab.generate import random_grasp
 from graspstab.grasp_io import format_grasp
 
-from conftest import four_contact, three_contact
+from conftest import (cell_euler, four_contact, partial_cube_problem,
+                      three_contact)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -382,6 +383,9 @@ def test_euler_and_zaslavsky_random():
                                        detachment=bool(seed % 2))
         graph = states.graph
         assert graph.n_vertices - graph.n_edges + graph.n_faces == 2
+        chi, expected = cell_euler(states)
+        assert chi == expected, (seed, chi)
+        assert partial_cube_problem(states) is None, seed
         n = states.arrangement.n_planes
         assert states.cell_counts["regions"] <= zaslavsky_bound(n, 3, 3)
         assert states.cell_counts["facets"] <= zaslavsky_bound(n, 3, 2)

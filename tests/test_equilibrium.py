@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from graspstab import (Contact, GraspModel, assemble_state_system, build_maps,
+from graspstab import (Contact, GraspModel, assemble_state_system,
                        check_solution, enumerate_slip_states,
                        linear_feasibility, lp, solve_state, world_force)
 from graspstab.arrangement import DETACHED
 from graspstab.equilibrium import EquilibriumSolution, StateSystem
-from graspstab.params import DEFAULT_TOLS
+from graspstab.params import SINGULAR_REL, X_MAX
 
 from conftest import four_contact, three_contact
 
@@ -153,7 +153,7 @@ def _count_calls(monkeypatch):
 
 def _nullity(sys):
     sv = np.linalg.svd(sys.a_eq, compute_uv=False)
-    return int(np.sum(sv <= DEFAULT_TOLS.singular_rel * sv[0]))
+    return int(np.sum(sv <= SINGULAR_REL * sv[0]))
 
 
 def test_inconsistent_singular_state_rejected_without_lp(m3, monkeypatch):
@@ -191,9 +191,9 @@ def test_null_space_screen_rejects_before_the_ladder(make, preloaded, w,
                                                      labels, nullity,
                                                      monkeypatch):
     # consistent singular states whose best max-min margin is -0.25 to
-    # -0.85: a phase-1 LP over the +-x_max box let the first two into the
+    # -0.85: a phase-1 LP over the +-X_MAX box let the first two into the
     # box ladder, since its row equilibration scales their residuals down
-    # by ~x_max; the screen rejects all three before the ladder runs
+    # by ~X_MAX; the screen rejects all three before the ladder runs
     model = make(preloaded)
     sys = assemble_state_system(model, w, labels)
     assert _nullity(sys) == nullity
@@ -243,15 +243,13 @@ def _highs(sys, *, relax, bounds):
 ])
 def test_solve_state_agrees_with_highs(make, preloaded):
     model = make(preloaded)
-    maps = build_maps(model)
     label_sets = {st.labels for detach in (False, True)
                   for st in enumerate_slip_states(model, detachment=detach)}
-    x_max = DEFAULT_TOLS.x_max
     problems = []
     for w in REF_WRENCHES:
         for labels in sorted(label_sets):
-            sys = assemble_state_system(model, w, labels, maps)
-            sol = solve_state(model, w, labels, maps=maps)
+            sys = assemble_state_system(model, w, labels)
+            sol = solve_state(model, w, labels)
             # infeasible even with every inequality relaxed, in all of R^n
             status, _ = _highs(sys, relax=REF_MARGIN, bounds=(None, None))
             if status == 2:
@@ -259,7 +257,7 @@ def test_solve_state_agrees_with_highs(make, preloaded):
                     problems.append(f"{w} {labels}: solved, HiGHS infeasible")
                 continue
             # a point of the program's box with margin at least REF_MARGIN
-            status, margin = _highs(sys, relax=0.0, bounds=(-x_max, x_max))
+            status, margin = _highs(sys, relax=0.0, bounds=(-X_MAX, X_MAX))
             if status == 0 and margin >= REF_MARGIN and sol is None:
                 problems.append(f"{w} {labels}: rejected, HiGHS margin {margin:g}")
     assert not problems, problems

@@ -60,7 +60,7 @@ def test_format_round_trip():
 
 def test_format_round_trip_keeps_near_equal_stiffness_and_tiny_preload():
     # a stiffness a hair from uniform and a preload far below 1 but above
-    # zero_preload: written approximately, the first loses its contact
+    # ZERO_PRELOAD: written approximately, the first loses its contact
     # spread and the second reads back as none, so the contacts detach
     model = GraspModel([Contact((-1, 0), (-1, 0), 0.5),
                         Contact((1, 0), (1, 0), 0.5),
@@ -149,20 +149,55 @@ NON_FINITE_GRASPS = {
 }
 
 
-@pytest.mark.parametrize("command", ["check", "enumerate"])
-@pytest.mark.parametrize("field", sorted(NON_FINITE_GRASPS))
-def test_cli_rejects_non_finite_grasp(tmp_path, capsys, command, field):
-    fixture, old, new = NON_FINITE_GRASPS[field]
+# (fixture, text replaced, replacement, start of the error): one value of
+# the wrong type each
+NON_NUMERIC_GRASPS = {
+    "mu": ("three_contact", "mu: 0.5}\n  - {position: [1.0",
+           "mu: [1, 2]}\n  - {position: [1.0", "contact 1 mu"),
+    "stiffness": ("three_contact", "stiffness: 1.0", "stiffness: abc",
+                  "stiffness"),
+    "stiffness entry": ("three_contact", "stiffness: 1.0",
+                        'stiffness: [1, "x", 1]', "stiffness 1"),
+    "quoted detachment": ("three_contact", "detachment: true",
+                          'detachment: "false"', "options: detachment"),
+    "numeric detachment": ("three_contact", "detachment: true",
+                           "detachment: 3", "options: detachment"),
+    "boolean stiffness": ("three_contact", "stiffness: 1.0",
+                          "stiffness: true", "stiffness"),
+    "boolean position": ("three_contact", "position: [0.0, -1.0]",
+                         "position: [false, -1.0]", "contact 1 position"),
+}
+
+
+def _run_edited(tmp_path, command, fixture, old, new):
+    """The CLI's exit code on a fixture with old replaced by new."""
     text = (FIXTURES / f"{fixture}.grasp").read_text()
     assert text.count(old) == 1
-    bad = tmp_path / "non_finite.grasp"
+    bad = tmp_path / "edited.grasp"
     bad.write_text(text.replace(old, new))
     argv = [command, str(bad)] + (["--wrench", "0,-1,0"]
                                   if command == "check" else [])
-    assert main(argv) == 3
+    return main(argv)
+
+
+@pytest.mark.parametrize("command", ["check", "enumerate"])
+@pytest.mark.parametrize("field", sorted(NON_FINITE_GRASPS))
+def test_cli_rejects_non_finite_grasp(tmp_path, capsys, command, field):
+    assert _run_edited(tmp_path, command, *NON_FINITE_GRASPS[field]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["check", "enumerate"])
+@pytest.mark.parametrize("case", sorted(NON_NUMERIC_GRASPS))
+def test_cli_rejects_wrongly_typed_grasp(tmp_path, capsys, command, case):
+    # a parse error (exit 2) naming the field, not a traceback
+    *edit, field = NON_NUMERIC_GRASPS[case]
+    assert _run_edited(tmp_path, command, *edit) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
 
 
 def test_cli_enumerate_counts(capsys):

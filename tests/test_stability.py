@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 
 from graspstab import (Contact, GraspModel, build_maps, check_solution,
                        check_stability, enumerate_slip_states,
-                       linear_feasibility, max_resistible, prepare_state,
+                       linear_feasibility, max_resistible,
                        resistible_region, solve_state)
 from graspstab.arrangement import DETACHED
 from graspstab.equilibrium import PreparedStates
 from graspstab.generate import balanced_preload, random_grasp
 from graspstab.grasp_io import load_grasp_file
-from graspstab.params import DEFAULT_TOLS
+from graspstab.params import WITNESS_TIE
 from graspstab.stability import _feasible_states
 
 from conftest import FIXTURES, REPO, four_contact, three_contact
@@ -294,7 +294,7 @@ def _rows_of(model, labels):
 def _assert_batch_matches_loop(model, detachment, wrenches):
     states = enumerate_slip_states(model, detachment=detachment)
     batch = PreparedStates(model, states)
-    loop = [prepare_state(model, st) for st in states]
+    loop = [PreparedStates(model, [st])[0] for st in states]
     for p, st in enumerate(states):
         sys = batch[p].system
         a_eq, b_eq, a_in, kinds = _rows_of(model, st.labels)
@@ -304,8 +304,7 @@ def _assert_batch_matches_loop(model, detachment, wrenches):
         assert sys.ineq_kind == kinds, st.labels
     for w in wrenches:
         w = np.asarray(w, dtype=float)
-        _tried, feasible = _feasible_states(model, batch, w, False,
-                                            DEFAULT_TOLS)
+        _tried, feasible = _feasible_states(model, batch, w, False)
         ref = [p for p, prep in enumerate(loop)
                if solve_state(model, w, prep) is not None]
         assert [prep.index for prep, _sol in feasible] == ref, w
@@ -438,13 +437,13 @@ def _untied_direct_winner(model, w) -> bool:
     slip speed below every other's by more than the witness tie."""
     states = PreparedStates(model, enumerate_slip_states(model))
     _tried, feasible = _feasible_states(model, states, np.asarray(w, float),
-                                        False, DEFAULT_TOLS)
+                                        False)
     if not feasible or not all(prep.direct for prep, _sol in feasible):
         return False
     totals = sorted(sum(prep.system.slip_dirs.values(), np.zeros(3)) @ sol.d
                     for prep, sol in feasible)
     return len(totals) == 1 or totals[1] - totals[0] > \
-        DEFAULT_TOLS.witness_tie * (1.0 + abs(totals[0]))
+        WITNESS_TIE * (1.0 + abs(totals[0]))
 
 
 def test_contact_permutation_permutes_an_untied_witness():
