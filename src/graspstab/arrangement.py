@@ -28,6 +28,16 @@ No linear program runs; "plane l contains ray d" means
 O(n^2 log n) for n planes, and the state count is quadratic in the
 number of contacts.
 
+Each class of cells is built as arrays (``Cells``): an int8 sign row and
+a witness per cell. Every cell's per-contact labels come from its signs
+in one gather; with detachment, cells whose labels repeat are dropped,
+the first occurrence in the order lines, facets, regions kept; and one
+``np.lexsort`` puts the states in canonical order (origin first, then by
+dimension, labels, signs and witness rounded to ORDER_DIGITS). A
+SlipStateSet keeps those arrays and builds SlipState objects and the
+dual graph only when they are first asked for, and a CellState only
+when a Cells is indexed, so a stability query builds none of them.
+
 minimum_cycle_basis is not part of the construction. Each face of the
 dual graph encircles one ray, so the graph's Horton minimum cycle basis
 is an independent account of the rays, and the tests check the rays
@@ -36,21 +46,22 @@ against it.
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .model import GraspMaps, GraspModel, build_maps
-from .params import GEOM_MARGIN, PLANE_COINCIDENT, ZERO_PRELOAD
+from .params import GEOM_MARGIN, ORDER_DIGITS, PLANE_COINCIDENT, ZERO_PRELOAD
 
 __all__ = [
     "DETACHED",
     "LABEL_NAMES",
-    "OrientedPlane",
     "PlaneArrangement",
     "CellState",
+    "Cells",
     "DualGraph",
     "SlipState",
     "SlipStateSet",
@@ -70,7 +81,11 @@ DETACHED = 2
 LABEL_NAMES = {-1: "slip-", 0: "stick", 1: "slip+", DETACHED: "detached"}
 
 # dimension rank used for canonical ordering (origin first)
-_DIM_RANK = {"origin": 0, "line": 1, "facet": 2, "region": 3}
+_DIMS = ("origin", "line", "facet", "region")
+_DIM_RANK = {dim: rank for rank, dim in enumerate(_DIMS)}
+
+# the components that follow and precede each one, for cross products
+_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
 
 
 class ArrangementError(RuntimeError):
@@ -78,15 +93,11 @@ class ArrangementError(RuntimeError):
 
 
 @dataclass(eq=False)
-class OrientedPlane:
-    """A distinct plane through the origin."""
-
-    normal: np.ndarray
-
-
-@dataclass(eq=False)
 class PlaneArrangement:
-    planes: list[OrientedPlane] = field(default_factory=list)
+    """The distinct planes through the origin and each contact's plane."""
+
+    # the planes' unit normals (n, 3), read-only
+    normals: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
     # per contact: (plane index, orientation); orientation is +1 when the
     # contact's raw constraint normal is the plane's normal, -1 when it is
     # its negation
@@ -95,40 +106,42 @@ class PlaneArrangement:
 
     @property
     def n_planes(self) -> int:
-        return len(self.planes)
+        return len(self.normals)
 
-    def normals(self) -> np.ndarray:
-        return np.array([p.normal for p in self.planes]).reshape(-1, 3)
-
-    def _add(self, raw: np.ndarray, contact: int, role: str) -> None:
-        p = raw / np.linalg.norm(raw)
-        for idx, plane in enumerate(self.planes):
-            dot = float(plane.normal @ p)
-            if abs(dot) > PLANE_COINCIDENT:
-                self._ref(role)[contact] = (idx, 1 if dot > 0 else -1)
-                return
-        self.planes.append(OrientedPlane(normal=p))
-        self._ref(role)[contact] = (len(self.planes) - 1, 1)
-
-    def _ref(self, role):
-        return self.tangent_ref if role == "tangent" else self.separation_ref
+    def _add(self, raws: np.ndarray, contacts: list[int], role: str) -> None:
+        """Give each contact the first plane that its unit normal, a row
+        of raws, coincides with, or a new plane where none does."""
+        # np.linalg.norm's arithmetic, row by row
+        units = raws / np.array([math.sqrt(r.dot(r)) for r in raws])[:, None]
+        rows = np.vstack([self.normals, units])
+        dots = (units @ rows.T).tolist()
+        ref = self.tangent_ref if role == "tangent" else self.separation_ref
+        n = self.n_planes
+        cols = list(range(n))  # each plane's row of rows
+        for k, (contact, dot) in enumerate(zip(contacts, dots)):
+            idx = next((idx for idx, col in enumerate(cols)
+                        if abs(dot[col]) > PLANE_COINCIDENT), None)
+            if idx is None:  # a new plane, oriented by its own normal
+                idx = len(cols)
+                cols.append(n + k)
+            ref[contact] = (idx, 1 if dot[cols[idx]] > 0 else -1)
+        self.normals = rows[cols]
+        self.normals.flags.writeable = False
 
 
 def tangent_planes(maps: GraspMaps) -> PlaneArrangement:
     """One oriented plane per distinct zero-tangential-motion constraint."""
     arr = PlaneArrangement()
     m = maps.motion.shape[1] // 2
-    for i in range(m):
-        arr._add(maps.motion[:, 2 * i + 1].copy(), i, "tangent")
+    arr._add(maps.motion[:, 1::2].T, list(range(m)), "tangent")
     return arr
 
 
 def separation_planes(model: GraspModel, maps: GraspMaps,
                       arr: PlaneArrangement) -> PlaneArrangement:
     """Extend the arrangement with separation planes of zero-preload contacts."""
-    for i in range(model.m):
-        if model.preload[i, 0] <= ZERO_PRELOAD:
-            arr._add(maps.motion[:, 2 * i].copy(), i, "separation")
+    free = np.flatnonzero(model.preload[:, 0] <= ZERO_PRELOAD)
+    arr._add(maps.motion[:, 2 * free].T, free.tolist(), "separation")
     return arr
 
 
@@ -139,6 +152,27 @@ class CellState:
     signs: tuple[int, ...]
     dim: str  # region | facet | line | origin
     witness: np.ndarray
+
+
+@dataclass(eq=False)
+class Cells:
+    """One class of cells as arrays: row k holds a cell's sign per
+    distinct plane and its witness, a unit motion inside the cell.
+    Indexing or iterating gives CellStates, built on the spot."""
+
+    dim: str  # region | facet | line
+    signs: np.ndarray  # (K, planes) int8
+    witness: np.ndarray  # (K, 3)
+
+    def __len__(self) -> int:
+        return len(self.signs)
+
+    def __getitem__(self, k: int) -> CellState:
+        return CellState(signs=tuple(self.signs[k].tolist()), dim=self.dim,
+                         witness=self.witness[k])
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
 
 
 @dataclass(eq=False)
@@ -165,105 +199,149 @@ class DualGraph:
         return adj
 
 
-def line_states(arr: PlaneArrangement) -> list[CellState]:
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """Rows of entries in -1..2 as int64 words (words, rows).
+
+    Base 4, 31 entries to a word, the first entry the most significant,
+    so comparing the words in turn compares the rows lexicographically.
+    """
+    width = rows.shape[1]
+    return np.array([
+        (rows[:, lo:lo + 31] + 1).astype(np.int64)
+        @ 4 ** np.arange(min(31, width - lo) - 1, -1, -1)
+        for lo in range(0, max(width, 1), 31)])
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b: np.cross's products and differences, without its
+    per-call overhead."""
+    return a[:, _NEXT] * b[:, _PREV] - a[:, _PREV] * b[:, _NEXT]
+
+
+def _first_rows(keys: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first occurrence of each distinct
+    column of keys (words, N)."""
+    # a stable sort lists each run of equal keys by position
+    order = np.lexsort(keys)
+    ordered = keys[:, order]
+    new = np.ones(len(order), bool)
+    new[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
+    return np.sort(order[new])
+
+
+def line_states(arr: PlaneArrangement) -> Cells:
     """Ray cells: the two rays of every line in which planes meet.
 
     Planes i < j meet along d = n_i x n_j. Pairs are grouped by the set Z
     of planes that contain d (|n . d| <= GEOM_MARGIN), so three or more
-    planes through one line give one pair of rays. A ray's signs are
-    sign(n . d) off Z and 0 on Z; when every plane contains the line both
-    rays have the all-zero sign vector and only their witnesses differ.
+    planes through one line give one pair of rays: a pair gives rays
+    unless an earlier pair that gave rays has both its planes in Z. A
+    ray's signs are sign(n . d) off Z and 0 on Z; when every plane
+    contains the line both rays have the all-zero sign vector and only
+    their witnesses differ. The rays +d, -d of each line follow each
+    other, lines in pair order.
     """
-    pairs = list(itertools.combinations(range(arr.n_planes), 2))
-    if not pairs:
-        return []
-    normals = arr.normals()
-    first, second = np.array(pairs).T
-    dirs = np.cross(normals[first], normals[second])
+    n = arr.n_planes
+    if n < 2:
+        return Cells("line", np.zeros((0, n), np.int8), np.zeros((0, 3)))
+    normals = arr.normals
+    first, second = np.triu_indices(n, 1)
+    dirs = _cross(normals[first], normals[second])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     vals = dirs @ normals.T
     zero = np.abs(vals) <= GEOM_MARGIN
-    rows = np.arange(len(pairs))
-    zero[rows, first] = zero[rows, second] = True
-    signs = np.where(zero, 0, np.sign(vals)).astype(int)
+    pairs = np.arange(len(first))
+    zero[pairs, first] = zero[pairs, second] = True
+    signs = np.where(zero, 0, np.sign(vals)).astype(np.int8)
 
-    out: list[CellState] = []
-    covered: set[tuple[int, int]] = set()
-    for k, pair in enumerate(pairs):
-        if pair in covered:
-            continue
-        covered.update(itertools.combinations(np.flatnonzero(zero[k]).tolist(), 2))
-        for s in (1, -1):
-            out.append(CellState(signs=tuple((s * signs[k]).tolist()), dim="line",
-                                 witness=s * dirs[k]))
-    return out
+    # only a Z of three or more planes holds a pair besides its own;
+    # cover[i, j] is the first pair that gave rays with i, j in its Z
+    cover = np.full((n, n), len(pairs))
+    for k in np.flatnonzero(np.count_nonzero(zero, axis=1) > 2).tolist():
+        if cover[first[k], second[k]] > k:
+            on = np.ix_(np.flatnonzero(zero[k]), np.flatnonzero(zero[k]))
+            cover[on] = np.minimum(cover[on], k)
+    keep = cover[first, second] >= pairs
+    dirs, signs = dirs[keep], signs[keep]
+    return Cells("line", np.stack([signs, -signs], axis=1).reshape(-1, n),
+                 np.stack([dirs, -dirs], axis=1).reshape(-1, 3))
 
 
-def facet_states(arr: PlaneArrangement, lines: list[CellState]) -> list[CellState]:
+def facet_states(arr: PlaneArrangement, lines: Cells) -> Cells:
     """Facet cells: the arcs between neighbouring rays around each circle.
 
     The rays on plane i's circle are those with sign 0 at i. Sorted by
     angle in an orthonormal basis of the plane, each arc between
     neighbours is one facet, witnessed by its midpoint. A circle that no
-    other plane crosses (a single plane) is one facet.
+    other plane crosses (a single plane) is one facet. Facets are listed
+    circle by circle, by angle within each.
     """
-    normals = arr.normals()
-    rays = np.array([c.witness for c in lines]).reshape(-1, 3)
-    on_circle = np.array([c.signs for c in lines], dtype=int).reshape(
-        -1, arr.n_planes) == 0
-    out: list[CellState] = []
-    for i, normal in enumerate(normals):
-        e1 = np.cross(normal, np.eye(3)[np.argmin(np.abs(normal))])
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(normal, e1)
-        mine = rays[on_circle[:, i]]
-        ang = np.sort(np.arctan2(mine @ e2, mine @ e1))
-        mid = 0.5 * (ang + np.append(ang[1:], ang[:1] + 2 * np.pi)) \
-            if len(ang) else np.zeros(1)
-        witnesses = np.outer(np.cos(mid), e1) + np.outer(np.sin(mid), e2)
-        signs = np.sign(witnesses @ normals.T).astype(int)
-        signs[:, i] = 0
-        for z, s in zip(witnesses, signs):
-            out.append(CellState(signs=tuple(s.tolist()), dim="facet", witness=z))
-    return out
+    normals = arr.normals
+    n = len(normals)
+    e1 = _cross(normals, np.eye(3)[np.argmin(np.abs(normals), axis=1)])
+    for row in e1:
+        row /= math.sqrt(row.dot(row))  # np.linalg.norm's arithmetic
+    e2 = _cross(normals, e1)
+    on_circle = lines.signs == 0
+    # one matrix-vector product per circle and basis vector: any other
+    # form of these dots moves the witnesses' last bits
+    x, y = [], []
+    for i in range(n):
+        mine = lines.witness[on_circle[:, i]]
+        x.append(mine @ e1[i])
+        y.append(mine @ e2[i])
+    counts = np.count_nonzero(on_circle, axis=0)
+    circle = np.repeat(np.arange(n), counts)
+    ang = np.arctan2(np.concatenate(y), np.concatenate(x))
+    ang = ang[np.lexsort((ang, circle))]
+    # each ray's arc runs to the next ray; the last one's wraps round
+    start = np.repeat(np.cumsum(counts) - counts, counts)
+    last = np.zeros(len(ang), bool)
+    last[np.cumsum(counts)[counts > 0] - 1] = True
+    mid = 0.5 * (ang + np.where(last, ang[start] + 2 * np.pi,
+                                np.roll(ang, -1)))
+
+    plane = np.repeat(np.arange(n), np.maximum(counts, 1))
+    mids = np.zeros(len(plane))  # a lone circle's facet sits at angle 0
+    mids[counts[plane] > 0] = mid
+    witness = np.cos(mids)[:, None] * e1[plane] \
+        + np.sin(mids)[:, None] * e2[plane]
+    signs = np.sign(witness @ normals.T).astype(np.int8)
+    signs[np.arange(len(plane)), plane] = 0
+    return Cells("facet", signs, witness)
 
 
-def _side(signs: tuple[int, ...], plane: int, s: int) -> tuple[int, ...]:
-    return signs[:plane] + (s,) + signs[plane + 1:]
-
-
-def enumerate_regions(arr: PlaneArrangement, facets: list[CellState]
-                      ) -> list[CellState]:
+def enumerate_regions(arr: PlaneArrangement, facets: Cells) -> Cells:
     """Region cells: both sides of every facet, deduplicated by sign vector.
 
     A facet of plane i with witness z has the side witnesses z +- delta*n_i,
     where delta is half of min over j != i of |n_j . z|, so no other sign
-    changes.
+    changes. Each region keeps its first side in the order facet by
+    facet, + before -.
     """
-    normals = arr.normals()
-    planes = [f.signs.index(0) for f in facets]
-    dist = np.abs(np.array([f.witness for f in facets]).reshape(-1, 3) @ normals.T)
-    dist[np.arange(len(facets)), planes] = np.inf
-    deltas = 0.5 * np.min(dist, axis=1, initial=1.0)
-    regions: dict[tuple[int, ...], CellState] = {}
-    for facet, i, delta in zip(facets, planes, deltas):
-        for s in (1, -1):
-            signs = _side(facet.signs, i, s)
-            if signs not in regions:
-                regions[signs] = CellState(
-                    signs=signs, dim="region",
-                    witness=facet.witness + s * delta * normals[i])
-    return list(regions.values())
+    normals = arr.normals
+    k = len(facets)
+    plane = np.argmax(facets.signs == 0, axis=1)
+    dist = np.abs(facets.witness @ normals.T)
+    dist[np.arange(k), plane] = np.inf
+    delta = 0.5 * np.min(dist, axis=1, initial=1.0)
+    side = np.tile([1, -1], k)
+    plane, signs = np.repeat(plane, 2), np.repeat(facets.signs, 2, axis=0)
+    signs[np.arange(2 * k), plane] = side
+    witness = np.repeat(facets.witness, 2, axis=0) \
+        + (side * np.repeat(delta, 2))[:, None] * normals[plane]
+    first = _first_rows(_packed(signs))
+    return Cells("region", signs[first], witness[first])
 
 
-def build_dual_graph(regions: list[CellState], facets: list[CellState]) -> DualGraph:
+def build_dual_graph(regions: Cells, facets: Cells) -> DualGraph:
     """One edge per facet, between the two regions on either side of it."""
-    index = {r.signs: k for k, r in enumerate(regions)}
+    index = {tuple(row): k for k, row in enumerate(regions.signs.tolist())}
     edges = []
-    for facet in facets:
-        i = facet.signs.index(0)
-        a, b = sorted((index[_side(facet.signs, i, 1)],
-                       index[_side(facet.signs, i, -1)]))
+    for row in facets.signs.tolist():
+        i = row.index(0)
+        a, b = sorted(index[tuple(row[:i] + [s] + row[i + 1:])]
+                      for s in (1, -1))
         edges.append((a, b, i))
     return DualGraph(n_vertices=len(regions), edges=edges)
 
@@ -360,46 +438,73 @@ class SlipState:
         return tuple(LABEL_NAMES[l] for l in self.labels)
 
     def sort_key(self):
-        w = tuple(np.round(self.witness, 9)) if self.witness is not None else ()
+        w = tuple(np.round(self.witness, ORDER_DIGITS)) \
+            if self.witness is not None else ()
         return (_DIM_RANK[self.dim], self.labels, self.signs or (), w)
 
 
 @dataclass(eq=False)
 class SlipStateSet:
-    """Canonically ordered slip states of a grasp (origin state first)."""
+    """Canonically ordered slip states of a grasp (origin state first).
 
-    states: list[SlipState]
+    The states are kept as arrays in canonical order: ``labels`` (S, m)
+    and ``signs`` (S, planes), both int8, ``witness`` (S, 3) and
+    ``dim_rank`` (S,), 0 for the origin, 1 for rays, 2 for facets and 3
+    for regions. The origin's signs and witness are zero. ``cells`` holds
+    the arrangement's cells of each class as Cells. SlipState objects
+    (``states``, iteration) and the dual graph (``graph``) are built when
+    first asked for, and a CellState whenever a Cells is indexed or
+    iterated; PreparedStates reads ``labels`` and needs none of them.
+    """
+
+    labels: np.ndarray
+    dim_rank: np.ndarray
+    signs: np.ndarray
+    witness: np.ndarray
     arrangement: PlaneArrangement
-    graph: DualGraph
-    cell_counts: dict[str, int]
     detachment: bool
-    cells: dict[str, list[CellState]] = field(default_factory=dict)
+    cells: dict[str, Cells]
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.labels)
 
     def __iter__(self):
         return iter(self.states)
 
+    @cached_property
+    def states(self) -> list[SlipState]:
+        signs = [None] + [tuple(s) for s in self.signs[1:].tolist()]
+        return [SlipState(labels=tuple(labels), dim=_DIMS[rank], signs=sg,
+                          witness=w, index=k)
+                for k, (labels, rank, sg, w) in enumerate(zip(
+                    self.labels.tolist(), self.dim_rank.tolist(), signs,
+                    self.witness))]
+
+    @cached_property
+    def graph(self) -> DualGraph:
+        return build_dual_graph(self.cells["regions"], self.cells["facets"])
+
+    @property
+    def cell_counts(self) -> dict[str, int]:
+        return {kind: len(c) for kind, c in self.cells.items()}
+
     @property
     def count_excluding_origin(self) -> int:
-        return self.cell_counts["regions"] + self.cell_counts["facets"] \
-            + self.cell_counts["lines"]
+        return sum(map(len, self.cells.values()))
 
 
-def cell_labels(cell: CellState, arr: PlaneArrangement, m: int,
-                detachment: bool) -> tuple[int, ...]:
-    """Map a cell's plane signs to per-contact slip labels."""
-    labels = []
-    for i in range(m):
-        if detachment and i in arr.separation_ref:
-            jidx, orient = arr.separation_ref[i]
-            if orient * cell.signs[jidx] < 0:
-                labels.append(DETACHED)
-                continue
-        jidx, orient = arr.tangent_ref[i]
-        labels.append(orient * cell.signs[jidx])
-    return tuple(labels)
+def _cell_labels(signs: np.ndarray, arr: PlaneArrangement, m: int,
+                 detachment: bool) -> np.ndarray:
+    """Per-contact slip labels (K, m), int8, of cells with plane signs
+    (K, planes)."""
+    plane, orient = np.array([arr.tangent_ref[i] for i in range(m)]).T
+    labels = (signs[:, plane] * orient).astype(np.int8)
+    if detachment and arr.separation_ref:
+        contact = list(arr.separation_ref)
+        plane, orient = np.array([arr.separation_ref[i] for i in contact]).T
+        labels[:, contact] = np.where(signs[:, plane] * orient < 0, DETACHED,
+                                      labels[:, contact])
+    return labels
 
 
 def enumerate_slip_states(model: GraspModel, *,
@@ -408,9 +513,10 @@ def enumerate_slip_states(model: GraspModel, *,
 
     With detachment enabled, cells on the separating side of a
     zero-preload contact's plane are relabelled 'detached' (tangent sign
-    erased) and duplicate label vectors collapse; without it the states
-    are exactly the arrangement's cells. The all-stick origin state is
-    always present and always first.
+    erased) and duplicate label vectors collapse to their first cell in
+    the order lines, facets, regions; without it the states are exactly
+    the arrangement's cells. The all-stick origin state is always
+    present and always first. The rest follow SlipState.sort_key.
     """
     maps = build_maps(model)
     if detachment is None:
@@ -422,30 +528,31 @@ def enumerate_slip_states(model: GraspModel, *,
     lines = line_states(arr)
     facets = facet_states(arr, lines)
     regions = enumerate_regions(arr, facets)
-    graph = build_dual_graph(regions, facets)
+    kinds = (lines, facets, regions)
 
-    m = model.m
-    states = [SlipState(labels=(0,) * m, dim="origin", signs=None,
-                        witness=np.zeros(3))]
-    seen_labels = {states[0].labels} if detachment else set()
-    for cell in itertools.chain(lines, facets, regions):
-        labels = cell_labels(cell, arr, m, detachment)
-        if detachment:
-            if labels in seen_labels:
-                continue
-            seen_labels.add(labels)
-        states.append(SlipState(labels=labels, dim=cell.dim, signs=cell.signs,
-                                witness=cell.witness))
-    states[1:] = sorted(states[1:], key=SlipState.sort_key)
-    for i, st in enumerate(states):
-        st.index = i
+    # the origin heads the arrays, with zero signs and witness
+    signs = np.concatenate([np.zeros((1, arr.n_planes), np.int8),
+                            *(c.signs for c in kinds)])
+    witness = np.concatenate([np.zeros((1, 3)), *(c.witness for c in kinds)])
+    rank = np.repeat(np.arange(4, dtype=np.int8),
+                     [1, *(len(c) for c in kinds)])
+    labels = _cell_labels(signs, arr, model.m, detachment)
+    label_keys = _packed(labels)
+    # with detachment, the origin's all-stick labels are seen first
+    keep = _first_rows(label_keys) if detachment else np.arange(len(labels))
+    # canonical order, SlipState.sort_key's: rank, labels, signs and
+    # witness rounded to ORDER_DIGITS; np.lexsort's last key is its
+    # first, and the origin's rank 0 puts it first
+    rounded = np.round(witness[keep], ORDER_DIGITS)
+    order = keep[np.lexsort([*rounded.T[::-1], *_packed(signs[keep])[::-1],
+                             *label_keys[::-1, keep], rank[keep]])]
 
     return SlipStateSet(
-        states=states,
+        labels=labels.take(order, axis=0),
+        dim_rank=rank[order],
+        signs=signs.take(order, axis=0),
+        witness=witness.take(order, axis=0),
         arrangement=arr,
-        graph=graph,
-        cell_counts={"regions": len(regions), "facets": len(facets),
-                     "lines": len(lines)},
         detachment=detachment,
         cells={"regions": regions, "facets": facets, "lines": lines},
     )
@@ -453,8 +560,6 @@ def enumerate_slip_states(model: GraspModel, *,
 
 def zaslavsky_bound(n: int, d: int, k: int) -> int:
     """Upper bound on the number of k-faces of n hyperplanes in d-space."""
-    import math
-
     if n < 0 or d < 0 or not 0 <= k <= d:
         raise ValueError(f"require n, d >= 0 and 0 <= k <= d, got n={n}, d={d}, k={k}")
     return math.comb(n, d - k) * sum(math.comb(max(n - d + k, 0), i) for i in range(k + 1))

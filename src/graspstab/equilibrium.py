@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nullspace_lp
-from .arrangement import DETACHED, LABEL_NAMES, SlipState
+from .arrangement import DETACHED, LABEL_NAMES, SlipState, SlipStateSet
 from .model import (GraspMaps, GraspModel, as_wrench, build_maps, cross2,
                     tangent_of, world_force)
 from .params import (EQ_RESIDUAL, INEQ_SLACK, LADDER_START, LADDER_STEP,
@@ -296,8 +296,9 @@ class PreparedStates:
 
     The systems depend on the grasp alone, so one instance serves any
     number of wrenches. ``states`` is a SlipStateSet, in its canonical
-    order, or a sequence of SlipStates or label vectors (whose index is
-    -1 and which have no detachment setting).
+    order, whose labels array is taken as it is, or a sequence of
+    SlipStates or label vectors (whose index is -1 and which have no
+    detachment setting).
     """
 
     def __init__(self, model: GraspModel, states):
@@ -305,12 +306,16 @@ class PreparedStates:
         self.states = states
         self.detachment = getattr(states, "detachment", None)
         self._maps = build_maps(model)
-        self._labels = [st.labels if isinstance(st, SlipState) else tuple(st)
-                        for st in states]
-        self._index = [st.index if isinstance(st, SlipState) else -1
-                       for st in states]
-        a_eq, b_eq, a_in, self._valid = _assemble(
-            model, self._maps, _label_array(self._labels, model.m))
+        if isinstance(states, SlipStateSet):
+            self._labels, self._index = states.labels, range(len(states))
+        else:
+            self._labels = _label_array(
+                [st.labels if isinstance(st, SlipState) else tuple(st)
+                 for st in states], model.m)
+            self._index = [st.index if isinstance(st, SlipState) else -1
+                           for st in states]
+        a_eq, b_eq, a_in, self._valid = _assemble(model, self._maps,
+                                                  self._labels)
         self._inv, u, self._vt, self._live, rank = _factor(a_eq)
         self._a_eq, self._b_eq, self._a_in = a_eq, b_eq, a_in
         n = a_eq.shape[-1]
@@ -337,7 +342,8 @@ class PreparedStates:
         prep = self._prepared.get(p)
         if prep is None:
             valid = self._valid[p]
-            sys = _system(self.model, self._maps, self._labels[p],
+            sys = _system(self.model, self._maps,
+                          tuple(self._labels[p].tolist()),
                           self._a_eq[p], self._b_eq[p], self._a_in[p], valid)
             null = self._vt[p, self._live[p]:].T
             if null.shape[1]:  # only a singular state reaches the box ladder

@@ -32,6 +32,9 @@ GEOM_MARGIN = 1e-9
 PLANE_COINCIDENT = 1 - 1e-9
 # a normal preload at most this is zero: the contact may detach
 ZERO_PRELOAD = 1e-12
+# the canonical order of slip states compares witnesses rounded to
+# this many decimals (SlipState.sort_key)
+ORDER_DIGITS = 9
 # canonical witness: slip totals within WITNESS_TIE * (1 + |t*|) of
 # the minimum t* tie, and pinned slip speeds may fall WITNESS_PIN
 # short of their optimum

@@ -239,7 +239,8 @@ def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
             and cap > 0):
         raise ValueError("tol and cap must be finite and positive")
     u = np.asarray(direction, dtype=float).reshape(2)
-    norm = np.linalg.norm(u)
+    with np.errstate(over="ignore"):  # an overflowing norm is refused
+        norm = np.linalg.norm(u)
     if not 0.0 < norm < math.inf:
         raise ValueError(f"direction {u} has no finite, nonzero norm")
     u = u / norm

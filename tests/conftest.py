@@ -53,7 +53,7 @@ def partial_cube_problem(states) -> str | None:
     a facet, and the graph distance between any two regions must equal
     the number of signs in which they differ.
     """
-    normals = states.arrangement.normals()
+    normals = states.arrangement.normals
     regions = [r.signs for r in states.cells["regions"]]
     index = {signs: k for k, signs in enumerate(regions)}
     adj = [set() for _ in regions]

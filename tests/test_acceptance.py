@@ -235,7 +235,7 @@ def test_criterion_7_arrangement_invariants():
 
 def _sampling_complete(model, states, rng):
     arr = states.arrangement
-    normals = arr.normals()
+    normals = arr.normals
     known = {s.labels for s in states}
     d = rng.normal(size=(10000, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)

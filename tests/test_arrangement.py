@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from graspstab import Contact, GraspModel, build_maps, enumerate_slip_states, zaslavsky_bound
-from graspstab.arrangement import (DETACHED, DualGraph, build_dual_graph,
-                                   enumerate_regions, facet_states, line_states,
-                                   minimum_cycle_basis, separation_planes,
-                                   tangent_planes)
+from graspstab.arrangement import (DETACHED, CellState, DualGraph, SlipState,
+                                   _first_rows, _packed, build_dual_graph,
+                                   enumerate_regions, facet_states,
+                                   line_states, minimum_cycle_basis,
+                                   separation_planes, tangent_planes)
 from graspstab.cli import main
 from graspstab.generate import random_grasp
 from graspstab.grasp_io import format_grasp
+from graspstab.stability import check_stability, max_resistible
 
 from conftest import (cell_euler, four_contact, partial_cube_problem,
                       three_contact)
@@ -46,7 +48,7 @@ def test_three_contact_tangent_planes():
     arr = _arr(three_contact())
     expected = np.array([[0, 1, -1], [-1, 0, -1], [0, -1, -1]]) / SQRT2
     assert arr.n_planes == 3
-    assert np.allclose(arr.normals(), expected)
+    assert np.allclose(arr.normals, expected)
 
 
 def test_four_contact_tangent_planes_merge():
@@ -102,7 +104,7 @@ def _witness_values(kind):
         arr = _arr(model, detachment)
         lines, facets, regions, _graph = _cells(arr)
         for cell in {"line": lines, "facet": facets, "region": regions}[kind]:
-            yield np.array(cell.signs), arr.normals() @ cell.witness
+            yield np.array(cell.signs), arr.normals @ cell.witness
 
 
 def test_region_witnesses_realize_their_signs():
@@ -252,7 +254,7 @@ def test_line_states_match_pairwise_intersection_oracle():
     # independent construction: every plane pair's line, each ray checked
     model = random_grasp(5, rng=3)
     arr = _arr(model)
-    normals = arr.normals()
+    normals = arr.normals
     lines = line_states(arr)
     expected = set()
     for i, j in itertools.combinations(range(arr.n_planes), 2):
@@ -279,7 +281,7 @@ def test_line_states_three_planes_through_one_line():
 
 
 def test_single_plane_no_line_states():
-    assert line_states(_arr(GraspModel([Contact([0, 0], [0, -1], 0.5)]))) == []
+    assert len(line_states(_arr(GraspModel([Contact([0, 0], [0, -1], 0.5)])))) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +328,7 @@ def test_detached_only_for_zero_preload():
 def _assert_sampling_complete(model, states, rng):
     # every sampled motion's sign pattern appears as an enumerated state
     arr = states.arrangement
-    normals = arr.normals()
+    normals = arr.normals
     known = {s.labels for s in states}
     samples = rng.normal(size=(10000, 3))
     samples /= np.linalg.norm(samples, axis=1, keepdims=True)
@@ -367,6 +369,105 @@ def test_cli_enumerates_eighteen_plane_grasp(tmp_path, capsys):
     path.write_text(format_grasp(random_grasp(9, 3, detachment=True)))
     assert main(["enumerate", str(path)]) == 0
     assert '"solver_states"' in capsys.readouterr().out
+
+
+def _labels_of(signs, arr, m, detachment):
+    """A cell's per-contact labels, read off its signs contact by contact."""
+    labels = []
+    for i in range(m):
+        if detachment and i in arr.separation_ref:
+            j, orient = arr.separation_ref[i]
+            if orient * signs[j] < 0:
+                labels.append(DETACHED)
+                continue
+        j, orient = arr.tangent_ref[i]
+        labels.append(orient * signs[j])
+    return tuple(labels)
+
+
+@pytest.mark.parametrize("model,detachment", [
+    *((random_grasp(m, rng=300 + m), det) for m in range(2, 10)
+      for det in (False, True)),
+    (three_contact(), True), (four_contact(), False), (four_contact(), True),
+    # the two rays of a line in every plane tie up to their witnesses,
+    # and here the second ray sorts first
+    (random_grasp(2, rng=301), False),
+    (GraspModel([Contact([0, y], [0, -1], 0.5) for y in (-1, 0, 2)]), False)])
+def test_enumerated_order_is_canonical(model, detachment):
+    states = enumerate_slip_states(model, detachment=detachment)
+    rest = states.states[1:]
+    assert rest == sorted(rest, key=SlipState.sort_key)
+    arr = states.arrangement
+    first = {}  # labels -> the first cell with them, lines to regions
+    for kind in ("lines", "facets", "regions"):
+        for cell in states.cells[kind]:
+            first.setdefault(_labels_of(cell.signs, arr, model.m, detachment),
+                             cell)
+    if not detachment:
+        assert len(rest) == states.count_excluding_origin
+        return
+    first.pop((0,) * model.m, None)  # the origin's labels come first
+    assert len(rest) == len(first)
+    for st in rest:
+        cell = first[st.labels]
+        assert (st.dim, st.signs) == (cell.dim, cell.signs)
+        assert np.array_equal(st.witness, cell.witness)
+
+
+@pytest.mark.parametrize("width", [1, 2, 31, 32, 65])
+def test_packed_rows_order_and_first_occurrences(width, rng):
+    # more than 31 entries take more than one word
+    rows = rng.integers(-1, 3, size=(300, width)).astype(np.int8)
+    rows[150:] = rows[rng.integers(0, 150, 150)]  # repeats
+    keys = _packed(rows)
+    as_tuples = [tuple(r) for r in rows.tolist()]
+    assert [as_tuples[k] for k in np.lexsort(keys[::-1])] == sorted(as_tuples)
+    firsts = [k for k, r in enumerate(as_tuples) if r not in as_tuples[:k]]
+    assert _first_rows(keys).tolist() == firsts
+
+
+def test_states_are_built_only_when_asked_for(monkeypatch):
+    built = []
+    for cls in (SlipState, CellState):
+        def counting(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    large = enumerate_slip_states(random_grasp(20, 1), detachment=False)
+    assert large.arrangement.n_planes == 20 and len(large) == 1523
+    model = four_contact(True)
+    states = enumerate_slip_states(model)
+    # the all-stick state is singular and feasible under this pull
+    # (Table III), so the box ladder and the canonical witness run
+    assert check_stability(model, (0.0, 1.999, 0.0), states=states).stable
+    assert max_resistible(model, (0.0, 1.0), states=states).magnitude > 0
+    assert large.graph.n_vertices == large.cell_counts["regions"]
+    assert built == []
+
+    assert len(large.states) == len(large)
+    assert built == ["SlipState"] * len(large)
+    built.clear()
+    assert len(list(states)) == len(states)
+    assert built == ["SlipState"] * len(states)
+    built.clear()
+    cells = [cell for kind in large.cells.values() for cell in kind]
+    assert len(cells) == large.count_excluding_origin
+    assert built == ["CellState"] * large.count_excluding_origin
+
+
+def test_labels_of_a_grasp_with_more_planes_than_int8_holds():
+    # 130 contacts around a circle, each with its own tangent plane
+    theta = np.linspace(0, 2 * np.pi, 130, endpoint=False)
+    rho = np.random.default_rng(0).uniform(0.6, 1.6, 130)
+    normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    model = GraspModel([Contact(r * n, n, 0.5) for r, n in zip(rho, normals)])
+    states = enumerate_slip_states(model, detachment=False)
+    assert states.arrangement.n_planes == 130
+    assert len(states) == 4 * 130 ** 2 - 4 * 130 + 3
+    for k in range(1, len(states), 97):
+        assert tuple(states.labels[k].tolist()) == _labels_of(
+            states.signs[k].tolist(), states.arrangement, 130, False)
 
 
 def _one_face_count(states):
@@ -483,13 +584,85 @@ def degenerate_grasps(draw):
 def test_cell_sign_vectors_match_exhaustive_oracle(case):
     model, detachment = case
     states = enumerate_slip_states(model, detachment=detachment)
-    normals = states.arrangement.normals()
+    normals = states.arrangement.normals
     cells = [c.signs for kind in ("lines", "facets", "regions")
              for c in states.cells[kind]]
     assert set(cells) == _oracle_sign_vectors(normals)
     # only the two rays of a line every plane contains share a sign vector
     repeats = len(cells) - len(set(cells))
     assert repeats == (1 if cells.count((0,) * len(normals)) == 2 else 0)
+
+
+def _reference_cells(arr):
+    """(lines, facets, regions) as (signs, witness) lists, built one pair,
+    one circle and one facet side at a time, with the array
+    construction's arithmetic for every value that reaches a witness."""
+    normals = arr.normals
+    n = len(normals)
+    pairs = list(itertools.combinations(range(n), 2))
+    lines = []
+    if pairs:
+        first, second = np.array(pairs).T
+        dirs = np.cross(normals[first], normals[second])
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        vals = dirs @ normals.T
+        zero = np.abs(vals) <= 1e-9
+        zero[np.arange(len(pairs)), first] = True
+        zero[np.arange(len(pairs)), second] = True
+        signs = np.where(zero, 0, np.sign(vals)).astype(int)
+        covered = set()
+        for k, pair in enumerate(pairs):
+            if pair in covered:
+                continue
+            covered.update(itertools.combinations(
+                np.flatnonzero(zero[k]).tolist(), 2))
+            lines += [(tuple((s * signs[k]).tolist()), s * dirs[k])
+                      for s in (1, -1)]
+    rays = np.array([w for _s, w in lines]).reshape(-1, 3)
+    on_circle = np.array([s for s, _w in lines]).reshape(-1, n) == 0
+    facets = []
+    for i, normal in enumerate(normals):
+        e1 = np.cross(normal, np.eye(3)[np.argmin(np.abs(normal))])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(normal, e1)
+        mine = rays[on_circle[:, i]]
+        ang = np.sort(np.arctan2(mine @ e2, mine @ e1))
+        mid = 0.5 * (ang + np.append(ang[1:], ang[:1] + 2 * np.pi)) \
+            if len(ang) else np.zeros(1)
+        for z in np.outer(np.cos(mid), e1) + np.outer(np.sin(mid), e2):
+            signs = np.sign(normals @ z).astype(int)
+            signs[i] = 0
+            facets.append((tuple(signs.tolist()), z))
+    regions = {}
+    dist = np.abs(np.array([z for _s, z in facets]).reshape(-1, 3) @ normals.T)
+    for (signs, z), d in zip(facets, dist):
+        i = signs.index(0)
+        delta = 0.5 * np.delete(d, i).min(initial=1.0)
+        for s in (1, -1):
+            side = signs[:i] + (s,) + signs[i + 1:]
+            regions.setdefault(side, z + s * delta * normals[i])
+    return lines, facets, list(regions.items())
+
+
+def _assert_cells_match_reference(model, detachment):
+    arr = _arr(model, detachment)
+    for cells, ref in zip(_cells(arr)[:3], _reference_cells(arr)):
+        assert [c.signs for c in cells] == [signs for signs, _w in ref]
+        got = np.array([c.witness for c in cells]).reshape(-1, 3)
+        want = np.array([w for _s, w in ref]).reshape(-1, 3)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+@pytest.mark.parametrize("detachment", [False, True])
+def test_cells_match_one_at_a_time_reference(m, detachment):
+    _assert_cells_match_reference(random_grasp(m, rng=500 + m), detachment)
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_grasps())
+def test_degenerate_cells_match_one_at_a_time_reference(case):
+    _assert_cells_match_reference(*case)
 
 
 # ---------------------------------------------------------------------------

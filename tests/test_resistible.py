@@ -193,9 +193,11 @@ def test_sweeps_run_no_query_and_two_lps_per_whole_ray_state(monkeypatch):
     assert 0 < len(small) <= budget
 
 
-# the last has finite nonzero entries whose norm underflows to zero
+# the last two have finite nonzero entries whose norm underflows to zero
+# or overflows
 @pytest.mark.parametrize("direction", [(0, 0), (0.0, -0.0), (math.nan, 1),
-                                       (1, math.inf), (1e-200, -1e-200)])
+                                       (1, math.inf), (1e-200, -1e-200),
+                                       (1e308, 1e308)])
 def test_rejects_a_direction_without_a_finite_nonzero_norm(direction):
     model = load_grasp_file(FIXTURES / "three_contact.grasp")[0]
     with pytest.raises(ValueError, match="has no finite, nonzero norm"):

@@ -50,3 +50,20 @@ def test_traced_check_records_spans_and_restores():
     assert ("equilibrium.solve_state", "stability.check") in pairs
     assert ("equilibrium.fallback", "equilibrium.solve_state") in pairs
     assert all(getattr(mod, attr) is fn for (mod, attr), fn in before.items())
+
+
+def test_traced_enumeration_records_layer_spans():
+    # the per-layer metrics of the traced run count these spans
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        states = graspstab.arrangement.enumerate_slip_states(
+            four_contact(), detachment=True)
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    pairs = {(s[0], spans[s[3]][0] if s[3] >= 0 else None) for s in spans}
+    assert ("arrangement.lines", "arrangement.enumerate") in pairs
+    assert ("arrangement.regions", "arrangement.enumerate") in pairs
+    enumerate_span, = [s for s in spans if s[0] == "arrangement.enumerate"]
+    assert enumerate_span[5] == states.count_excluding_origin + 1
