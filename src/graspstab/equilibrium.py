@@ -4,11 +4,14 @@ For a fixed slip state the balance of the grasp is linear: equilibrium
 (3 rows), the normal spring law at attached contacts, friction pinned to
 the cone edge at slipping contacts, zero tangential motion at sticking
 contacts, and zero force at detached contacts give a square system in
-(d, c). The load enters only the three equilibrium rows of its right-hand
-side, so a grasp's states are prepared once, as one batch: assembled
-at zero load from per-contact label templates, and one SVD call over
-the stacked equality blocks gives each state's solution family
-x_p(w) + N z as affine maps of the wrench w. A direct state (N empty) is
+(d, c). The labels fix every force but the tangential force of each
+sticking contact as an affine map of the motion d, so a state with s
+sticking contacts condenses to a (3 + s)-square system in (d, those
+forces). The load enters only the three equilibrium rows of its
+right-hand side, so a grasp's states are prepared once, as one batch:
+condensed at zero load, grouped by s with one SVD call per group, and
+expanded back to each state's solution family x_p(w) + N z in the full
+unknowns, as affine maps of the wrench w. A direct state (N empty) is
 decided by its slacks at x_p(w), all of a grasp's at once; any other
 state in its null space, one at a time. Along a ray of loads w = t u
 the maps are affine in t, so each state holds on an interval of t,
@@ -31,8 +34,9 @@ from . import nullspace_lp
 from .arrangement import DETACHED, LABEL_NAMES, SlipState, SlipStateSet
 from .model import (GraspMaps, GraspModel, as_wrench, build_maps, cross2,
                     tangent_of, world_force)
-from .params import (EQ_RESIDUAL, INEQ_SLACK, LADDER_START, LADDER_STEP,
-                     LP_REL, PROJECTION_SKIP, RANK_EPS, SINGULAR_REL, X_MAX)
+from .params import (BOX_HIT, EQ_RESIDUAL, INEQ_SLACK, LADDER_START,
+                     LADDER_STEP, LP_REL, PROJECTION_SKIP, RANK_EPS,
+                     SINGULAR_REL, X_MAX)
 
 __all__ = [
     "StateSystem",
@@ -54,9 +58,10 @@ class StateSystem:
     tags each inequality row (unilateral / cone / slip_sign / separation,
     or pin for a row the canonical witness adds) and slip_dirs maps
     slipping contacts to the d-row of their tangential motion, used by the
-    canonical-witness selection. factor is (pseudo-inverse, null basis)
-    of a_eq, kept by ``PreparedStates`` for a singular state so that its
-    ladder reuses the batch's SVD.
+    canonical-witness selection. factor is (x0, gain, null) of a singular
+    state prepared by ``PreparedStates``: the least-norm solution x0 + gain
+    @ w of the equalities under the wrench w = -b_eq[:3] and their
+    orthonormal null basis, so that its ladder factors nothing.
     """
 
     labels: tuple[int, ...]
@@ -101,83 +106,59 @@ class EquilibriumSolution:
         return tuple(LABEL_NAMES[l] for l in self.labels)
 
 
-# Per-contact label templates are indexed by label + 1: slip- 0, stick 1,
-# slip+ 2, detached 3. Each contact owns three inequality slots; _KINDS
-# names the rows a label fills, in slot order, and the rest are padding.
+# Each contact owns three inequality slots; _KINDS names the rows a
+# label fills, in slot order (indexed by label + 1: slip- 0, stick 1,
+# slip+ 2, detached 3), and the rest are padding.
 _KINDS = (("unilateral", "slip_sign"), ("unilateral", "cone", "cone"),
           ("unilateral", "slip_sign"), ("separation",))
 _SLOT_VALID = np.array([[s < len(kinds) for s in range(3)] for kinds in _KINDS])
 
 
-def _templates(model: GraspModel, maps: GraspMaps):
-    """Every label's rows of every contact: equality rows (m, 4, 2, n),
-    their right-hand sides at zero load (m, 4, 2) and inequality slots
-    (m, 4, 3, n), each inequality's right-hand side being zero."""
-    m = model.m
-    n = 3 + 2 * m
-    eq, rhs = np.zeros((m, 4, 2, n)), np.zeros((m, 4, 2))
-    ineq = np.zeros((m, 4, 3, n))
-    for i, contact in enumerate(model.contacts):
-        mu = contact.mu
-        ncol = maps.motion[:, 2 * i]
-        tcol = maps.motion[:, 2 * i + 1]
-        cn, ct = 3 + 2 * i, 3 + 2 * i + 1
-
-        # detached: no force, and no penetration: delta_n <= 0
-        eq[i, 3, 0, cn] = eq[i, 3, 1, ct] = 1.0
-        ineq[i, 3, 0, :3] = -ncol
-
-        # attached: normal spring law c_n = c0_n + k * delta_n, unilaterality
-        eq[i, :3, 0, cn] = 1.0
-        eq[i, :3, 0, :3] = -model.stiffness[i] * ncol
-        rhs[i, :3, 0] = model.preload[i, 0]
-        ineq[i, :3, 0, cn] = 1.0
-
-        # sticking: no tangential motion, friction inside the cone
-        eq[i, 1, 1, :3] = tcol
-        ineq[i, 1, 1:, cn] = mu
-        ineq[i, 1, 1:, ct] = (-1.0, 1.0)
-
-        # slipping: friction on the cone edge opposing the motion
-        # (label -1: c_t = +mu c_n; +1: c_t = -mu c_n), and the assumed
-        # slip direction must agree
-        for label in (-1, 1):
-            eq[i, label + 1, 1, ct] = 1.0
-            eq[i, label + 1, 1, cn] = mu * label
-            ineq[i, label + 1, 1, :3] = label * tcol
-    return eq, rhs, ineq
-
-
-def _assemble(model: GraspModel, maps: GraspMaps, labels: np.ndarray):
-    """The stacked blocks at zero load of the label vectors labels (S, m).
-
-    Returns a_eq (S, n, n), b_eq (S, n), the padded inequality blocks
-    a_in (S, 3m, n), three slots per contact, and their validity (S, 3m).
-    Rows 0-2 are equilibrium; contact i owns equality rows 3+2i and 4+2i
-    (the rows of its force unknowns) and inequality slots 3i to 3i+2:
-    one row when detached, two when slipping and three when sticking.
-    """
-    eq, rhs, ineq = _templates(model, maps)
-    s, m = labels.shape
-    n = 3 + 2 * m
-    pick = np.arange(m), labels + 1
-    a_eq = np.zeros((s, n, n))
+def _system(model: GraspModel, maps: GraspMaps,
+            labels: tuple[int, ...]) -> StateSystem:
+    """One state's StateSystem at zero load, built from its own labels'
+    rows: contact i owns equality rows 3+2i and 4+2i and, in contact
+    order, one inequality row when detached, two when slipping and three
+    when sticking."""
+    n = 3 + 2 * model.m
+    a_eq, b_eq = np.zeros((n, n)), np.zeros(n)
     # net wrench of contact forces balances the applied wrench
-    a_eq[:, :3, 3:] = maps.wrench
-    a_eq[:, 3:] = eq[pick].reshape(s, 2 * m, n)
-    b_eq = np.zeros((s, n))
-    b_eq[:, 3:] = rhs[pick].reshape(s, 2 * m)
-    return (a_eq, b_eq, ineq[pick].reshape(s, 3 * m, n),
-            _SLOT_VALID[labels + 1].reshape(s, 3 * m))
-
-
-def _system(model: GraspModel, maps: GraspMaps, labels: tuple[int, ...],
-            a_eq, b_eq, a_in, valid) -> StateSystem:
-    """One state's StateSystem from its stacked blocks."""
+    a_eq[:3, 3:] = maps.wrench
     kinds = [kind for label in labels for kind in _KINDS[label + 1]]
-    slip_dirs = {i: label * maps.motion[:, 2 * i + 1]
-                 for i, label in enumerate(labels) if label in (-1, 1)}
-    return StateSystem(labels=labels, a_eq=a_eq, b_eq=b_eq, a_in=a_in[valid],
+    a_in = np.zeros((len(kinds), n))
+    spring = -model.stiffness * maps.motion[:, 0::2]
+    slip_dirs = {}
+    r = 0
+    for i, label in enumerate(labels):
+        cn, ct = 3 + 2 * i, 4 + 2 * i
+        a_eq[cn, cn] = 1.0
+        if label == DETACHED:
+            # no force, and no penetration: delta_n <= 0 (the wrench's
+            # normal column is -ncol)
+            a_eq[ct, ct] = 1.0
+            a_in[r, :3] = maps.wrench[:, 2 * i]
+            r += 1
+            continue
+        # attached: normal spring law c_n = c0_n + k * delta_n, unilaterality
+        a_eq[cn, :3] = spring[:, i]
+        b_eq[cn] = model.preload[i, 0]
+        a_in[r, cn] = 1.0
+        mu = model.contacts[i].mu
+        if label == 0:
+            # sticking: no tangential motion, friction inside the cone
+            a_eq[ct, :3] = maps.motion[:, 2 * i + 1]
+            a_in[r + 1, cn] = a_in[r + 2, cn] = mu
+            a_in[r + 1, ct], a_in[r + 2, ct] = -1.0, 1.0
+            r += 3
+        else:
+            # slipping: friction on the cone edge opposing the motion
+            # (label -1: c_t = +mu c_n; +1: c_t = -mu c_n), and the
+            # assumed slip direction must agree
+            a_eq[ct, ct] = 1.0
+            a_eq[ct, cn] = mu * label
+            slip_dirs[i] = a_in[r + 1, :3] = label * maps.motion[:, 2 * i + 1]
+            r += 2
+    return StateSystem(labels=labels, a_eq=a_eq, b_eq=b_eq, a_in=a_in,
                        b_in=np.zeros(len(kinds)), ineq_kind=kinds,
                        slip_dirs=slip_dirs, m=model.m)
 
@@ -190,17 +171,12 @@ def assemble_state_system(model: GraspModel, w,
                           state: SlipState | tuple) -> StateSystem:
     """Build the equality/inequality blocks for one slip state.
 
-    The one-state case of the stacked assembly of ``PreparedStates``:
-    contact i owns equality rows 3+2i and 4+2i and, in contact order,
+    Contact i owns equality rows 3+2i and 4+2i and, in contact order,
     one inequality row when detached, two when slipping and three when
     sticking. Every inequality's right-hand side is zero.
     """
-    maps = build_maps(model)
     labels = state.labels if isinstance(state, SlipState) else tuple(state)
-    a_eq, b_eq, a_in, valid = _assemble(model, maps,
-                                        _label_array(labels, model.m))
-    b_eq[0, :3] = -as_wrench(w)
-    return _system(model, maps, labels, a_eq[0], b_eq[0], a_in[0], valid[0])
+    return _system(model, build_maps(model), labels).at(as_wrench(w))
 
 
 def _project_onto_equalities(a_eq, b_eq, x: np.ndarray) -> np.ndarray:
@@ -230,12 +206,13 @@ class PreparedState:
 
     The load w enters only b_eq, so all of these are affine in w. The
     equalities' solutions are x_p(w) + null @ z, with x_p(w) = x0 + gain @ w
-    the pseudo-inverse solution at the SINGULAR_REL cutoff and its
-    inequality slacks a_in x_p(w) - b_in = s0 + slack_gain @ w. The
-    equalities are consistent when cons0 + cons_gain @ w, their right-hand
-    side in the left null basis at the RANK_EPS cutoff (zero-padded to n
-    rows), is small enough (see ``solve_state``). A direct state has an
-    empty null basis.
+    their least-norm solution, from the pseudo-inverse of the condensed
+    system at the SINGULAR_REL cutoff, and its inequality slacks a_in
+    x_p(w) - b_in = s0 + slack_gain @ w. The equalities are consistent
+    when cons0 + cons_gain @ w, their right-hand side in an orthonormal
+    basis of their left null space at the RANK_EPS cutoff (zero-padded
+    to 3 + m rows), is small enough (see ``solve_state``). A direct state
+    has an empty null basis.
     """
 
     system: StateSystem
@@ -258,41 +235,176 @@ class PreparedState:
                                 self.index)
 
 
-def _factor(a_eq: np.ndarray):
-    """(inv, u, vt, live, rank) of a stack of equality blocks (S, r, n).
+def _inverse_cholesky(a: np.ndarray) -> np.ndarray:
+    """L^-1 of each positive definite 3 x 3 block L L^T of a (S, 3, 3), in
+    closed form across the stack: one LAPACK call per block costs more
+    than the arithmetic."""
+    (a11, _, _), (a21, a22, _), (a31, a32, a33) = a.transpose(1, 2, 0)
+    l11 = np.sqrt(a11)
+    l21, l31 = a21 / l11, a31 / l11
+    l22 = np.sqrt(a22 - l21 * l21)
+    l32 = (a32 - l31 * l21) / l22
+    l33 = np.sqrt(a33 - l31 * l31 - l32 * l32)
+    inv = np.zeros_like(a)
+    inv[:, 0, 0], inv[:, 1, 1], inv[:, 2, 2] = 1.0 / l11, 1.0 / l22, 1.0 / l33
+    inv[:, 1, 0] = -l21 * inv[:, 0, 0] * inv[:, 1, 1]
+    inv[:, 2, 1] = -l32 * inv[:, 1, 1] * inv[:, 2, 2]
+    inv[:, 2, 0] = (l21 * l32 - l22 * l31) * inv[:, 0, 0] * inv[:, 1, 1] \
+        * inv[:, 2, 2]
+    return inv
 
-    From one SVD call U S V^T over the stack: inv = V S^-1 U^T is each
-    block's pseudo-inverse at the SINGULAR_REL cutoff, live its count of
-    singular values above that cutoff (the right singular vectors beyond
-    it span its null space) and rank its count above the RANK_EPS cutoff
-    of the consistency test (the left singular vectors beyond it span
-    its left null space).
+
+def _orthonormal(a: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning those of a (n, k), of full column
+    rank: Gram-Schmidt, each earlier column projected out twice."""
+    q = np.empty_like(a)
+    for j in range(a.shape[1]):
+        v = a[:, j]
+        for _ in range(2 if j else 0):
+            v = v - q[:, :j] @ (q[:, :j].T @ v)
+        q[:, j] = v / np.linalg.norm(v)
+    return q
+
+
+def _condense(model: GraspModel, maps: GraspMaps, labels: np.ndarray):
+    """The states of the label vectors labels (S, m), solved at zero load
+    in their condensed unknowns y = (d, c_t of each sticking contact).
+
+    The labels fix every other force as an affine map of d: an attached
+    contact's c_n = c0_n + k delta_n(d), a slipping one's c_t = -+mu c_n,
+    a detached one's force zero. What is left of a state with s sticking
+    contacts is (3 + s)-square: C y = b_c, its 3 equilibrium rows and s
+    no-tangential-motion rows. The states are grouped by s, one SVD call
+    per group, and nothing is padded; the factors are stored padded to
+    3 + m, so that every later step is one array pass.
+
+    The full system's rows split into the kept ones [A11 A12] and the
+    eliminated ones, M c_e - R y = q0 with M invertible, so that
+    c_e = P y + q and C = A11 + A12 P. A left null vector of the full
+    block is u = [u1; -M^-T A12^T u1], u1 one of C, with u^T b = u1^T b_c
+    and |u|^2 = u1^T (I + H H^T) u1, where H = A12 M^-1 is zero but on
+    the equilibrium rows. Those rows of C and b_c are weighted by L^-1,
+    L L^T = I + H H^T, which leaves the solutions as they are: an
+    orthonormal left null basis of the weighted C is then one of the
+    full block, and the weighted b_c in it is the full system's
+    right-hand side in its left null space, the consistency test of
+    ``solve_state``.
+
+    Returns x (S, n, 4 + 3 + m): each state's x_p(w) in the full
+    unknowns, with x0 and gain as its first four columns, expanded from
+    the pseudo-inverse solution at the SINGULAR_REL cutoff (not yet the
+    least-norm point of a singular state), then its right singular
+    vectors expanded, E V, whose columns live to 3 + s span the null
+    space; slack (S, 3m, 4), the inequality slots at x_p, and their
+    validity (S, 3m); cons (S, 3 + m, 4), the consistency map; live (S,),
+    the count of singular values above the SINGULAR_REL cutoff; the
+    size 3 + s of each condensed block (S,); and max|b_eq[3:]| (S,).
     """
-    u, sv, vt = np.linalg.svd(a_eq)
-    top = sv[:, :1]
-    keep = sv > SINGULAR_REL * top
-    live = np.count_nonzero(keep, axis=1)
-    rank = np.count_nonzero(sv > RANK_EPS * max(a_eq.shape[1:]) * top,
-                            axis=1)
-    p = sv.shape[1]
-    scaled = np.divide(vt[:, :p].transpose(0, 2, 1), sv[:, None, :],
-                       out=np.zeros((len(sv), vt.shape[1], p)),
-                       where=keep[:, None, :])
-    return scaled @ u[:, :, :p].transpose(0, 2, 1), u, vt, live, rank
+    count, m = labels.shape
+    width = 3 + m
+    mu = np.array([c.mu for c in model.contacts])
+    ncol, tcol = maps.motion[:, 0::2], maps.motion[:, 1::2]
+    attached, stick = labels != DETACHED, labels == 0
+    # the slip direction: -1 or +1 when slipping, else 0
+    sign = labels * (attached & ~stick)
+    preload = attached * model.preload[:, 0]
+    # an attached contact's c_n = c0_n + stiffness delta_n(d), and a
+    # slipping one's c_t = slope c_n
+    stiffness, slope = attached * model.stiffness, -mu * sign
+    # the equilibrium rows' column of each contact's c_n once c_t =
+    # slope c_n (the wrench columns are -ncol for c_n, tcol for c_t)
+    h = slope[..., None] * tcol.T - ncol.T
+    # the equilibrium rows are weighted by L^-1, L L^T = I + H H^T; H has
+    # a column for every contact's c_n and for the c_t of every contact
+    # that does not stick
+    hht = h.transpose(0, 2, 1) @ h + (tcol * ~stick[:, None]) @ tcol.T
+    weight = _inverse_cholesky(np.eye(3) + hht)
+    # the weighted b_c under w: b @ (1, w) on the equilibrium rows, zero
+    # on the others
+    b = -np.concatenate([weight @ (preload[:, None] @ h).transpose(0, 2, 1),
+                         weight], axis=2)
+
+    # the weighted C; the sticking contacts' rows and columns follow d's
+    # in contact order
+    sticking = stick.sum(axis=1)
+    order = np.argsort(~stick, axis=1, kind="stable")
+    rows = tcol.T[order] * (np.arange(m) < sticking[:, None])[..., None]
+    c = np.zeros((count, width, width))
+    # an attached contact's c_n moves with k delta_n(d) along h
+    c[:, :3, :3] = (h * stiffness[..., None]).transpose(0, 2, 1) @ ncol.T
+    c[:, :3, 3:] = rows.transpose(0, 2, 1)
+    c[:, :3] = weight @ c[:, :3]
+    c[:, 3:, :3] = rows
+    # one SVD call per group of equal s, taken in order of s
+    by_s = np.argsort(sticking, kind="stable")
+    c = c[by_s]
+    u3 = np.zeros((count, 3, width))
+    sv = np.zeros((count, width))
+    v = np.zeros((count, width, width))
+    start = 0
+    for s, end in enumerate(np.cumsum(np.bincount(sticking)).tolist()):
+        if end > start:
+            r = 3 + s
+            u, sv[start:end, :r], vt = np.linalg.svd(c[start:end, :r, :r])
+            u3[start:end, :, :r] = u[:, :3]
+            v[start:end, :r, :r] = vt.transpose(0, 2, 1)
+        start = end
+    back = np.empty_like(by_s)
+    back[by_s] = np.arange(count)
+    u3, sv, v = u3[back], sv[back], v[back]
+    keep = sv > SINGULAR_REL * sv[:, :1]
+    live = keep.sum(axis=1)
+    rank = (sv > RANK_EPS * (3 + sticking[:, None]) * sv[:, :1]).sum(axis=1)
+    # b_c in the left singular vectors: only its equilibrium rows are not
+    # zero
+    ub = u3.transpose(0, 2, 1) @ b
+    y = v @ (np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)[..., None]
+             * ub)
+    # in the weighted rows the left null basis of C beyond the rank is an
+    # orthonormal basis of the full system's left null space
+    cons = ub * (np.arange(width) >= rank[:, None])[..., None]
+
+    # x_p and every right singular vector, expanded to the full unknowns
+    yv = np.concatenate([y, v], axis=2)
+    x = np.zeros((count, 3 + 2 * m, 4 + width))
+    x[:, :3] = yv[:, :3]
+    free = np.empty((count, m, 4 + width))
+    free[np.arange(count)[:, None], order] = yv[:, 3:]
+    motion = maps.motion.T @ x[:, :3]
+    normal = stiffness[..., None] * motion[:, 0::2] \
+        + preload[..., None] * np.eye(1, 4 + width)[0]
+    tangent = np.where(stick[..., None], free, slope[..., None] * normal)
+    x[:, 3::2], x[:, 4::2] = normal, tangent
+    # the slacks at x_p
+    normal, tangent = normal[..., :4], tangent[..., :4]
+    motion = motion[..., :4]
+    slack = np.zeros((count, m, 3, 4))
+    slack[:, :, 0] = np.where(attached[..., None], normal, -motion[:, 0::2])
+    cone = mu[:, None] * normal
+    slack[:, :, 1] = np.where(stick[..., None], cone - tangent,
+                              sign[..., None] * motion[:, 1::2])
+    slack[:, :, 2] = np.where(stick[..., None], cone + tangent, 0.0)
+    return (x, slack.reshape(count, 3 * m, 4),
+            _SLOT_VALID[labels + 1].reshape(count, 3 * m), cons, live,
+            3 + sticking, np.abs(preload).max(axis=1, initial=0.0))
 
 
 class PreparedStates:
     """A grasp's slip states, prepared as one batch.
 
-    Every state is assembled at zero load from per-contact label
-    templates: the equality blocks stacked (S, n, n) and the inequality
-    blocks padded to three slots per contact (S, 3m, n), padding rows
-    zero. One SVD call factors the stack. For each state the batch keeps
-    x0, gain, s0 and slack_gain (see PreparedState; zero on the padding),
-    the null basis, the consistency map zero-padded to n rows and
-    max|b_eq[3:]|, so ``candidates`` screens every state against a
-    wrench in a few array operations. Indexing slices one state out as a
-    PreparedState, kept for later queries.
+    Every state is solved at zero load in its condensed unknowns, the
+    motion d and the tangential force of each sticking contact
+    (``_condense``): grouped by the count s of sticking contacts, one SVD
+    call factors each group's (3 + s)-square blocks. For each state the
+    batch keeps x0 and gain of its solution x_p(w) in the full unknowns,
+    its slacks s0 and slack_gain at x_p(w) in three slots per contact
+    (zero on the padding), its consistency map and max|b_eq[3:]|, so
+    ``candidates`` screens every state against a wrench in a few array
+    operations. Indexing slices one state out as a PreparedState, kept
+    for later queries, with its full StateSystem built from its labels.
+    The batch also keeps every state's right singular vectors expanded
+    to the full unknowns; slicing a singular state orthonormalises those
+    that span its null space and moves x_p to the least-norm point.
 
     The systems depend on the grasp alone, so one instance serves any
     number of wrenches. ``states`` is a SlipStateSet, in its canonical
@@ -314,24 +426,12 @@ class PreparedStates:
                  for st in states], model.m)
             self._index = [st.index if isinstance(st, SlipState) else -1
                            for st in states]
-        a_eq, b_eq, a_in, self._valid = _assemble(model, self._maps,
-                                                  self._labels)
-        self._inv, u, self._vt, self._live, rank = _factor(a_eq)
-        self._a_eq, self._b_eq, self._a_in = a_eq, b_eq, a_in
-        n = a_eq.shape[-1]
-        self.direct = self._live == n
-        # the load enters b_eq as -w on the three equilibrium rows, so
-        # x_p(w) = inv @ b_eq(0) - inv[:, :3] @ w
-        self._x0 = np.einsum("sij,sj->si", self._inv, b_eq)
-        self._gain = -self._inv[:, :, :3]
-        self._s0 = np.einsum("sij,sj->si", a_in, self._x0)
-        self._slack_gain = a_in @ self._gain
-        # b_eq in the left null basis, the columns of u beyond the rank
-        ut = u.transpose(0, 2, 1)
-        beyond = np.arange(n) >= rank[:, None]
-        self._cons0 = np.where(beyond, np.einsum("sij,sj->si", ut, b_eq), 0.0)
-        self._cons_gain = np.where(beyond[:, :, None], -ut[:, :, :3], 0.0)
-        self._b_max = np.max(np.abs(b_eq[:, 3:]), axis=1, initial=0.0)
+        (self._x, self._slack, self._valid, cons, self._live, self._size,
+         self._b_max) = _condense(model, self._maps, self._labels)
+        # a state is direct when its condensed block has full rank
+        self.direct = self._live == self._size
+        self._s0, self._slack_gain = self._slack[..., 0], self._slack[..., 1:]
+        self._cons0, self._cons_gain = cons[..., 0], cons[..., 1:]
         self._prepared: dict[int, PreparedState] = {}
 
     def __len__(self) -> int:
@@ -341,17 +441,24 @@ class PreparedStates:
         """The state at position p, sliced out of the batch once."""
         prep = self._prepared.get(p)
         if prep is None:
-            valid = self._valid[p]
             sys = _system(self.model, self._maps,
-                          tuple(self._labels[p].tolist()),
-                          self._a_eq[p], self._b_eq[p], self._a_in[p], valid)
-            null = self._vt[p, self._live[p]:].T
-            if null.shape[1]:  # only a singular state reaches the box ladder
-                sys.factor = self._inv[p], null
+                          tuple(self._labels[p].tolist()))
+            x, slack = self._x[p, :, :4], self._slack[p, self._valid[p]]
+            null = np.zeros((sys.n, 0))
+            if not self.direct[p]:
+                # only a singular state reaches an LP: E N_c, its right
+                # singular vectors beyond live expanded, orthonormalised
+                # (E keeps y among the full unknowns, so E N_c has full
+                # column rank), and the least-norm point x_p
+                null = _orthonormal(
+                    self._x[p, :, 4 + self._live[p]:4 + self._size[p]])
+                x = x - null @ (null.T @ x)
+                slack = sys.a_in @ x
+                sys.factor = x[:, 0], x[:, 1:], null
             prep = self._prepared[p] = PreparedState(
-                sys, self._index[p], x0=self._x0[p], gain=self._gain[p],
-                s0=self._s0[p, valid], slack_gain=self._slack_gain[p, valid],
-                null=null, cons0=self._cons0[p], cons_gain=self._cons_gain[p])
+                sys, self._index[p], x0=x[:, 0], gain=x[:, 1:],
+                s0=slack[:, 0], slack_gain=slack[:, 1:], null=null,
+                cons0=self._cons0[p], cons_gain=self._cons_gain[p])
         return prep
 
     def candidates(self, w: np.ndarray) -> np.ndarray:
@@ -372,7 +479,7 @@ class PreparedStates:
         ``solve_state`` under w."""
         cons = np.linalg.norm(self._cons0 + self._cons_gain @ w, axis=1)
         scale = np.maximum(max(1.0, float(np.max(np.abs(w)))), self._b_max)
-        bound = np.sqrt(self._b_eq.shape[1]) * EQ_RESIDUAL * (1.0 + scale)
+        bound = np.sqrt(3 + 2 * self.model.m) * EQ_RESIDUAL * (1.0 + scale)
         return ~(cons > bound)
 
     def stable_intervals(self, u, cap: float) -> list[tuple[float, float]]:
@@ -545,12 +652,14 @@ def linear_feasibility(sys: StateSystem, *,
     """
     a_eq, b_eq = sys.a_eq, sys.b_eq
     scale, eq_tol = _eq_tol(sys)
-    if sys.factor is None:
-        inv, _u, vt, live, _rank = _factor(a_eq[None])
-        inv, null = inv[0], vt[0, live[0]:].T
+    if sys.factor is None:  # a hand-built system: factor its equalities
+        u, sv, vt = np.linalg.svd(a_eq)
+        live = int(np.count_nonzero(sv > SINGULAR_REL * sv[:1]))
+        x_p = vt[:live].T @ ((u[:, :live].T @ b_eq) / sv[:live])
+        null = vt[live:].T
     else:
-        inv, null = sys.factor
-    x_p = inv @ b_eq
+        x0, gain, null = sys.factor
+        x_p = x0 - gain @ b_eq[:3]
 
     box = LADDER_START * scale
     while True:
@@ -565,7 +674,7 @@ def linear_feasibility(sys: StateSystem, *,
             slack = (float(np.min(sys.a_in @ x - sys.b_in))
                      if len(sys.b_in) else np.inf)
             if eq_res <= eq_tol and slack >= -INEQ_SLACK:
-                hits_box = float(np.max(np.abs(x))) > 0.9 * box
+                hits_box = float(np.max(np.abs(x))) > BOX_HIT * box
                 if not hits_box or box >= X_MAX:
                     return x
         if box >= X_MAX:

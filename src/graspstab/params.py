@@ -36,18 +36,22 @@ ZERO_PRELOAD = 1e-12
 # this many decimals (SlipState.sort_key)
 ORDER_DIGITS = 9
 # canonical witness: slip totals within WITNESS_TIE * (1 + |t*|) of
-# the minimum t* tie, and pinned slip speeds may fall WITNESS_PIN
-# short of their optimum
+# the minimum t* tie, pinned slip speeds may fall WITNESS_PIN short of
+# their optimum, and the tied states' speeds are compared rounded to
+# WITNESS_DIGITS decimals
 WITNESS_TIE = 1e-7
 WITNESS_PIN = 1e-9
+WITNESS_DIGITS = 9
 # box bound on unknowns in the feasibility program
 X_MAX = 1e6
 # the box ladder: its first box is LADDER_START times the data's
-# magnitude, each rung multiplies it by LADDER_STEP up to X_MAX, and
-# the max-min-slack margin is capped at MARGIN_CAP
+# magnitude, each rung multiplies it by LADDER_STEP up to X_MAX, the
+# max-min-slack margin is capped at MARGIN_CAP, and a point with an
+# entry beyond BOX_HIT times the box hits it, so the next rung runs
 LADDER_START = 100.0
 LADDER_STEP = 100.0
 MARGIN_CAP = 1e3
+BOX_HIT = 0.9
 # the null-space LP counts a unit row g y >= h as met when its
 # residual is at least -LP_REL * (1 + |h| + |y|_1), and a row as
 # parallel to the one it is projected onto when its norm there is at

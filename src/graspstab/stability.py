@@ -28,7 +28,8 @@ from .equilibrium import (EquilibriumSolution, PreparedState, PreparedStates,
 # name (stabbench/tracing.py)
 from .equilibrium import assemble_state_system  # noqa: F401
 from .model import GraspModel, as_wrench
-from .params import FLAT_REL, INEQ_SLACK, WITNESS_PIN, WITNESS_TIE
+from .params import (FLAT_REL, INEQ_SLACK, WITNESS_DIGITS, WITNESS_PIN,
+                     WITNESS_TIE)
 
 __all__ = [
     "Verdict",
@@ -202,7 +203,7 @@ def _canonical_witness(w, feasible) -> EquilibriumSolution:
             row[:3] = sys.slip_dirs[i]
             speeds.append(-_least(pinned, -row, sol, flat))
             pinned = _augment(pinned, row, [speeds[-1] - WITNESS_PIN])
-        key = tuple(np.round(speeds, 9))
+        key = tuple(np.round(speeds, WITNESS_DIGITS))
         if best is None or key > best[0]:
             best = (key, st, sol, sys, flat, pinned)
 

@@ -5,16 +5,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.optimize import linprog
 
 from graspstab import (Contact, GraspModel, assemble_state_system,
                        check_solution, enumerate_slip_states,
                        linear_feasibility, lp, solve_state, world_force)
 from graspstab.arrangement import DETACHED
-from graspstab.equilibrium import EquilibriumSolution, StateSystem
-from graspstab.params import SINGULAR_REL, X_MAX
+from graspstab.equilibrium import (EquilibriumSolution, PreparedStates,
+                                   StateSystem)
+from graspstab.generate import random_grasp
+from graspstab.params import RANK_EPS, SINGULAR_REL, X_MAX
 
 from conftest import four_contact, three_contact
+from test_arrangement import degenerate_grasps
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +265,70 @@ def test_solve_state_agrees_with_highs(make, preloaded):
             if status == 0 and margin >= REF_MARGIN and sol is None:
                 problems.append(f"{w} {labels}: rejected, HiGHS margin {margin:g}")
     assert not problems, problems
+
+
+# ---------------------------------------------------------------------------
+# the condensed factor against an SVD of the full system
+# ---------------------------------------------------------------------------
+
+def _assert_condensed_matches_full(model, detachment, wrenches):
+    """Every state of the batch, each prepared from its (3 + s)-square
+    condensed block, against one SVD of its (3 + 2m)-square full block at
+    the same cutoffs."""
+    states = enumerate_slip_states(model, detachment=detachment)
+    batch = PreparedStates(model, states)
+    for p, st in enumerate(states):
+        prep = batch[p]
+        a_eq = prep.system.a_eq
+        n = a_eq.shape[0]
+        u, sv, vt = np.linalg.svd(a_eq)
+        live = int(np.sum(sv > SINGULAR_REL * sv[0]))
+        rank = int(np.sum(sv > RANK_EPS * n * sv[0]))
+        assert prep.direct == (live == n), st.labels
+        assert prep.null.shape[1] == n - live, st.labels
+        null = vt[live:].T
+        if not prep.direct:
+            # the same null space: the largest principal angle, and x_p
+            # orthogonal to it
+            off = prep.null - null @ (null.T @ prep.null)
+            assert np.linalg.norm(off, 2) <= 1e-9, st.labels
+            assert np.allclose(prep.null.T @ prep.null, np.eye(n - live),
+                               rtol=0, atol=1e-12), st.labels
+            assert np.abs(prep.null.T @ prep.x0).max() <= 1e-9 * (
+                1 + np.abs(prep.x0).max()), st.labels
+            assert np.abs(prep.null.T @ prep.gain).max() <= 1e-9 * (
+                1 + np.abs(prep.gain).max()), st.labels
+        for w in np.asarray(wrenches, dtype=float):
+            b_eq = prep.system.at(w).b_eq
+            scale = max(1.0, np.abs(b_eq).max())
+            full = np.linalg.norm(u[:, rank:].T @ b_eq)
+            cons = np.linalg.norm(prep.cons0 + prep.cons_gain @ w)
+            assert abs(cons - full) <= 1e-9 * (1 + scale), (st.labels, w)
+            if prep.direct:
+                x_full = np.linalg.solve(a_eq, b_eq)
+                x = prep.x0 + prep.gain @ w
+                assert np.abs(x - x_full).max() <= 1e-9 * max(
+                    1.0, np.abs(x_full).max()), (st.labels, w)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("detachment", [False, True])
+@pytest.mark.parametrize("preload", ["none", "auto"])
+def test_condensed_factor_matches_full_random(m, detachment, preload):
+    rng = np.random.default_rng([m, detachment, preload == "auto"])
+    for _ in range(2):
+        model = random_grasp(m, rng=rng, preload=preload,
+                             detachment=detachment)
+        _assert_condensed_matches_full(
+            model, detachment, rng.normal(size=(3, 3)) * [2.0, 2.0, 1.5])
+
+
+@settings(max_examples=30, deadline=None)
+@given(degenerate_grasps())
+def test_condensed_factor_matches_full_degenerate(case):
+    model, detachment = case
+    _assert_condensed_matches_full(model, detachment, [
+        (0, -1, 0), (0.5, 0, 0), (-1, 0.5, 0.5), (0, 0, 0)])
 
 
 # ---------------------------------------------------------------------------

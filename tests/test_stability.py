@@ -223,16 +223,16 @@ def test_prepared_states_batch_is_built_once_and_shared(m3p, monkeypatch):
     from graspstab.equilibrium import PreparedStates
 
     calls = []
-    assemble = equilibrium._assemble
+    condense = equilibrium._condense
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return assemble(*args, **kwargs)
+        return condense(*args, **kwargs)
 
     states = enumerate_slip_states(m3p)
     wrenches = [(0, 0.5, 0), (0.4, -0.3, 0.2), (0, 1.05, 0), (0, 2, 0)]
     fresh = [check_stability(m3p, w, states=states) for w in wrenches]
-    monkeypatch.setattr(equilibrium, "_assemble", counted)
+    monkeypatch.setattr(equilibrium, "_condense", counted)
     prepared = PreparedStates(m3p, states)
     # the whole batch is assembled and factored up front, once
     assert len(calls) == 1
