@@ -50,11 +50,15 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .model import GraspMaps, GraspModel, build_maps
 from .params import GEOM_MARGIN, ORDER_DIGITS, PLANE_COINCIDENT, ZERO_PRELOAD
+
+if TYPE_CHECKING:
+    from .equilibrium import PreparedStates
 
 __all__ = [
     "DETACHED",
@@ -454,9 +458,16 @@ class SlipStateSet:
     the arrangement's cells of each class as Cells. SlipState objects
     (``states``, iteration) and the dual graph (``graph``) are built when
     first asked for, and a CellState whenever a Cells is indexed or
-    iterated; PreparedStates reads ``labels`` and needs none of them.
+    iterated; a stability query needs none of them.
+
+    ``model`` is the grasp the states were enumerated for. Their linear
+    systems depend on it alone, so ``prepared``, the states' systems
+    condensed and factored as one batch (see PreparedStates), is built
+    the first time a query asks for it and serves every later query and
+    sweep on this set.
     """
 
+    model: GraspModel
     labels: np.ndarray
     dim_rank: np.ndarray
     signs: np.ndarray
@@ -479,6 +490,13 @@ class SlipStateSet:
                 for k, (labels, rank, sg, w) in enumerate(zip(
                     self.labels.tolist(), self.dim_rank.tolist(), signs,
                     self.witness))]
+
+    @cached_property
+    def prepared(self) -> PreparedStates:
+        """The states' systems as one batch, in canonical order."""
+        # imported here, not at the top: equilibrium imports this module
+        from .equilibrium import PreparedStates
+        return PreparedStates(self.model, self.labels, range(len(self)))
 
     @cached_property
     def graph(self) -> DualGraph:
@@ -516,7 +534,9 @@ def enumerate_slip_states(model: GraspModel, *,
     erased) and duplicate label vectors collapse to their first cell in
     the order lines, facets, regions; without it the states are exactly
     the arrangement's cells. The all-stick origin state is always
-    present and always first. The rest follow SlipState.sort_key.
+    present and always first. The rest follow SlipState.sort_key. The
+    set records model, the one grasp its states may be solved for, and
+    condenses no system until a query asks for it.
     """
     maps = build_maps(model)
     if detachment is None:
@@ -548,6 +568,7 @@ def enumerate_slip_states(model: GraspModel, *,
                              *label_keys[::-1, keep], rank[keep]])]
 
     return SlipStateSet(
+        model=model,
         labels=labels.take(order, axis=0),
         dim_rank=rank[order],
         signs=signs.take(order, axis=0),

@@ -20,7 +20,8 @@ import numpy as np
 from .arrangement import DETACHED
 from .equilibrium import EquilibriumSolution, PreparedStates
 from .model import GraspModel, as_wrench, build_maps, cross2, tangent_of, world_force
-from .params import INEQ_SLACK, SINGULAR_REL, ZERO_PRELOAD
+from .params import (INEQ_SLACK, SINGULAR_REL, SLICE_EDGE, SLICE_PLANE,
+                     STICK_MOTION, ZERO_PRELOAD)
 from .stability import Verdict, _feasible_states
 
 __all__ = [
@@ -35,20 +36,22 @@ __all__ = [
 
 # label vectors per batch of the exhaustive search
 _BATCH = 256
+# the most contacts the exhaustive search takes on (4^12 label vectors)
+MAX_CONTACTS = 12
 
 
-def brute_force_verdict(model: GraspModel, w, *, detachment: bool | None = None,
-                        max_contacts: int = 12) -> Verdict:
+def brute_force_verdict(model: GraspModel, w, *, detachment: bool | None = None
+                        ) -> Verdict:
     """Exhaustive label-vector search; exponential but exact.
 
     Every contact tries slip-/stick/slip+; zero-preload contacts also try
     detached when detachment is enabled. The label vectors are decided
     in product order, _BATCH at a time (see PreparedStates), so a stable
     query prepares no batch past the one holding its first feasible
-    vector.
+    vector. A grasp of more than MAX_CONTACTS contacts is a ValueError.
     """
-    if model.m > max_contacts:
-        raise ValueError(f"brute force limited to {max_contacts} contacts")
+    if model.m > MAX_CONTACTS:
+        raise ValueError(f"brute force limited to {MAX_CONTACTS} contacts")
     if detachment is None:
         detachment = model.options.detachment
     w = as_wrench(w)
@@ -130,9 +133,9 @@ def gws_slice(poly: WrenchPolytope, tau: float = 0.0) -> SlicePolygon:
     """
     pts = poly.points
     lo, hi = float(np.min(pts[:, 2])), float(np.max(pts[:, 2]))
-    if tau < lo - 1e-12 or tau > hi + 1e-12:
+    if tau < lo - SLICE_PLANE or tau > hi + SLICE_PLANE:
         raise SliceError(f"slice torque {tau} outside polytope range [{lo}, {hi}]")
-    section = [p[:2] for p in pts if abs(p[2] - tau) <= 1e-12]
+    section = [p[:2] for p in pts if abs(p[2] - tau) <= SLICE_PLANE]
     for a, b in itertools.combinations(pts, 2):
         da, db = a[2] - tau, b[2] - tau
         if da * db < 0:
@@ -176,7 +179,7 @@ def polygon_contains(poly: np.ndarray, point, margin: float = 0.0) -> bool:
     for i in range(k):
         edge = poly[(i + 1) % k] - poly[i]
         edge_len = np.linalg.norm(edge)
-        if edge_len < 1e-15:
+        if edge_len < SLICE_EDGE:
             continue
         if cross2(edge, point - poly[i]) < margin * edge_len:
             return False
@@ -225,7 +228,7 @@ def linear_compliance_verdict(model: GraspModel, w,
             ok = False
         if abs(c_t) > model.contacts[i].mu * c_n + INEQ_SLACK:
             ok = False
-    labels = tuple(0 if abs(dt) <= 1e-12 else (1 if dt > 0 else -1)
+    labels = tuple(0 if abs(dt) <= STICK_MOTION else (1 if dt > 0 else -1)
                    for dt in deltas[:, 1])
     witness = EquilibriumSolution(
         d=d, forces=forces, labels=labels, state_index=-1,

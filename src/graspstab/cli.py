@@ -137,6 +137,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "gen":
+        if args.contacts < 1:
+            parser.error("--contacts must be at least 1")
+        if not (math.isfinite(args.mu) and args.mu >= 0):
+            parser.error("--mu must be finite and non-negative")
         model = random_grasp(args.contacts, args.seed, mu=args.mu,
                              preload=args.preload, detachment=args.detach)
         print(format_grasp(model, name=f"random-{args.contacts}-seed{args.seed}"),

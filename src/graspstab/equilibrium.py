@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nullspace_lp
-from .arrangement import DETACHED, LABEL_NAMES, SlipState, SlipStateSet
+from .arrangement import DETACHED, LABEL_NAMES, SlipState
 from .model import (GraspMaps, GraspModel, as_wrench, build_maps, cross2,
                     tangent_of, world_force)
 from .params import (BOX_HIT, EQ_RESIDUAL, INEQ_SLACK, LADDER_START,
@@ -161,10 +161,6 @@ def _system(model: GraspModel, maps: GraspMaps,
     return StateSystem(labels=labels, a_eq=a_eq, b_eq=b_eq, a_in=a_in,
                        b_in=np.zeros(len(kinds)), ineq_kind=kinds,
                        slip_dirs=slip_dirs, m=model.m)
-
-
-def _label_array(labels, m: int) -> np.ndarray:
-    return np.array(labels, dtype=np.intp).reshape(-1, m)
 
 
 def assemble_state_system(model: GraspModel, w,
@@ -407,25 +403,18 @@ class PreparedStates:
     that span its null space and moves x_p to the least-norm point.
 
     The systems depend on the grasp alone, so one instance serves any
-    number of wrenches. ``states`` is a SlipStateSet, in its canonical
-    order, whose labels array is taken as it is, or a sequence of
-    SlipStates or label vectors (whose index is -1 and which have no
-    detachment setting).
+    number of wrenches. labels holds one label vector per state, (S, m)
+    or a sequence of them, and index each state's canonical index (-1
+    for each when not given). A SlipStateSet builds the batch of its
+    states once, as its ``prepared``; the exhaustive search and
+    ``solve_state`` build their own from label vectors.
     """
 
-    def __init__(self, model: GraspModel, states):
+    def __init__(self, model: GraspModel, labels, index=None):
         self.model = model
-        self.states = states
-        self.detachment = getattr(states, "detachment", None)
         self._maps = build_maps(model)
-        if isinstance(states, SlipStateSet):
-            self._labels, self._index = states.labels, range(len(states))
-        else:
-            self._labels = _label_array(
-                [st.labels if isinstance(st, SlipState) else tuple(st)
-                 for st in states], model.m)
-            self._index = [st.index if isinstance(st, SlipState) else -1
-                           for st in states]
+        self._labels = np.asarray(labels, dtype=np.int8).reshape(-1, model.m)
+        self._index = [-1] * len(self._labels) if index is None else index
         (self._x, self._slack, self._valid, cons, self._live, self._size,
          self._b_max) = _condense(model, self._maps, self._labels)
         # a state is direct when its condensed block has full rank
@@ -521,15 +510,6 @@ class PreparedStates:
                 spans = _merged([*spans, span])
         return spans
 
-    @classmethod
-    def of(cls, model: GraspModel, states) -> PreparedStates:
-        """states itself when it is prepared for this grasp."""
-        if isinstance(states, cls):
-            if states.model is model:
-                return states
-            states = states.states
-        return cls(model, states)
-
 
 def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState
                 ) -> EquilibriumSolution | None:
@@ -541,10 +521,14 @@ def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState
     the box ladder of ``linear_feasibility`` then runs only to produce the
     point. Both tests reject only what the ladder would, so the point is
     the one the ladder alone returns. A PreparedState is used as it is;
-    any other state is prepared first.
+    any other state is prepared first, from its label vector.
     """
-    prep = state if isinstance(state, PreparedState) else \
-        PreparedStates(model, [state])[0]
+    if isinstance(state, PreparedState):
+        prep = state
+    elif isinstance(state, SlipState):
+        prep = PreparedStates(model, [state.labels], [state.index])[0]
+    else:
+        prep = PreparedStates(model, [state])[0]
     w = as_wrench(w)
     slack = prep.s0 + prep.slack_gain @ w
     if prep.direct:

@@ -12,22 +12,29 @@ import numpy as np
 
 from . import lp
 from .model import Contact, GraspModel, Options, build_maps, cross2
+from .params import GENERAL_DET, GENERAL_PARALLEL, PRELOAD_MARGIN
 
 __all__ = ["random_grasp", "balanced_preload"]
 
+# angle draws random_grasp makes before it gives up
+MAX_TRIES = 200
+# the normal preload balanced_preload puts on each contact, on average
+NORMAL_PER_CONTACT = 1.0
+
 
 def random_grasp(m: int, rng=None, *, mu: float = 0.5, preload: str = "none",
-                 detachment: bool = False, max_tries: int = 200) -> GraspModel:
+                 detachment: bool = False) -> GraspModel:
     """Random m-contact grasp with general-position tangent planes.
 
     preload: "none" or "auto" (a self-balancing, cone-interior preload
     computed by the feasibility program; falls back to none when the
-    geometry admits no strictly positive preload, e.g. m = 2).
+    geometry admits no strictly positive preload, e.g. m = 2). After
+    MAX_TRIES draws in special position it raises RuntimeError.
     """
     if m < 1:
         raise ValueError("need at least one contact")
     rng = np.random.default_rng(rng)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
         rho = rng.uniform(0.6, 1.6, m)
         normals = np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -52,25 +59,25 @@ def _general_position(planes: np.ndarray) -> bool:
     n = len(planes)
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(planes[i] @ planes[j]) > 1.0 - 1e-6:
+            if abs(planes[i] @ planes[j]) > 1.0 - GENERAL_PARALLEL:
                 return False
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                if abs(np.linalg.det(planes[[i, j, k]])) < 1e-4:
+                if abs(np.linalg.det(planes[[i, j, k]])) < GENERAL_DET:
                     return False
     return True
 
 
-def balanced_preload(model: GraspModel, total_normal: float | None = None
-                     ) -> np.ndarray:
+def balanced_preload(model: GraspModel) -> np.ndarray:
     """Self-balancing, cone-interior preload maximizing the cone margin.
 
-    Normal components sum to total_normal (default: one per contact).
-    Returns zeros when no strictly positive balanced preload exists.
+    Normal components sum to NORMAL_PER_CONTACT per contact. Returns
+    zeros when no balanced preload has a cone margin above
+    PRELOAD_MARGIN.
     """
     m = model.m
-    target = float(total_normal) if total_normal is not None else float(m)
+    target = NORMAL_PER_CONTACT * m
     maps = build_maps(model)
     n = 2 * m
     a_eq = np.vstack([maps.wrench, np.zeros((1, n))])
@@ -91,7 +98,7 @@ def balanced_preload(model: GraspModel, total_normal: float | None = None
             rhs.append(0.0)
     x, s = lp.max_min_slack(a_eq, b_eq, rows, rhs, -10.0 * target,
                             10.0 * target, s_cap=target)
-    if x is None or s <= 1e-9:
+    if x is None or s <= PRELOAD_MARGIN:
         return np.zeros((m, 2))
     residual = a_eq @ x - b_eq
     corr, *_ = np.linalg.lstsq(a_eq, residual, rcond=None)

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import PRELOAD_BALANCE, UNIT_NORMAL
+
 __all__ = [
     "Contact",
     "Options",
@@ -191,7 +193,7 @@ def validate_model(model: GraspModel) -> list[str]:
         return errors
     for i, c in enumerate(model.contacts):
         norm = float(np.linalg.norm(c.normal))
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > UNIT_NORMAL:
             errors.append(f"contact {i}: normal is not unit length (|n|={norm!r})")
         if c.mu < 0:
             errors.append(f"contact {i}: negative friction coefficient {c.mu}")
@@ -202,12 +204,12 @@ def validate_model(model: GraspModel) -> list[str]:
         if c0n < 0:
             errors.append(f"contact {i}: negative normal preload {c0n}")
         mu = model.contacts[i].mu
-        if abs(c0t) > mu * max(c0n, 0.0) + 1e-9:
+        if abs(c0t) > mu * max(c0n, 0.0) + PRELOAD_BALANCE:
             errors.append(
                 f"contact {i}: preload outside friction cone "
                 f"(|{c0t}| > {mu} * {c0n})"
             )
     residual = float(np.max(np.abs(preload_wrench(model))))
-    if residual > 1e-9:
+    if residual > PRELOAD_BALANCE:
         errors.append(f"preload is not self-balancing (residual {residual:.3e})")
     return errors

@@ -57,3 +57,25 @@ BOX_HIT = 0.9
 # parallel to the one it is projected onto when its norm there is at
 # most LP_REL
 LP_REL = 1e-12
+# a model's contact normal may be this far from unit length; its
+# preload may sit this far outside a friction cone, and its net wrench
+# this far from zero (validate_model)
+UNIT_NORMAL = 1e-12
+PRELOAD_BALANCE = 1e-9
+# the linear-compliance baseline labels a contact sticking when its
+# tangential motion is at most this in magnitude
+STICK_MOTION = 1e-12
+# GWS slice: a generating point within SLICE_PLANE of the slicing
+# torque lies on its plane, as does a torque within it of the
+# polytope's range; in the slice polygon an edge shorter than
+# SLICE_EDGE has no direction to test a point against
+SLICE_PLANE = 1e-12
+SLICE_EDGE = 1e-15
+# random grasps are in general position when no two tangent planes'
+# unit normals have |dot| above 1 - GENERAL_PARALLEL and no three have
+# |det| below GENERAL_DET
+GENERAL_PARALLEL = 1e-6
+GENERAL_DET = 1e-4
+# a generated balanced preload needs a cone margin above this, or the
+# grasp gets none
+PRELOAD_MARGIN = 1e-9

@@ -85,28 +85,31 @@ class RegionSweep:
 
 
 def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
-                    states: SlipStateSet | PreparedStates | None = None,
+                    states: SlipStateSet | None = None,
                     witness_policy: str = "canonical") -> Verdict:
     """Decide passive equilibrium under the wrench w.
 
     witness_policy:
       "first"     - witness from the first feasible state (fastest);
       "canonical" - deterministic minimal-slip witness (see module doc).
-    The verdict itself is identical under either policy.
+    The verdict itself is identical under either policy; any other
+    policy is a ValueError.
 
-    The grasp's states are prepared as one batch (see PreparedStates):
+    The grasp's states are prepared as one batch (``SlipStateSet.prepared``):
     every direct state is decided and every singular state's consistency
     screened in a few array operations, and the singular states left are
     decided one by one in canonical order, "first" stopping at the first
-    feasible state. PreparedStates of this grasp passed as ``states``
-    keep the batch for the next query.
+    feasible state. ``states``, enumerated for this model object (a
+    ValueError otherwise), keeps its batch for the next query and sets
+    the detachment mode; without it the states are enumerated here.
     """
+    if witness_policy not in ("first", "canonical"):
+        raise ValueError(f"witness_policy must be 'first' or 'canonical', "
+                         f"got {witness_policy!r}")
     w = as_wrench(w)
-    if states is None:
-        states = enumerate_slip_states(model, detachment=detachment)
-    states = PreparedStates.of(model, states)
+    states = _states_of(model, states, detachment)
 
-    tried, feasible = _feasible_states(model, states, w,
+    tried, feasible = _feasible_states(model, states.prepared, w,
                                        witness_policy == "first")
     if not feasible:
         return Verdict(stable=False, witness=None, states_tried=tried,
@@ -119,6 +122,17 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
         witness = _canonical_witness(w, feasible)
     return Verdict(stable=True, witness=witness, states_tried=tried,
                    detachment=states.detachment, first_feasible=first_idx)
+
+
+def _states_of(model: GraspModel, states: SlipStateSet | None,
+               detachment: bool | None) -> SlipStateSet:
+    """states, or the model's own when None; a ValueError when they were
+    enumerated for another model object, whose systems they would solve."""
+    if states is None:
+        return enumerate_slip_states(model, detachment=detachment)
+    if states.model is not model:
+        raise ValueError("states were enumerated for another model")
+    return states
 
 
 def _feasible_states(model: GraspModel, states: PreparedStates, w,
@@ -218,7 +232,7 @@ def _canonical_witness(w, feasible) -> EquilibriumSolution:
 
 def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
                    cap: float = 1e3, *, detachment: bool | None = None,
-                   states: SlipStateSet | PreparedStates | None = None
+                   states: SlipStateSet | None = None
                    ) -> DirectionResult:
     """Largest force magnitude a load ramping up from zero along a
     direction meets before the grasp first fails.
@@ -233,8 +247,10 @@ def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
     next stretch, if one starts within the grid's step), hi - lo <= tol,
     or lo and hi adjacent floats where tol is finer than their spacing,
     and the magnitude is its midpoint. When zero load is not itself
-    stable the bracket is (0, h). The batch is built once per call, or
-    shared through ``states``; no stability query runs.
+    stable the bracket is (0, h). No stability query runs. ``states``
+    is as in check_stability: a SlipStateSet of this model object,
+    whose batch (``SlipStateSet.prepared``) is built once and shared by
+    every call it is passed to.
     """
     if not (math.isfinite(tol) and math.isfinite(cap) and tol > 0
             and cap > 0):
@@ -245,11 +261,9 @@ def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
     if not 0.0 < norm < math.inf:
         raise ValueError(f"direction {u} has no finite, nonzero norm")
     u = u / norm
-    if states is None:
-        states = enumerate_slip_states(model, detachment=detachment)
-    states = PreparedStates.of(model, states)
+    states = _states_of(model, states, detachment)
 
-    spans = tuple(states.stable_intervals((u[0], u[1], 0.0), cap))
+    spans = tuple(states.prepared.stable_intervals((u[0], u[1], 0.0), cap))
     from_zero = bool(spans) and spans[0][0] <= 0.0
     first_exit = spans[0][1] if from_zero else 0.0
     if first_exit >= cap:
@@ -279,13 +293,13 @@ def resistible_region(model: GraspModel, n_directions: int, tol: float = 1e-3,
     """max_resistible over uniformly spaced force directions.
 
     The slip states and their systems depend only on the geometry, so
-    they are enumerated and prepared as one batch once per grasp and
-    shared by every direction's stable intervals.
+    they are enumerated once per grasp, and the one SlipStateSet, whose
+    batch is prepared on the first direction, serves every direction's
+    stable intervals.
     """
     if n_directions < 4:
         raise ValueError("need at least 4 directions")
-    states = PreparedStates(
-        model, enumerate_slip_states(model, detachment=detachment))
+    states = enumerate_slip_states(model, detachment=detachment)
     results = []
     for j in range(n_directions):
         ang = 2.0 * math.pi * j / n_directions

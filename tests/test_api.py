@@ -10,7 +10,8 @@ import importlib
 import inspect
 
 import graspstab
-from graspstab import equilibrium, params
+from graspstab import (arrangement, baselines, equilibrium, generate, params,
+                       stability)
 from graspstab.equilibrium import PreparedStates
 
 MODULES = ["arrangement", "baselines", "equilibrium", "generate", "grasp_io",
@@ -51,3 +52,19 @@ def test_tolerances_are_gone():
     assert not hasattr(equilibrium, "prepare_state")
     assert "Tolerances" not in graspstab.__all__
     assert "prepare_state" not in graspstab.__all__
+
+
+def test_single_state_handle_and_fixed_knobs():
+    # a query takes its states as one SlipStateSet, which holds its batch
+    assert not hasattr(PreparedStates, "of")
+    batch = arrangement.enumerate_slip_states(
+        generate.random_grasp(3, rng=0)).prepared
+    assert not hasattr(batch, "states") and not hasattr(batch, "detachment")
+    for fn in (stability.check_stability, stability.max_resistible):
+        annotation = str(inspect.signature(fn).parameters["states"].annotation)
+        assert annotation == "SlipStateSet | None", fn.__name__
+    # knobs that only ever took one value are module constants
+    for fn, knob in ((generate.random_grasp, "max_tries"),
+                     (generate.balanced_preload, "total_normal"),
+                     (baselines.brute_force_verdict, "max_contacts")):
+        assert knob not in inspect.signature(fn).parameters, knob

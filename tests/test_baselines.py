@@ -23,9 +23,12 @@ def test_brute_force_matches_table_rows(m3):
 
 
 def test_brute_force_guard():
-    model = random_grasp(3, rng=0)
-    with pytest.raises(ValueError):
-        brute_force_verdict(model, (0, 0, 0), max_contacts=2)
+    # one contact past the exhaustive search's limit of 12
+    ang = np.linspace(0.0, 2.0 * np.pi, 13, endpoint=False)
+    normals = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    model = GraspModel([Contact(n, n, 0.5) for n in normals])
+    with pytest.raises(ValueError, match="limited to 12 contacts"):
+        brute_force_verdict(model, (0, 0, 0))
 
 
 def test_brute_force_state_count(m3):

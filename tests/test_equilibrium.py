@@ -12,8 +12,7 @@ from graspstab import (Contact, GraspModel, assemble_state_system,
                        check_solution, enumerate_slip_states,
                        linear_feasibility, lp, solve_state, world_force)
 from graspstab.arrangement import DETACHED
-from graspstab.equilibrium import (EquilibriumSolution, PreparedStates,
-                                   StateSystem)
+from graspstab.equilibrium import EquilibriumSolution, StateSystem
 from graspstab.generate import random_grasp
 from graspstab.params import RANK_EPS, SINGULAR_REL, X_MAX
 
@@ -276,7 +275,7 @@ def _assert_condensed_matches_full(model, detachment, wrenches):
     condensed block, against one SVD of its (3 + 2m)-square full block at
     the same cutoffs."""
     states = enumerate_slip_states(model, detachment=detachment)
-    batch = PreparedStates(model, states)
+    batch = states.prepared
     for p, st in enumerate(states):
         prep = batch[p]
         a_eq = prep.system.a_eq

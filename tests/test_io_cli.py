@@ -291,3 +291,29 @@ def test_cli_gen_detach_flag(tmp_path, capsys):
     assert "detachment: true" in out
     _code, out = run_cli(capsys, "gen", "--contacts", "2", "--seed", "3")
     assert "detachment: false" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--contacts", "0"], "--contacts must be at least 1"),
+    (["--contacts", "-2"], "--contacts must be at least 1"),
+    (["--contacts", "3", "--mu", "-1"], "--mu must be finite and non-negative"),
+    (["--contacts", "3", "--mu", "nan"], "--mu must be finite and non-negative"),
+    (["--contacts", "3", "--mu", "inf"], "--mu must be finite and non-negative"),
+])
+def test_cli_gen_rejects_bad_input(capsys, argv, message):
+    # a usage error, not a traceback or a grasp file that fails to load
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_cli_gen_output_loads(tmp_path, capsys):
+    code, out = run_cli(capsys, "gen", "--contacts", "4", "--mu", "0")
+    assert code == 0
+    path = tmp_path / "g.grasp"
+    path.write_text(out)
+    model, _name = load_grasp_file(path)
+    assert model.m == 4 and all(c.mu == 0.0 for c in model.contacts)

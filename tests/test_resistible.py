@@ -16,7 +16,6 @@ import pytest
 from graspstab import (brute_force_verdict, check_stability,
                        enumerate_slip_states, max_resistible,
                        resistible_region)
-from graspstab.equilibrium import PreparedStates
 from graspstab.generate import random_grasp
 from graspstab.grasp_io import load_grasp_file
 
@@ -54,7 +53,7 @@ def _held(spans, t) -> bool:
 @pytest.mark.parametrize("s,j", NON_MONOTONE)
 def test_first_exit_on_non_monotone_ray(s, j):
     model, u = _random_ray(s, j)
-    states = PreparedStates(model, enumerate_slip_states(model))
+    states = enumerate_slip_states(model)
     res = max_resistible(model, u, TOL, CAP, states=states)
     u = res.direction
     lo, hi = res.bracket
@@ -76,7 +75,7 @@ def test_bracket_high_end_stays_out_of_the_next_stretch():
     # with tol = 5 the grid's first bracket (0, 3.906) ends in the second
     # stretch, so its high end moves on into the gap
     model, u = _random_ray(37, 0)
-    states = PreparedStates(model, enumerate_slip_states(model))
+    states = enumerate_slip_states(model)
     res = max_resistible(model, u, 5.0, CAP, states=states)
     (_lo, first_exit), (after, _hi) = res.stable_intervals[:2]
     assert first_exit < 1000 / 256 and after < 1000 / 256
@@ -106,7 +105,7 @@ def test_matches_bisection_on_fixture_rays(path):
     # every fixture ray is monotone, so the exact first exit lands on the
     # same grid point as the probes of a bisection
     model = load_grasp_file(path)[0]
-    states = PreparedStates(model, enumerate_slip_states(model))
+    states = enumerate_slip_states(model)
     for j in range(16):
         ang = 2.0 * math.pi * j / 16
         res = max_resistible(model, (math.cos(ang), math.sin(ang)), TOL, CAP,
@@ -119,7 +118,7 @@ def test_stable_intervals_match_queries():
     ends = 0
     for s in np.random.default_rng(2024).choice(60, 8, replace=False).tolist():
         model = _random_ray(s, 0)[0]
-        states = PreparedStates(model, enumerate_slip_states(model))
+        states = enumerate_slip_states(model)
         for j in range(8):
             res = max_resistible(model, _random_ray(s, j)[1], TOL, CAP,
                                  states=states)
@@ -159,9 +158,10 @@ def _counted(monkeypatch, module, name):
 def _whole_ray_singular(states, u) -> int:
     """Singular states that pass the consistency test at both ray ends."""
     u = np.array([u[0], u[1], 0.0])
-    both = np.intersect1d(states.candidates(np.zeros(3)),
-                          states.candidates(CAP * u))
-    return int(np.count_nonzero(~states.direct[both]))
+    batch = states.prepared
+    both = np.intersect1d(batch.candidates(np.zeros(3)),
+                          batch.candidates(CAP * u))
+    return int(np.count_nonzero(~batch.direct[both]))
 
 
 def test_sweeps_run_no_query_and_two_lps_per_whole_ray_state(monkeypatch):
@@ -174,7 +174,7 @@ def test_sweeps_run_no_query_and_two_lps_per_whole_ray_state(monkeypatch):
     small = _counted(monkeypatch, nullspace_lp, "small_lp")
     budget = 0
     for model in grasps:
-        states = PreparedStates(model, enumerate_slip_states(model))
+        states = enumerate_slip_states(model)
         for j in range(8):
             ang = 2.0 * math.pi * j / 8
             res = max_resistible(model, (math.cos(ang), math.sin(ang)), TOL,
@@ -186,7 +186,7 @@ def test_sweeps_run_no_query_and_two_lps_per_whole_ray_state(monkeypatch):
     budget = 0
     for model in grasps:
         sweep = resistible_region(model, 8, TOL, CAP)
-        states = PreparedStates(model, enumerate_slip_states(model))
+        states = enumerate_slip_states(model)
         budget += sum(2 * _whole_ray_singular(states, r.direction)
                       for r in sweep.results)
     assert queries == [] and simplex == []

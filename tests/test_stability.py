@@ -220,7 +220,6 @@ def test_query_path_runs_no_simplex(monkeypatch):
 
 def test_prepared_states_batch_is_built_once_and_shared(m3p, monkeypatch):
     from graspstab import equilibrium
-    from graspstab.equilibrium import PreparedStates
 
     calls = []
     condense = equilibrium._condense
@@ -229,26 +228,43 @@ def test_prepared_states_batch_is_built_once_and_shared(m3p, monkeypatch):
         calls.append(1)
         return condense(*args, **kwargs)
 
-    states = enumerate_slip_states(m3p)
     wrenches = [(0, 0.5, 0), (0.4, -0.3, 0.2), (0, 1.05, 0), (0, 2, 0)]
-    fresh = [check_stability(m3p, w, states=states) for w in wrenches]
+    fresh = [check_stability(m3p, w) for w in wrenches]
     monkeypatch.setattr(equilibrium, "_condense", counted)
-    prepared = PreparedStates(m3p, states)
-    # the whole batch is assembled and factored up front, once
+    states = enumerate_slip_states(m3p)
+    # enumeration alone condenses nothing
+    assert calls == []
+    v = check_stability(m3p, (0, -1, 0), states=states, witness_policy="first")
+    # the whole batch is condensed and factored on the first query, once
     assert len(calls) == 1
-    v = check_stability(m3p, (0, -1, 0), states=prepared, witness_policy="first")
     # "first" stops at the first feasible state
     assert v.stable and v.states_tried < len(states)
     for w, ref in zip(wrenches, fresh):
-        shared = check_stability(m3p, w, states=prepared)
+        shared = check_stability(m3p, w, states=states)
         assert (shared.stable, shared.states_tried) == \
             (ref.stable, ref.states_tried)
-        if shared.stable:
-            assert np.allclose(shared.witness.forces, ref.witness.forces,
-                               atol=1e-12)
-    # every later query shared that batch and its sliced-out states
-    assert len(calls) == 1
-    assert prepared[0] is prepared[0]
+    for u in [(0, 1), (1, -0.5)]:
+        assert max_resistible(m3p, u, states=states).magnitude == \
+            max_resistible(m3p, u).magnitude
+    # the calls above without states enumerated and condensed their own
+    assert len(calls) == 3
+
+
+def test_states_of_another_model_are_refused(m3p):
+    states = enumerate_slip_states(m3p)
+    # an equal grasp, but another model object
+    other = three_contact(True)
+    with pytest.raises(ValueError, match="another model"):
+        check_stability(other, (0, -1, 0), states=states)
+    with pytest.raises(ValueError, match="another model"):
+        max_resistible(other, (0, 1), states=states)
+    assert check_stability(m3p, (0, -1, 0), states=states).stable
+
+
+@pytest.mark.parametrize("policy", ["frist", "Canonical", ""])
+def test_unknown_witness_policy_is_refused(m3, policy):
+    with pytest.raises(ValueError, match="witness_policy"):
+        check_stability(m3, (0, -1, 0), witness_policy=policy)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +309,8 @@ def _rows_of(model, labels):
 
 def _assert_batch_matches_loop(model, detachment, wrenches):
     states = enumerate_slip_states(model, detachment=detachment)
-    batch = PreparedStates(model, states)
-    loop = [PreparedStates(model, [st])[0] for st in states]
+    batch = states.prepared
+    loop = [PreparedStates(model, [st.labels])[0] for st in states]
     for p, st in enumerate(states):
         sys = batch[p].system
         a_eq, b_eq, a_in, kinds = _rows_of(model, st.labels)
@@ -308,8 +324,9 @@ def _assert_batch_matches_loop(model, detachment, wrenches):
         ref = [p for p, prep in enumerate(loop)
                if solve_state(model, w, prep) is not None]
         assert [prep.index for prep, _sol in feasible] == ref, w
-        first = check_stability(model, w, states=batch, witness_policy="first")
-        canon = check_stability(model, w, states=batch)
+        first = check_stability(model, w, states=states,
+                                witness_policy="first")
+        canon = check_stability(model, w, states=states)
         assert first.stable == canon.stable == bool(ref), w
         assert first.states_tried == (ref[0] + 1 if ref else len(states)), w
         assert canon.states_tried == len(states), w
@@ -327,7 +344,7 @@ def _assert_batch_matches_loop(model, detachment, wrenches):
 def _consistency_loads(model, count):
     """Loads on which a singular state's equalities, consistent only on a
     set of loads because the preload enters them, just hold."""
-    batch = PreparedStates(model, enumerate_slip_states(model, detachment=True))
+    batch = enumerate_slip_states(model, detachment=True).prepared
     loads = []
     for p in np.flatnonzero(~batch.direct):
         prep = batch[p]
@@ -435,8 +452,8 @@ GRID_WRENCHES = [(fx, fy, tz) for fx in (-2, -1, 0, 1, 2) for fy in (-2, 0, 2)
 def _untied_direct_winner(model, w) -> bool:
     """Whether every feasible state under w is direct and one has a total
     slip speed below every other's by more than the witness tie."""
-    states = PreparedStates(model, enumerate_slip_states(model))
-    _tried, feasible = _feasible_states(model, states, np.asarray(w, float),
+    batch = enumerate_slip_states(model).prepared
+    _tried, feasible = _feasible_states(model, batch, np.asarray(w, float),
                                         False)
     if not feasible or not all(prep.direct for prep, _sol in feasible):
         return False
