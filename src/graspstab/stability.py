@@ -101,7 +101,8 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
     decided one by one in canonical order, "first" stopping at the first
     feasible state. ``states``, enumerated for this model object (a
     ValueError otherwise), keeps its batch for the next query and sets
-    the detachment mode; without it the states are enumerated here.
+    the detachment mode, which an explicit ``detachment`` must match (a
+    ValueError otherwise); without it the states are enumerated here.
     """
     if witness_policy not in ("first", "canonical"):
         raise ValueError(f"witness_policy must be 'first' or 'canonical', "
@@ -127,11 +128,15 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
 def _states_of(model: GraspModel, states: SlipStateSet | None,
                detachment: bool | None) -> SlipStateSet:
     """states, or the model's own when None; a ValueError when they were
-    enumerated for another model object, whose systems they would solve."""
+    enumerated for another model object, whose systems they would solve,
+    or with a detachment mode other than an explicit ``detachment``."""
     if states is None:
         return enumerate_slip_states(model, detachment=detachment)
     if states.model is not model:
         raise ValueError("states were enumerated for another model")
+    if detachment is not None and detachment != states.detachment:
+        raise ValueError(f"states were enumerated with detachment="
+                         f"{states.detachment}, not {detachment}")
     return states
 
 

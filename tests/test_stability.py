@@ -243,11 +243,17 @@ def test_prepared_states_batch_is_built_once_and_shared(m3p, monkeypatch):
         shared = check_stability(m3p, w, states=states)
         assert (shared.stable, shared.states_tried) == \
             (ref.stable, ref.states_tried)
+        if shared.stable:
+            assert np.allclose(shared.witness.forces, ref.witness.forces,
+                               atol=1e-12)
     for u in [(0, 1), (1, -0.5)]:
         assert max_resistible(m3p, u, states=states).magnitude == \
             max_resistible(m3p, u).magnitude
     # the calls above without states enumerated and condensed their own
     assert len(calls) == 3
+    # every query shared that batch and its sliced-out states
+    assert states.prepared is states.prepared
+    assert states.prepared[0] is states.prepared[0]
 
 
 def test_states_of_another_model_are_refused(m3p):
@@ -259,6 +265,21 @@ def test_states_of_another_model_are_refused(m3p):
     with pytest.raises(ValueError, match="another model"):
         max_resistible(other, (0, 1), states=states)
     assert check_stability(m3p, (0, -1, 0), states=states).stable
+
+
+def test_states_of_another_detachment_mode_are_refused():
+    model, _name = load_grasp_file(FIXTURES / "four_contact.grasp")
+    w = (0, 0, 3)
+    states = enumerate_slip_states(model, detachment=True)
+    for call in (lambda: check_stability(model, w, detachment=False,
+                                         states=states),
+                 lambda: max_resistible(model, (0, 1), detachment=False,
+                                        states=states)):
+        with pytest.raises(ValueError, match="detachment"):
+            call()
+    # without states the mode decides the verdict, so it cannot be ignored
+    assert not check_stability(model, w, detachment=False).stable
+    assert check_stability(model, w, detachment=True, states=states).stable
 
 
 @pytest.mark.parametrize("policy", ["frist", "Canonical", ""])
