@@ -230,6 +230,29 @@ class PreparedState:
         return _solution_from_x(self.system.at(w), self.x0 + self.gain @ w,
                                 self.index)
 
+    def passes_screen(self, w: np.ndarray) -> bool:
+        """Whether the singular state passes the tests that decide it under
+        w: the consistency test of its equalities, then one feasibility
+        LP over its whole null space (``_null_space_feasible``). Both
+        reject only what the box ladder would."""
+        sys = self.system.at(w)
+        # the ladder accepts only points whose max-norm residual is at
+        # most eq_tol, hence whose 2-norm residual is at most sqrt(rows) *
+        # eq_tol, and no point has a smaller residual than the norm of
+        # b_eq in the left null basis
+        if np.linalg.norm(self.cons0 + self.cons_gain @ w) > \
+                np.sqrt(len(sys.b_eq)) * _eq_tol(sys)[1]:
+            return False
+        return _null_space_feasible(sys, self.x0 + self.gain @ w,
+                                    self.s0 + self.slack_gain @ w, self.null)
+
+    def ladder_point(self, w: np.ndarray) -> EquilibriumSolution | None:
+        """The singular state's point under w, from the box ladder of
+        ``linear_feasibility``; None where the ladder finds none."""
+        sys = self.system.at(w)
+        x = linear_feasibility(sys)
+        return None if x is None else _solution_from_x(sys, x, self.index)
+
 
 def _inverse_cholesky(a: np.ndarray) -> np.ndarray:
     """L^-1 of each positive definite 3 x 3 block L L^T of a (S, 3, 3), in
@@ -516,12 +539,13 @@ def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState
     """Solve one slip state; None when its constraints are inconsistent.
 
     A direct state is decided by its slacks at its one solution. Any
-    other state is decided in its null space: the consistency test, then
-    one feasibility LP over the whole null space (``_null_space_feasible``);
-    the box ladder of ``linear_feasibility`` then runs only to produce the
-    point. Both tests reject only what the ladder would, so the point is
-    the one the ladder alone returns. A PreparedState is used as it is;
-    any other state is prepared first, from its label vector.
+    other state is decided in its null space (``PreparedState.passes_screen``):
+    the consistency test, then one feasibility LP over the whole null
+    space; the box ladder of ``linear_feasibility`` then runs only to
+    produce the point (``PreparedState.ladder_point``). Both tests reject
+    only what the ladder would, so the point is the one the ladder alone
+    returns. A PreparedState is used as it is; any other state is
+    prepared first, from its label vector.
     """
     if isinstance(state, PreparedState):
         prep = state
@@ -530,24 +554,11 @@ def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState
     else:
         prep = PreparedStates(model, [state])[0]
     w = as_wrench(w)
-    slack = prep.s0 + prep.slack_gain @ w
     if prep.direct:
-        if np.min(slack, initial=np.inf) < -INEQ_SLACK:
+        if np.min(prep.s0 + prep.slack_gain @ w, initial=np.inf) < -INEQ_SLACK:
             return None
         return prep.solution_at(w)
-
-    sys = prep.system.at(w)
-    # the ladder accepts only points whose max-norm residual is at most
-    # eq_tol, hence whose 2-norm residual is at most sqrt(rows) * eq_tol,
-    # and no point has a smaller residual than the norm of b_eq in the
-    # left null basis
-    if np.linalg.norm(prep.cons0 + prep.cons_gain @ w) > \
-            np.sqrt(len(sys.b_eq)) * _eq_tol(sys)[1] or \
-            not _null_space_feasible(sys, prep.x0 + prep.gain @ w, slack,
-                                     prep.null):
-        return None
-    x = linear_feasibility(sys)
-    return None if x is None else _solution_from_x(sys, x, prep.index)
+    return prep.ladder_point(w) if prep.passes_screen(w) else None
 
 
 def _eq_tol(sys: StateSystem) -> tuple[float, float]:

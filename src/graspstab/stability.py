@@ -116,11 +116,14 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
         return Verdict(stable=False, witness=None, states_tried=tried,
                        detachment=states.detachment)
 
-    first_idx = feasible[0][0].index
     if witness_policy == "first":
-        witness = feasible[0][1]
+        first_idx, witness = feasible[0][0].index, feasible[0][1]
     else:
-        witness = _canonical_witness(w, feasible)
+        found = _canonical_witness(w, feasible)
+        if found is None:
+            return Verdict(stable=False, witness=None, states_tried=tried,
+                           detachment=states.detachment)
+        first_idx, witness = found
     return Verdict(stable=True, witness=witness, states_tried=tried,
                    detachment=states.detachment, first_feasible=first_idx)
 
@@ -145,19 +148,28 @@ def _feasible_states(model: GraspModel, states: PreparedStates, w,
     """(states tried, [(state, solution)]) of the feasible states in order.
 
     Only the candidates of ``states.candidates`` are walked: a direct one
-    is feasible outright, a singular one is decided by ``solve_state``.
-    With first, the walk ends at the first feasible state, and so does
-    the count of states tried.
+    is feasible outright. With first, a singular one is decided by
+    ``solve_state``, and the walk ends at the first feasible state, and
+    so does the count of states tried. Without it, a singular one is
+    decided by its screen alone (``PreparedState.passes_screen``), and
+    its solution is None: its box ladder has not run.
     """
-    feasible: list[tuple[PreparedState, EquilibriumSolution]] = []
+    feasible: list[tuple[PreparedState, EquilibriumSolution | None]] = []
     for p in states.candidates(w).tolist():
         prep = states[p]
-        sol = prep.solution_at(w) if prep.direct else \
-            solve_state(model, w, prep)
-        if sol is not None:
-            feasible.append((prep, sol))
-            if first:
-                return p + 1, feasible
+        if prep.direct:
+            sol = prep.solution_at(w)
+        elif first:
+            sol = solve_state(model, w, prep)
+            if sol is None:
+                continue
+        elif prep.passes_screen(w):
+            sol = None
+        else:
+            continue
+        feasible.append((prep, sol))
+        if first:
+            return p + 1, feasible
     return len(states), feasible
 
 
@@ -170,15 +182,17 @@ def _augment(sys: StateSystem, rows, rhs) -> StateSystem:
         ineq_kind=sys.ineq_kind + ["pin"] * rows.shape[0])
 
 
-def _least(sys: StateSystem, c: np.ndarray, sol: EquilibriumSolution,
-           flat: bool) -> float:
-    """Least c x over sys; c x at sol for a flat state or a failed LP."""
+def _least(sys: StateSystem, c: np.ndarray, point, flat: bool) -> float:
+    """Least c x over sys; c x at point() for a flat state or a failed LP."""
     x = None if flat else linear_feasibility(sys, objective=c)
-    return float(c[:3] @ sol.d) if x is None else float(c @ x)
+    if x is not None:
+        return float(c @ x)
+    sol = point()
+    return math.inf if sol is None else float(c[:3] @ sol.d)
 
 
-def _canonical_witness(w, feasible) -> EquilibriumSolution:
-    """Minimal total slip across all feasible states, deterministic ties.
+def _canonical_witness(w, feasible):
+    """(first feasible state's index, minimal-total-slip witness), or None.
 
     Stage 1 minimizes each state's summed slip speed. Stage 2, among the
     states within WITNESS_TIE of the least total t*, maximizes the
@@ -194,6 +208,9 @@ def _canonical_witness(w, feasible) -> EquilibriumSolution:
     state is flat when no slip row r moves with N (|r N[:3]| <=
     FLAT_REL |r|), as a direct state or one without slip is: its speeds
     are read off its solution with no LP, and its solution is its point.
+    A singular state's own solution (None in feasible) is its ladder's
+    point, computed only where it is read; a state whose ladder finds
+    none holds nowhere and drops out.
     """
     entries = []
     for st, sol in feasible:
@@ -203,13 +220,22 @@ def _canonical_witness(w, feasible) -> EquilibriumSolution:
         flat = all(np.linalg.norm(r @ st.null[:3])
                    <= FLAT_REL * np.linalg.norm(r)
                    for r in sys.slip_dirs.values())
-        entries.append((st, sol, sys, obj, flat,
-                        _least(sys, obj, sol, flat)))
+        read = [sol]
+
+        def point(st=st, read=read):
+            if read[0] is None:
+                read[0] = st.ladder_point(w) or False
+            return read[0] or None
+        t_val = _least(sys, obj, point, flat)
+        if math.isfinite(t_val):
+            entries.append((st, point, sys, obj, flat, t_val))
+    if not entries:
+        return None
 
     t_star = min(e[-1] for e in entries)
     cap = t_star + WITNESS_TIE * (1.0 + abs(t_star))
     best = None
-    for st, sol, sys, obj, flat, t_val in entries:
+    for st, point, sys, obj, flat, t_val in entries:
         if t_val > cap:
             continue
         pinned = _augment(sys, -obj, [-cap])
@@ -220,19 +246,19 @@ def _canonical_witness(w, feasible) -> EquilibriumSolution:
                 continue
             row = np.zeros(sys.n)
             row[:3] = sys.slip_dirs[i]
-            speeds.append(-_least(pinned, -row, sol, flat))
+            speeds.append(-_least(pinned, -row, point, flat))
             pinned = _augment(pinned, row, [speeds[-1] - WITNESS_PIN])
         key = tuple(np.round(speeds, WITNESS_DIGITS))
         if best is None or key > best[0]:
-            best = (key, st, sol, sys, flat, pinned)
+            best = (key, st, point, sys, flat, pinned)
 
-    _key, st, sol, sys, flat, pinned = best
+    _key, st, point, sys, flat, pinned = best
     x = None if flat else linear_feasibility(pinned)
     if x is not None:
         pinned_sol = _solution_from_x(sys, x, st.index)
         if pinned_sol.min_ineq_slack >= -INEQ_SLACK:
-            return pinned_sol
-    return sol
+            return entries[0][0].index, pinned_sol
+    return entries[0][0].index, point()
 
 
 def max_resistible(model: GraspModel, direction, tol: float = 1e-3,

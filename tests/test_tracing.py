@@ -33,22 +33,26 @@ def test_trace_targets_resolve():
 
 def test_traced_check_records_spans_and_restores():
     # the preloaded all-stick state is singular and feasible under this
-    # pull (Table III), so its box ladder runs inside solve_state
+    # pull (Table III): "first" runs its box ladder inside solve_state,
+    # and the canonical witness, which reads the point of this state
+    # without slip, runs it itself
     before = {(mod, attr): getattr(mod, attr) for mod, attr in _targets()}
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        verdict = graspstab.stability.check_stability(four_contact(True),
-                                                      (0.0, 1.999, 0.0))
+        verdicts = [graspstab.stability.check_stability(
+            four_contact(True), (0.0, 1.999, 0.0), witness_policy=policy)
+            for policy in ("first", "canonical")]
     finally:
         tracer.uninstall()
-    assert verdict.stable
+    assert all(v.stable for v in verdicts)
     spans = tracer.spans
     parent = {i: spans[s[3]][0] if s[3] >= 0 else None
               for i, s in enumerate(spans)}
     pairs = {(s[0], parent[i]) for i, s in enumerate(spans)}
     assert ("equilibrium.solve_state", "stability.check") in pairs
     assert ("equilibrium.fallback", "equilibrium.solve_state") in pairs
+    assert ("equilibrium.fallback", "stability.witness") in pairs
     assert all(getattr(mod, attr) is fn for (mod, attr), fn in before.items())
 
 
