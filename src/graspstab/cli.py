@@ -23,7 +23,8 @@ import time
 import numpy as np
 
 from .arrangement import enumerate_slip_states
-from .baselines import brute_force_verdict, gws_l1, gws_slice, linear_compliance_verdict
+from .baselines import (SliceError, brute_force_verdict, gws_l1, gws_slice,
+                        linear_compliance_verdict)
 from .equilibrium import check_solution
 from .generate import random_grasp
 from .grasp_io import (GraspFileError, GraspValidationError, dumps_result,
@@ -179,6 +180,9 @@ def _analyse(parser, args, model, name) -> int:
         return 0
 
     if args.command == "linear":
+        if not (math.isfinite(args.tangent_stiffness)
+                and args.tangent_stiffness > 0):
+            parser.error("--tangent-stiffness must be finite and positive")
         t0 = time.perf_counter()
         verdict = linear_compliance_verdict(model, args.wrench,
                                             args.tangent_stiffness)
@@ -232,7 +236,12 @@ def _analyse(parser, args, model, name) -> int:
             "vertices": [list(v) for v in poly.vertices],
         }
         if args.slice is not None:
-            sl = gws_slice(poly, args.slice)
+            if not math.isfinite(args.slice):
+                parser.error("--slice must be finite")
+            try:
+                sl = gws_slice(poly, args.slice)
+            except SliceError as exc:
+                parser.error(f"--slice: {exc}")
             doc["slice"] = {
                 "torque": args.slice,
                 "polygon": [list(v) for v in sl.vertices],

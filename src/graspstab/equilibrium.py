@@ -17,9 +17,9 @@ state in its null space, one at a time. Along a ray of loads w = t u
 the maps are affine in t, so each state holds on an interval of t,
 found without probing (``PreparedStates.stable_intervals``). Every LP
 over a state, the screen that decides a singular state, the box ladder
-that produces its point and the canonical witness's objective and pin
-LPs, has x = x_p + N z and so runs in the k null-space coordinates
-(plus a margin), k <= 3 in practice, on one exact engine: Seidel's
+that produces its point and the canonical witness's one lexicographic
+LP, has x = x_p + N z and so runs in the k null-space coordinates (plus
+a margin), k <= 3 in practice, on one exact engine: Seidel's
 incremental algorithm (``nullspace_lp.small_lp``).
 """
 
@@ -55,8 +55,8 @@ class StateSystem:
     """Linear system of one slip state over x = (d[3], c[2m]).
 
     Equalities a_eq x = b_eq; inequalities a_in x >= b_in. ineq_kind
-    tags each inequality row (unilateral / cone / slip_sign / separation,
-    or pin for a row the canonical witness adds) and slip_dirs maps
+    tags each inequality row (unilateral / cone / slip_sign / separation)
+    and slip_dirs maps
     slipping contacts to the d-row of their tangential motion, used by the
     canonical-witness selection. factor is (x0, gain, null) of a singular
     state prepared by ``PreparedStates``: the least-norm solution x0 + gain
@@ -634,8 +634,7 @@ def linear_feasibility(sys: StateSystem, *,
     """Point satisfying the state system, or None.
 
     Maximizes the minimum inequality slack subject to the equalities and
-    a box bound on the unknowns; pin rows (ineq_kind "pin") hold as hard
-    rows and take no part in the margin. The box grows geometrically from
+    a box bound on the unknowns. The box grows geometrically from
     LADDER_START times the data's magnitude up to X_MAX, so that solutions
     of ordinary magnitude are found at ordinary scale. Each rung is one
     exact LP (``nullspace_lp.null_lp``) over x = x_p + N z, with x_p and
@@ -643,7 +642,9 @@ def linear_feasibility(sys: StateSystem, *,
     infeasible states before this ladder runs, by tests that reject only
     what it would, so the ladder alone returns the same points.
 
-    With ``objective`` given, minimizes it over the feasible set instead.
+    With ``objective``, a stack of rows over x, the rows hold hard and
+    each rung first minimizes the objectives lexicographically, in order,
+    then maximizes the slack: the one LP of the canonical witness.
     """
     a_eq, b_eq = sys.a_eq, sys.b_eq
     scale, eq_tol = _eq_tol(sys)
@@ -660,8 +661,7 @@ def linear_feasibility(sys: StateSystem, *,
     while True:
         box = min(box, X_MAX)
         x, s = nullspace_lp.null_lp(sys, x_p, null, box, objective)
-        ok = x is not None and (objective is not None or s >= -INEQ_SLACK)
-        if ok:
+        if x is not None and s >= -INEQ_SLACK:
             # the program's verdict is advisory: accept only a point that
             # verifiably satisfies the system at the working tolerances
             x = _project_onto_equalities(a_eq, b_eq, x)

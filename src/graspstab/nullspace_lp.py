@@ -8,7 +8,9 @@ it is the feasibility screen that decides a singular state, on the rows
 of ``null_rows``, and the least and largest load along a ray at which
 that screen passes, on the same rows with the load as one more
 variable; ``null_lp`` builds one rung of the box ladder of
-``equilibrium.linear_feasibility`` on it.
+``equilibrium.linear_feasibility`` on it, with the margin as one more
+variable, and the canonical witness's one lexicographic LP, an ordered
+stack of objectives before that margin.
 """
 
 from __future__ import annotations
@@ -47,26 +49,29 @@ def null_lp(sys: StateSystem, x_p: np.ndarray, null: np.ndarray, box: float,
             objective) -> tuple[np.ndarray | None, float]:
     """One rung of the ladder in the null-space coordinates x = x_p + N z.
 
-    With no objective, maximizes the margin s (at most MARGIN_CAP) by which
-    every row of the state's own a_in x >= b_in holds, while its pin rows
-    (ineq_kind "pin") hold as they are; with an objective, minimizes it
-    over the rows as they are. Both within the box |x| <= box. Returns
-    (x, s), or (None, nan) when the rows cannot hold.
+    Maximizes the margin s (at most MARGIN_CAP) by which every row of the
+    state's own a_in x >= b_in holds, within the box |x| <= box. An
+    objective, a stack of rows over x, comes first: they are minimized
+    lexicographically, in order, and the margin is maximized last, bounded
+    below by 0, so that the rows hold hard and the objectives see the
+    state's true feasible set. Returns (x, s), or (None, nan) when the
+    rows cannot hold.
     """
     k = null.shape[1]
     g, h = null_rows(sys, x_p, sys.a_in @ x_p - sys.b_in, null, box)
     bound = z_bound(sys.n, box)
-    if objective is not None:
-        y = small_lp(g, h, np.asarray(objective, dtype=float) @ null,
-                     np.full(k, -bound), np.full(k, bound))
-        return (None, np.nan) if y is None else (x_p + null @ y, np.nan)
     # the margin enters the state's own rows, g z - s >= h
     margin = np.zeros((len(h), 1))
-    margin[:len(sys.b_in), 0] = [kind != "pin" for kind in sys.ineq_kind]
-    # every point of the z box has slack above s_lo
-    s_lo = -1.0 - (np.abs(h) + np.abs(g).sum(axis=1) * bound).max()
+    margin[:len(sys.b_in), 0] = 1.0
     c = np.zeros(k + 1)
     c[-1] = -1.0
+    if objective is None:
+        # every point of the z box has slack above s_lo
+        s_lo = -1.0 - (np.abs(h) + np.abs(g).sum(axis=1) * bound).max()
+    else:
+        s_lo = 0.0
+        obj = np.atleast_2d(objective) @ null
+        c = np.vstack([np.hstack([obj, np.zeros((len(obj), 1))]), c])
     lo = np.append(np.full(k, -bound), s_lo)
     hi = np.append(np.full(k, bound), MARGIN_CAP)
     y = small_lp(np.hstack([g, -margin]), h, c, lo, hi)
@@ -76,6 +81,12 @@ def null_lp(sys: StateSystem, x_p: np.ndarray, null: np.ndarray, box: float,
 def small_lp(g, h, c, lo, hi) -> np.ndarray | None:
     """Minimize c y subject to g y >= h and lo <= y <= hi; None if infeasible.
 
+    c is one objective (d,) or an ordered stack of them (K, d), minimized
+    lexicographically: each later objective only breaks the ties that
+    the earlier ones leave, each objective's coefficients counting as
+    zero below LP_REL of its largest. A stack of one gives the same
+    point as its one objective.
+
     Seidel's incremental algorithm (Seidel 1991, "Small-dimensional
     linear programming and convex hulls made easy"), exact up to rounding,
     for the few variables of a slip state's null space. The rows are taken
@@ -83,34 +94,45 @@ def small_lp(g, h, c, lo, hi) -> np.ndarray | None:
     optimum over the first i rows either meets row i, and stays optimal,
     or some optimum lies on row i's hyperplane: one variable is eliminated
     there and the rest solved over the earlier rows. The box keeps every
-    subproblem bounded. Where the objective leaves a variable free, it
-    takes the value of its range nearest 0: in the null space, the point
-    nearest x_p, the least-norm solution of the equalities. Rows are
-    scaled to unit norm once, so that every residual, before or after an
+    subproblem bounded. A lexicographic objective enters only where the
+    algorithm compares candidate optima (Seidel 1991; de Berg et al.,
+    Computational Geometry, ch. 4): the box vertex and the end of the
+    one variable's interval each follow the first objective not flat in
+    that variable, and an elimination substitutes into every objective.
+    Where every objective leaves a variable free, it takes the
+    value of its range nearest 0: in the null space, the point nearest
+    x_p, the least-norm solution of the equalities. Rows are scaled to
+    unit norm once, so that every residual, before or after an
     elimination, is a distance in y.
     """
     c = np.asarray(c, dtype=float)
     h = np.asarray(h, dtype=float)
-    g = np.asarray(g, dtype=float).reshape(len(h), len(c))
+    d = c.shape[-1]
+    g = np.asarray(g, dtype=float).reshape(len(h), d)
     norm = np.sqrt(np.einsum("ij,ij->i", g, g))
     flat = norm <= LP_REL
     if flat.any():
         if np.any(h[flat] > LP_REL * (1.0 + np.abs(h[flat]))):
             return None
         g, h, norm = g[~flat], h[~flat], norm[~flat]
-    c_norm = np.abs(c).max() if c.size else 0.0
-    return _seidel(g / norm[:, None], h / norm,
-                   c / c_norm if c_norm > 0 else c,
+    c = c.reshape(-1, d)
+    c_norm = np.abs(c).max(axis=1, keepdims=True, initial=0.0)
+    c_norm[c_norm == 0.0] = 1.0
+    return _seidel(g / norm[:, None], h / norm, c / c_norm,
                    np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
 
 
 def _seidel(g, h, c, lo, hi):
-    """small_lp on rows whose entries are at most about 1, c likewise."""
-    if len(c) == 1:
-        return _interval(g[:, 0], h, c[0], lo[0], hi[0])
-    # the box vertex that is optimal before any row is added
-    y = np.where(c > LP_REL, lo,
-                 np.where(c < -LP_REL, hi, np.clip(0.0, lo, hi)))
+    """small_lp on rows whose entries are at most about 1, c (K, d)
+    likewise."""
+    if c.shape[1] == 1:
+        return _interval(g[:, 0], h, c[:, 0], lo[0], hi[0])
+    # the box vertex that is optimal before any row is added: each
+    # variable at the bound its first objective that is not flat in it
+    # prefers, so the objectives are applied from the last
+    y = np.clip(0.0, lo, hi)
+    for row in c[::-1]:
+        y = np.where(row > LP_REL, lo, np.where(row < -LP_REL, hi, y))
     i = 0
     while i < len(h):
         bad = np.flatnonzero(g[i:] @ y - h[i:] < -LP_REL * (
@@ -129,29 +151,31 @@ def _on_row(g, h, c, lo, hi, i):
     """The optimum over rows before i and the box, on row i's hyperplane.
 
     The variable j with the largest coefficient in row i is eliminated,
-    y_j = t - q y'; its bounds become the subproblem's first two rows.
+    y_j = t - q y'; its bounds become the subproblem's first two rows,
+    and every objective c y becomes (c' - c_j q) y' + c_j t.
     Row i is violated, so where it is flat no point meets it.
     """
     j = int(np.argmax(np.abs(g[i])))
     if abs(g[i, j]) <= LP_REL:
         return None
-    keep = np.arange(len(c)) != j
+    keep = np.arange(c.shape[1]) != j
     q = g[i, keep] / g[i, j]
     t = h[i] / g[i, j]
     sub = _seidel(np.vstack([-q, q, g[:i, keep] - np.outer(g[:i, j], q)]),
                   np.concatenate([[lo[j] - t, t - hi[j]],
                                   h[:i] - g[:i, j] * t]),
-                  c[keep] - c[j] * q, lo[keep], hi[keep])
+                  c[:, keep] - c[:, j:j + 1] * q, lo[keep], hi[keep])
     if sub is None:
         return None
-    y = np.empty(len(c))
+    y = np.empty(c.shape[1])
     y[keep] = sub
     y[j] = t - q @ sub
     return y
 
 
 def _interval(a, b, c, lo, hi):
-    """The one-variable case: the end of the interval of y that c prefers."""
+    """The one-variable case: the end of the interval of y that the
+    first objective of c (K,) not flat in y prefers."""
     up, down = a > LP_REL, a < -LP_REL
     flat = ~(up | down)
     if flat.any() and np.any(b[flat] > LP_REL * (1.0 + np.abs(b[flat]))):
@@ -162,8 +186,9 @@ def _interval(a, b, c, lo, hi):
         if low - high > LP_REL * (1.0 + abs(low) + abs(high)):
             return None
         return np.array([0.5 * (low + high)])
-    if c > LP_REL:
-        return np.array([low])
-    if c < -LP_REL:
-        return np.array([high])
+    for ck in c.tolist():
+        if ck > LP_REL:
+            return np.array([low])
+        if ck < -LP_REL:
+            return np.array([high])
     return np.array([min(max(0.0, low), high)])

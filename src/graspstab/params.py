@@ -35,12 +35,11 @@ ZERO_PRELOAD = 1e-12
 # the canonical order of slip states compares witnesses rounded to
 # this many decimals (SlipState.sort_key)
 ORDER_DIGITS = 9
-# canonical witness: slip totals within WITNESS_TIE * (1 + |t*|) of
-# the minimum t* tie, pinned slip speeds may fall WITNESS_PIN short of
-# their optimum, and the tied states' speeds are compared rounded to
-# WITNESS_DIGITS decimals
+# canonical witness: the states whose least slip totals lie within
+# WITNESS_TIE * (1 + |t*|) of the minimum t* tie, and their slip
+# speeds, each taken at the state's own lexicographic optimum, are
+# compared rounded to WITNESS_DIGITS decimals
 WITNESS_TIE = 1e-7
-WITNESS_PIN = 1e-9
 WITNESS_DIGITS = 9
 # box bound on unknowns in the feasibility program
 X_MAX = 1e6

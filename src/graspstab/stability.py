@@ -7,29 +7,31 @@ solution. The verdict is order-independent; the reported witness is not,
 because neighbouring states can share solution families. The canonical
 witness therefore minimizes the total slip speed over all feasible
 states and breaks remaining ties by concentrating slip on the
-lowest-indexed contacts. The same input always gives the same witness,
-but it is not unique: where the winner's max-min-slack optimum is a
-face rather than a point, the LP engine's fixed row order and its
-nearest-to-zero rule pick one point of that face.
+lowest-indexed contacts: one lexicographic LP per state, whose last
+objective centres the forces by the largest least slack of the state's
+rows, then one tie rule across states. Under it a singular state is
+decided by its screen, and its box ladder runs only where its point is
+read. The same input always gives the same witness, but it is not
+unique: where the winner's lexicographic optimum is a face rather than
+a point, the LP engine's fixed row order and its nearest-to-zero rule
+pick one point of that face.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arrangement import SlipStateSet, enumerate_slip_states
 from .equilibrium import (EquilibriumSolution, PreparedState, PreparedStates,
-                          StateSystem, _solution_from_x, linear_feasibility,
-                          solve_state)
+                          _solution_from_x, linear_feasibility, solve_state)
 # unused here; the benchmark's traced run wraps it under this module's
 # name (stabbench/tracing.py)
 from .equilibrium import assemble_state_system  # noqa: F401
 from .model import GraspModel, as_wrench
-from .params import (FLAT_REL, INEQ_SLACK, WITNESS_DIGITS, WITNESS_PIN,
-                     WITNESS_TIE)
+from .params import FLAT_REL, WITNESS_DIGITS, WITNESS_TIE
 
 __all__ = [
     "Verdict",
@@ -173,92 +175,59 @@ def _feasible_states(model: GraspModel, states: PreparedStates, w,
     return len(states), feasible
 
 
-def _augment(sys: StateSystem, rows, rhs) -> StateSystem:
-    """sys with the pin rows `rows x >= rhs`, which the ladder holds hard."""
-    rows = np.asarray(rows, dtype=float).reshape(-1, sys.n)
-    return replace(
-        sys, a_in=np.vstack([sys.a_in, rows]),
-        b_in=np.concatenate([sys.b_in, np.atleast_1d(rhs)]),
-        ineq_kind=sys.ineq_kind + ["pin"] * rows.shape[0])
+def _canonical_witness(w, feasible
+                       ) -> tuple[int, EquilibriumSolution] | None:
+    """(index of the first feasible state, the canonical witness), or None.
 
-
-def _least(sys: StateSystem, c: np.ndarray, point, flat: bool) -> float:
-    """Least c x over sys; c x at point() for a flat state or a failed LP."""
-    x = None if flat else linear_feasibility(sys, objective=c)
-    if x is not None:
-        return float(c @ x)
-    sol = point()
-    return math.inf if sol is None else float(c[:3] @ sol.d)
-
-
-def _canonical_witness(w, feasible):
-    """(first feasible state's index, minimal-total-slip witness), or None.
-
-    Stage 1 minimizes each state's summed slip speed. Stage 2, among the
-    states within WITNESS_TIE of the least total t*, maximizes the
-    per-contact slip speeds lexicographically in contact order, each on
-    one system that caps the total and pins every speed found before it
-    to within WITNESS_PIN. Stage 3 takes the winner's point of that
-    pinned system that maximizes the least slack of the state's own rows;
-    the cap and the pins hold as hard rows and set no margin, so the
-    point centres the forces they leave free. Where an LP fails, the
-    state's own solution stands in for its optimum or point.
+    Each state's point is its lexicographic optimum: least total slip
+    speed, then each slipping contact's speed maximized in contact
+    order, then the largest least slack of its own rows, which are held
+    hard. One LP (``linear_feasibility`` with the objective stack) gives
+    it. Across states, those whose total is within WITNESS_TIE * (1 +
+    |t*|) of the least total t* tie, and of these the one whose speeds,
+    rounded to WITNESS_DIGITS decimals and compared in contact order, are
+    largest wins, the first in canonical order on equal speeds.
 
     Slip speeds depend on the motion alone, x_p(w)[:3] + N[:3] z. A
     state is flat when no slip row r moves with N (|r N[:3]| <=
-    FLAT_REL |r|), as a direct state or one without slip is: its speeds
-    are read off its solution with no LP, and its solution is its point.
-    A singular state's own solution (None in feasible) is its ladder's
-    point, computed only where it is read; a state whose ladder finds
-    none holds nowhere and drops out.
+    FLAT_REL |r|), as a direct state or one without slip is: it runs no
+    LP, and its point is its own solution, as is that of a state whose
+    LP fails. A singular state's own solution, None in feasible, is its
+    box ladder's point, computed only here, where it is read; a state
+    whose ladder finds none holds nowhere and drops out.
     """
     entries = []
     for st, sol in feasible:
         sys = st.system.at(w)
-        obj = np.zeros(sys.n)
-        obj[:3] = sum(sys.slip_dirs.values())  # total slip speed
-        flat = all(np.linalg.norm(r @ st.null[:3])
-                   <= FLAT_REL * np.linalg.norm(r)
-                   for r in sys.slip_dirs.values())
-        read = [sol]
-
-        def point(st=st, read=read):
-            if read[0] is None:
-                read[0] = st.ladder_point(w) or False
-            return read[0] or None
-        t_val = _least(sys, obj, point, flat)
-        if math.isfinite(t_val):
-            entries.append((st, point, sys, obj, flat, t_val))
+        slipping = sorted(sys.slip_dirs)
+        dirs = np.array([sys.slip_dirs[i] for i in slipping]).reshape(-1, 3)
+        flat = np.all(np.linalg.norm(dirs @ st.null[:3], axis=1)
+                      <= FLAT_REL * np.linalg.norm(dirs, axis=1))
+        x = None
+        if not flat:
+            # the least total slip speed, then each speed maximized
+            rows = np.zeros((1 + len(dirs), sys.n))
+            rows[0, :3], rows[1:, :3] = dirs.sum(axis=0), -dirs
+            x = linear_feasibility(sys, objective=rows)
+        if x is not None:
+            sol = _solution_from_x(sys, x, st.index)
+        elif sol is None:
+            sol = st.ladder_point(w)
+            if sol is None:
+                continue
+        speeds = np.zeros(sys.m)
+        speeds[slipping] = dirs @ sol.d
+        entries.append((float(speeds.sum()),
+                        tuple(np.round(speeds, WITNESS_DIGITS)), sol))
     if not entries:
         return None
 
-    t_star = min(e[-1] for e in entries)
+    t_star = min(total for total, _key, _sol in entries)
     cap = t_star + WITNESS_TIE * (1.0 + abs(t_star))
-    best = None
-    for st, point, sys, obj, flat, t_val in entries:
-        if t_val > cap:
-            continue
-        pinned = _augment(sys, -obj, [-cap])
-        speeds = []
-        for i in range(sys.m):
-            if i not in sys.slip_dirs:
-                speeds.append(0.0)
-                continue
-            row = np.zeros(sys.n)
-            row[:3] = sys.slip_dirs[i]
-            speeds.append(-_least(pinned, -row, point, flat))
-            pinned = _augment(pinned, row, [speeds[-1] - WITNESS_PIN])
-        key = tuple(np.round(speeds, WITNESS_DIGITS))
-        if best is None or key > best[0]:
-            best = (key, st, point, sys, flat, pinned)
-
-    _key, st, point, sys, flat, pinned = best
-    x = None if flat else linear_feasibility(pinned)
-    if x is not None:
-        pinned_sol = _solution_from_x(sys, x, st.index)
-        if pinned_sol.min_ineq_slack >= -INEQ_SLACK:
-            return entries[0][0].index, pinned_sol
-    return entries[0][0].index, point()
+    # max keeps the first of equal keys
+    _key, witness = max(((key, sol) for total, key, sol in entries
+                         if total <= cap), key=lambda e: e[0])
+    return entries[0][2].state_index, witness
 
 
 def max_resistible(model: GraspModel, direction, tol: float = 1e-3,

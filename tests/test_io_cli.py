@@ -259,6 +259,30 @@ def test_cli_gws_slice(capsys):
     assert len(poly) >= 3 and not doc["slice"]["degenerate"]
 
 
+@pytest.mark.parametrize("command, argv, message", [
+    ("linear", ["--wrench", "0,-1,0", "--tangent-stiffness", "0"],
+     "--tangent-stiffness must be finite and positive"),
+    ("linear", ["--wrench", "0,-1,0", "--tangent-stiffness", "-1"],
+     "--tangent-stiffness must be finite and positive"),
+    ("linear", ["--wrench", "0,-1,0", "--tangent-stiffness", "nan"],
+     "--tangent-stiffness must be finite and positive"),
+    ("linear", ["--wrench", "0,-1,0", "--tangent-stiffness", "inf"],
+     "--tangent-stiffness must be finite and positive"),
+    ("gws", ["--slice", "nan"], "--slice must be finite"),
+    # three_contact's torques span [-0.5, 0.5]
+    ("gws", ["--slice", "100"], "outside polytope range"),
+])
+def test_cli_bad_option_values_are_usage_errors(capsys, command, argv,
+                                                message):
+    # a usage error, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(FIXTURES / "three_contact.grasp"), *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_cli_oracle_matches_check(capsys):
     _code, out1 = run_cli(capsys, "oracle", str(FIXTURES / "three_contact.grasp"),
                           "--wrench", "0,1,0")

@@ -55,6 +55,69 @@ def test_small_lp_agrees_with_highs(case):
     assert np.all(g @ y - h >= -1e-9) and np.all(np.abs(y) <= box + 1e-9)
     again = small_lp(g, h, c, lo, hi)
     assert np.array_equal(y, again)
+    # one objective passed as a stack of one gives the same point
+    assert np.array_equal(small_lp(g, h, c[None], lo, hi), y)
+
+
+@st.composite
+def lexicographic_lps(draw):
+    """small_lps with a stack of 1 to 4 objectives. Small integer
+    coefficients, repeated and zero ones among them, leave whole faces
+    of optima to the objectives after them."""
+    g, h, _c, box = draw(small_lps())
+    d = g.shape[1]
+    stack = draw(st.lists(st.lists(COEF, min_size=d, max_size=d),
+                          min_size=1, max_size=4))
+    return g, h, np.array(stack, dtype=float), box
+
+
+def _sequential_highs(g, h, stack, box):
+    """HiGHS on each objective in turn, each earlier optimum held as a row
+    to within 1e-10, so that a later optimum can improve on the exact
+    one by no more than that times the data's small ratios: the optima,
+    or None when the rows cannot hold."""
+    d = g.shape[1]
+    a_ub, b_ub = -g, -h
+    optima = []
+    for c in stack:
+        ref = linprog(c, A_ub=a_ub if len(b_ub) else None,
+                      b_ub=b_ub if len(b_ub) else None,
+                      bounds=[(-box, box)] * d, method="highs")
+        assert ref.status in (0, 2)
+        if ref.status == 2:
+            return None
+        optima.append(ref.fun)
+        a_ub = np.vstack([a_ub, c])
+        b_ub = np.append(b_ub, ref.fun + 1e-10 * (1.0 + abs(ref.fun)))
+    return optima
+
+
+@settings(max_examples=400, deadline=None)
+@given(lexicographic_lps())
+def test_lexicographic_small_lp_agrees_with_sequential_highs(case):
+    g, h, stack, box = case
+    d = g.shape[1]
+    y = small_lp(g, h, stack, np.full(d, -box), np.full(d, box))
+    optima = _sequential_highs(g, h, stack, box)
+    assert (y is not None) == (optima is not None)
+    if y is None:
+        return
+    assert np.all(g @ y - h >= -1e-9) and np.all(np.abs(y) <= box + 1e-9)
+    for c, best in zip(stack, optima):
+        assert abs(c @ y - best) <= 1e-8 * (1.0 + abs(best)), (c, best)
+
+
+def test_lexicographic_small_lp_breaks_ties_in_order():
+    # on the square |y| <= 1 with y0 + y1 >= 1, least y0 + y1 ties on the
+    # edge from (0, 1) to (1, 0): largest y1 picks (0, 1), largest y0
+    # picks (1, 0), and a zero objective breaks no tie
+    g, h = np.array([[1.0, 1.0]]), np.array([1.0])
+    lo, hi = np.full(2, -1.0), np.full(2, 1.0)
+    total = [1.0, 1.0]
+    assert np.allclose(small_lp(g, h, [total, [0, -1]], lo, hi), [0, 1],
+                       rtol=0, atol=1e-12)
+    assert np.allclose(small_lp(g, h, [total, [0, 0], [-1, 0]], lo, hi),
+                       [1, 0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -69,6 +132,9 @@ def test_small_lp_random_real_data_agrees_with_highs(seed):
         assert (y is not None) == (ref.status == 0)
         if y is not None:
             assert abs(c @ y - ref.fun) <= 1e-9 * (1.0 + abs(ref.fun))
+            assert np.array_equal(
+                small_lp(g, h, c[None], np.full(d, -10.0), np.full(d, 10.0)),
+                y)
 
 
 @pytest.mark.parametrize("g, h, point", [

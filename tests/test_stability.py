@@ -17,7 +17,7 @@ from graspstab.arrangement import DETACHED
 from graspstab.equilibrium import PreparedStates
 from graspstab.generate import balanced_preload, random_grasp
 from graspstab.grasp_io import load_grasp_file
-from graspstab.params import WITNESS_TIE
+from graspstab.params import FLAT_REL, WITNESS_TIE
 from graspstab.stability import _feasible_states
 
 from conftest import FIXTURES, REPO, four_contact, three_contact
@@ -143,28 +143,106 @@ def test_random_grasp_witnesses_verify():
 
 
 def _count_witness_lps(monkeypatch):
-    from graspstab import stability
+    """(ladders, witness LPs): the labels of the states whose objective-free
+    box ladder runs, and of those whose witness LP runs, each with
+    whether it found a point, in the order they run."""
+    from graspstab import equilibrium, stability
 
-    calls = []
-    ladder = stability.linear_feasibility
+    ladders, witness = [], []
+    ladder, witness_lp = equilibrium.linear_feasibility, \
+        stability.linear_feasibility
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return ladder(*args, **kwargs)
+    def counted_ladder(sys, **kwargs):
+        ladders.append(sys.labels)
+        return ladder(sys, **kwargs)
 
-    monkeypatch.setattr(stability, "linear_feasibility", counted)
-    return calls
+    def counted_witness(sys, **kwargs):
+        x = witness_lp(sys, **kwargs)
+        witness.append((sys.labels, x is not None))
+        return x
+
+    monkeypatch.setattr(equilibrium, "linear_feasibility", counted_ladder)
+    monkeypatch.setattr(stability, "linear_feasibility", counted_witness)
+    return ladders, witness
 
 
 def test_direct_states_canonical_witness_runs_no_lp(m3, monkeypatch):
     # Table I row 3: its three feasible states are all direct, so their
     # slip speeds are read off their solutions
-    calls = _count_witness_lps(monkeypatch)
+    ladders, witness = _count_witness_lps(monkeypatch)
     v = check_stability(m3, (0, -1, 0), detachment=True)
-    assert v.stable and calls == []
+    assert v.stable and ladders == [] and witness == []
     assert np.allclose(v.witness.forces, [[0, 0], [1, 0], [0, 0]],
                        rtol=0, atol=1e-12)
     assert np.allclose(v.witness.d, (0, -1, 0), rtol=0, atol=1e-12)
+
+
+def _flat(prep) -> bool:
+    """No slip speed of the state varies over its solutions."""
+    return all(np.linalg.norm(r @ prep.null[:3]) <= FLAT_REL * np.linalg.norm(r)
+               for r in prep.system.slip_dirs.values())
+
+
+def test_canonical_query_runs_one_lp_per_non_flat_feasible_state(monkeypatch):
+    # Table III: a canonical query runs one witness LP for each feasible
+    # state whose slip speeds vary, and the objective-free box ladder only
+    # for the feasible singular states whose speeds do not (flat) and for
+    # those whose witness LP failed; every other state is decided by its
+    # screen alone
+    from test_acceptance import TABLE_III
+
+    lps = 0
+    for w, preloaded, *_ in TABLE_III:
+        model = four_contact(preloaded)
+        states = enumerate_slip_states(model, detachment=True)
+        batch = states.prepared
+        feasible = [batch[p] for p in range(len(batch))
+                    if solve_state(model, w, batch[p]) is not None]
+        ladders, witness = _count_witness_lps(monkeypatch)
+        assert check_stability(model, w, states=states).stable == \
+            bool(feasible)
+        assert [labels for labels, _ok in witness] == \
+            [p.system.labels for p in feasible if not _flat(p)], w
+        failed = {labels for labels, ok in witness if not ok}
+        assert ladders == [p.system.labels for p in feasible
+                           if not p.direct and (_flat(p) or
+                                                p.system.labels in failed)], w
+        lps += len(witness)
+        monkeypatch.undo()
+    assert lps > 0
+
+
+GRID_WRENCHES = [(fx, fy, tz) for fx in (-2, -1, 0, 1, 2) for fy in (-2, 0, 2)
+                 for tz in (-1, 0, 1)]
+
+
+def _assert_screened_states_have_points(model, detachment, wrenches):
+    """Every singular state that passes its screen under a wrench gets a
+    point from its box ladder, so the canonical walk, which decides such
+    a state by its screen alone, keeps only states that hold."""
+    batch = enumerate_slip_states(model, detachment=detachment).prepared
+    for w in np.asarray(wrenches, dtype=float):
+        for p in np.flatnonzero(~batch.direct).tolist():
+            if batch[p].passes_screen(w):
+                assert batch[p].ladder_point(w) is not None, \
+                    (w, batch[p].system.labels)
+
+
+@pytest.mark.parametrize("detachment", [False, True])
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.grasp")),
+                         ids=lambda p: p.stem)
+def test_screen_alone_loses_no_state(path, detachment):
+    _assert_screened_states_have_points(load_grasp_file(path)[0], detachment,
+                                        GRID_WRENCHES)
+
+
+@settings(max_examples=30, deadline=None)
+@given(degenerate_grasps())
+def test_screen_alone_loses_no_state_degenerate(case):
+    model, detachment = case
+    _assert_screened_states_have_points(model, detachment, [
+        (0, -1, 0), (0, 1, 0), (0.5, 0, 0), (-1, 0.5, 0.5), (0, 0, 1),
+        (0, 0, 0), (0.3, -0.7, -0.2)])
 
 
 def test_flat_singular_winner_keeps_its_solution():
@@ -464,10 +542,6 @@ def test_contact_permutation_keeps_verdict_and_capacity(path):
         for u in [(0, 1), (1, 0), (0, -1), (-1, 0.5)]:
             assert max_resistible(model, u, tol=1e-2).magnitude == \
                 max_resistible(permuted, u, tol=1e-2).magnitude, (perm, u)
-
-
-GRID_WRENCHES = [(fx, fy, tz) for fx in (-2, -1, 0, 1, 2) for fy in (-2, 0, 2)
-                 for tz in (-1, 0, 1)]
 
 
 def _untied_direct_winner(model, w) -> bool:
