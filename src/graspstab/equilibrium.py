@@ -56,12 +56,12 @@ class StateSystem:
 
     Equalities a_eq x = b_eq; inequalities a_in x >= b_in. ineq_kind
     tags each inequality row (unilateral / cone / slip_sign / separation)
-    and slip_dirs maps
-    slipping contacts to the d-row of their tangential motion, used by the
-    canonical-witness selection. factor is (x0, gain, null) of a singular
-    state prepared by ``PreparedStates``: the least-norm solution x0 + gain
-    @ w of the equalities under the wrench w = -b_eq[:3] and their
-    orthonormal null basis, so that its ladder factors nothing.
+    and slip_dirs maps slipping contacts to the d-row of their tangential
+    motion, used by the canonical-witness selection. factor is (x0, gain,
+    null) of a singular state prepared by ``PreparedStates``: the
+    least-norm solution x0 + gain @ w of the equalities under the wrench
+    w = -b_eq[:3] and their orthonormal null basis, so that its ladder
+    factors nothing.
     """
 
     labels: tuple[int, ...]
@@ -235,13 +235,13 @@ class PreparedState:
         w: the consistency test of its equalities, then one feasibility
         LP over its whole null space (``_null_space_feasible``). Both
         reject only what the box ladder would."""
-        sys = self.system.at(w)
+        sys = self.system  # at zero load: w enters neither a_in nor the box
         # the ladder accepts only points whose max-norm residual is at
         # most eq_tol, hence whose 2-norm residual is at most sqrt(rows) *
         # eq_tol, and no point has a smaller residual than the norm of
         # b_eq in the left null basis
         if np.linalg.norm(self.cons0 + self.cons_gain @ w) > \
-                np.sqrt(len(sys.b_eq)) * _eq_tol(sys)[1]:
+                np.sqrt(len(sys.b_eq)) * _eq_tol(sys, w)[1]:
             return False
         return _null_space_feasible(sys, self.x0 + self.gain @ w,
                                     self.s0 + self.slack_gain @ w, self.null)
@@ -561,11 +561,15 @@ def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState
     return prep.ladder_point(w) if prep.passes_screen(w) else None
 
 
-def _eq_tol(sys: StateSystem) -> tuple[float, float]:
+def _eq_tol(sys: StateSystem, w: np.ndarray | None = None
+            ) -> tuple[float, float]:
     """(scale, eq_tol): the data's magnitude and the largest max-norm
-    equality residual the box ladder accepts."""
+    equality residual the box ladder accepts; with w, those of sys at
+    zero load under the wrench w (sys.at(w), whose b_eq[:3] is -w)."""
     scale = max(1.0, float(np.max(np.abs(sys.b_eq), initial=0.0)),
                 float(np.max(np.abs(sys.b_in), initial=0.0)))
+    if w is not None:
+        scale = max(scale, float(np.max(np.abs(w))))
     return scale, EQ_RESIDUAL * (1.0 + scale)
 
 

@@ -161,10 +161,11 @@ def _on_row(g, h, c, lo, hi, i):
     keep = np.arange(c.shape[1]) != j
     q = g[i, keep] / g[i, j]
     t = h[i] / g[i, j]
-    sub = _seidel(np.vstack([-q, q, g[:i, keep] - np.outer(g[:i, j], q)]),
-                  np.concatenate([[lo[j] - t, t - hi[j]],
-                                  h[:i] - g[:i, j] * t]),
-                  c[:, keep] - c[:, j:j + 1] * q, lo[keep], hi[keep])
+    sub_g, sub_h = np.empty((i + 2, len(q))), np.empty(i + 2)
+    sub_g[0], sub_g[1], sub_g[2:] = -q, q, g[:i, keep] - g[:i, j:j + 1] * q
+    sub_h[0], sub_h[1], sub_h[2:] = lo[j] - t, t - hi[j], h[:i] - g[:i, j] * t
+    sub = _seidel(sub_g, sub_h, c[:, keep] - c[:, j:j + 1] * q, lo[keep],
+                  hi[keep])
     if sub is None:
         return None
     y = np.empty(c.shape[1])

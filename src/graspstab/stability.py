@@ -198,13 +198,14 @@ def _canonical_witness(w, feasible
     """
     entries = []
     for st, sol in feasible:
-        sys = st.system.at(w)
+        sys = st.system
         slipping = sorted(sys.slip_dirs)
         dirs = np.array([sys.slip_dirs[i] for i in slipping]).reshape(-1, 3)
         flat = np.all(np.linalg.norm(dirs @ st.null[:3], axis=1)
                       <= FLAT_REL * np.linalg.norm(dirs, axis=1))
         x = None
         if not flat:
+            sys = sys.at(w)
             # the least total slip speed, then each speed maximized
             rows = np.zeros((1 + len(dirs), sys.n))
             rows[0, :3], rows[1:, :3] = dirs.sum(axis=0), -dirs
