@@ -101,7 +101,10 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
     every direct state is decided and every singular state's consistency
     screened in a few array operations, and the singular states left are
     decided one by one in canonical order, "first" stopping at the first
-    feasible state. ``states``, enumerated for this model object (a
+    feasible state. "canonical" decides a singular state by its screen
+    and runs its box ladder only where the witness reads its point; a
+    state whose ladder then finds none does not hold, as under "first".
+    ``states``, enumerated for this model object (a
     ValueError otherwise), keeps its batch for the next query and sets
     the detachment mode, which an explicit ``detachment`` must match (a
     ValueError otherwise); without it the states are enumerated here.
@@ -112,20 +115,16 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
     w = as_wrench(w)
     states = _states_of(model, states, detachment)
 
-    tried, feasible = _feasible_states(model, states.prepared, w,
-                                       witness_policy == "first")
-    if not feasible:
+    first = witness_policy == "first"
+    tried, feasible = _feasible_states(model, states.prepared, w, first)
+    found = None
+    if feasible:
+        found = (feasible[0][0].index, feasible[0][1]) if first else \
+            _canonical_witness(w, feasible)
+    if found is None:
         return Verdict(stable=False, witness=None, states_tried=tried,
                        detachment=states.detachment)
-
-    if witness_policy == "first":
-        first_idx, witness = feasible[0][0].index, feasible[0][1]
-    else:
-        found = _canonical_witness(w, feasible)
-        if found is None:
-            return Verdict(stable=False, witness=None, states_tried=tried,
-                           detachment=states.detachment)
-        first_idx, witness = found
+    first_idx, witness = found
     return Verdict(stable=True, witness=witness, states_tried=tried,
                    detachment=states.detachment, first_feasible=first_idx)
 
