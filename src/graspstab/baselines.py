@@ -200,8 +200,8 @@ def linear_compliance_verdict(model: GraspModel, w,
     m = model.m
     k_t = np.asarray(tangent_stiffness, dtype=float)
     k_t = np.full(m, float(k_t)) if k_t.ndim == 0 else k_t.reshape(m)
-    if not np.all(k_t > 0):
-        raise ValueError("tangent stiffness must be positive")
+    if not np.all(np.isfinite(k_t) & (k_t > 0)):
+        raise ValueError("tangent stiffness must be finite and positive")
     maps = build_maps(model)
 
     stiffness = np.zeros((3, 3))

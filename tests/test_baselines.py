@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,11 @@ def test_linear_compliance_zero_wrench(m3):
 def test_linear_compliance_rejects_bad_stiffness(m3):
     with pytest.raises(ValueError):
         linear_compliance_verdict(m3, (0, 0, 0), 0.0)
+    # an infinite stiffness once reached the SVD, which did not converge
+    for bad in (math.inf, math.nan, [1.0, math.inf, 1.0],
+                [1.0, 1.0, math.nan]):
+        with pytest.raises(ValueError, match="finite and positive"):
+            linear_compliance_verdict(m3, (0, -1, 0), bad)
 
 
 def test_linear_compliance_conservative_on_random():
