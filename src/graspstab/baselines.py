@@ -19,7 +19,7 @@ import numpy as np
 
 from .arrangement import DETACHED
 from .equilibrium import EquilibriumSolution, PreparedStates
-from .model import GraspModel, as_wrench, build_maps, cross2, tangent_of, world_force
+from .model import GraspModel, as_wrench, build_maps, cone_edges, cross2
 from .params import (INEQ_SLACK, SINGULAR_REL, SLICE_EDGE, SLICE_PLANE,
                      STICK_MOTION, ZERO_PRELOAD)
 from .stability import Verdict, _feasible_states
@@ -98,12 +98,7 @@ class SliceError(ValueError):
 def gws_l1(model: GraspModel) -> WrenchPolytope:
     """L1 grasp wrench space: hull of the per-contact cone-edge wrenches
     at unit normal force, together with the zero wrench."""
-    pts = [np.zeros(3)]
-    for contact in model.contacts:
-        for sgn in (1.0, -1.0):
-            force, torque = world_force(contact, (1.0, sgn * contact.mu))
-            pts.append(np.array([force[0], force[1], torque]))
-    pts = np.array(pts)
+    pts = np.concatenate([np.zeros((1, 3)), cone_edges(model)])
     try:
         from scipy.spatial import ConvexHull
 

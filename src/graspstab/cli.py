@@ -116,6 +116,9 @@ def _verdict_doc(model, name, w, verdict, mode, timing_ms):
         "stable": verdict.stable,
         "counts": {"states_tried": verdict.states_tried},
         "timing_ms": timing_ms,
+        # set only by check, on a load the friction cones cannot balance
+        "separating_direction": None if verdict.separating_direction is None
+        else list(verdict.separating_direction),
     }
     if verdict.stable and verdict.witness is not None:
         wit = verdict.witness

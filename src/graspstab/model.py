@@ -32,6 +32,7 @@ __all__ = [
     "GraspMaps",
     "as_wrench",
     "build_maps",
+    "cone_edges",
     "validate_model",
     "contact_motion",
     "world_force",
@@ -156,6 +157,22 @@ def contact_motion(maps: GraspMaps, d) -> np.ndarray:
     """Per-contact (delta_n, delta_t) induced by object motion d."""
     d = np.asarray(d, dtype=float).reshape(3)
     return (maps.motion.T @ d).reshape(-1, 2)
+
+
+def cone_edges(model: GraspModel) -> np.ndarray:
+    """The wrenches (force_x, force_y, torque) of each contact's forces
+    (c_n, c_t) = (1, mu) and (1, -mu), in contact order: the edges of the
+    friction cones in wrench space, with world_force's arithmetic. A loop
+    over Python floats: on a handful of contacts numpy's per-call cost
+    exceeds the arithmetic."""
+    rows = []
+    for c in model.contacts:
+        (px, py), (nx, ny) = c.position.tolist(), c.normal.tolist()
+        for c_t in (c.mu, -c.mu):
+            # -n + c_t t, t = (n_y, -n_x)
+            fx, fy = -nx + c_t * ny, -ny - c_t * nx
+            rows.append((fx, fy, px * fy - py * fx))
+    return np.array(rows)
 
 
 def world_force(contact: Contact, f) -> tuple[np.ndarray, float]:

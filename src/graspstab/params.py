@@ -41,6 +41,20 @@ ORDER_DIGITS = 9
 # compared rounded to WITNESS_DIGITS decimals
 WITNESS_TIE = 1e-7
 WITNESS_DIGITS = 9
+# friction-cone separation (stability._separating_direction): the test
+# fires when w . y exceeds SEPARATION_REL * F, with lengths in units of
+# the contacts' largest distance from their centroid and F the grasp's
+# force unit, the largest of |w| in those units, the normal preloads and
+# stiffness times that length. A contact's normal and tangent wrenches
+# then have norm at most sqrt(2). On data of unit scale, which these
+# tolerances are sized for, the relaxed rows the fast path accepts (each
+# force row given way by INEQ_SLACK, the 3 + 2m equalities by
+# EQ_RESIDUAL * (1 + F)) move w . y by less than
+# (3 m INEQ_SLACK + 4 (3 + 2m) EQ_RESIDUAL) F, which stays below 100
+# times the sum of the two up to 25 contacts. Being relative, the
+# margin keeps the test's decisions under a common scaling of forces
+# and stiffness.
+SEPARATION_REL = 100 * (INEQ_SLACK + EQ_RESIDUAL)
 # box bound on unknowns in the feasibility program
 X_MAX = 1e6
 # the box ladder: its first box is LADDER_START times the data's

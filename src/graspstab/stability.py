@@ -1,20 +1,26 @@
 """Passive-stability query and resistible-wrench sweeps.
 
-The query walks the enumerated slip states in canonical order (origin
-state, then rays, facets, regions, lexicographic within each class) and
-declares the grasp stable as soon as any state's system admits a
-solution. The verdict is order-independent; the reported witness is not,
-because neighbouring states can share solution families. The canonical
-witness therefore minimizes the total slip speed over all feasible
-states and breaks remaining ties by concentrating slip on the
-lowest-indexed contacts: one lexicographic LP per state, whose last
-objective centres the forces by the largest least slack of the state's
-rows, then one tie rule across states. Under it a singular state is
-decided by its screen, and its box ladder runs only where its point is
-read. The same input always gives the same witness, but it is not
-unique: where the winner's lexicographic optimum is a face rather than
-a point, the LP engine's fixed row order and its nearest-to-zero rule
-pick one point of that face.
+The query first tries to certify instability without any slip state.
+Under every state each contact force lies in its friction cone, so a
+wrench direction y that every cone-edge wrench meets with g . y >= 0
+and the load with w . y > 0 proves that no state can hold: one numpy
+test over the planes through pairs of cone edges finds such a y where
+it can, and the verdict then carries it. Otherwise the query walks the
+enumerated slip states in canonical order (origin state, then rays,
+facets, regions, lexicographic within each class) and declares the
+grasp stable as soon as any state's system admits a solution. The
+verdict is order-independent; the reported witness is not, because
+neighbouring states can share solution families. The canonical witness
+therefore minimizes the total slip speed over all feasible states and
+breaks remaining ties by concentrating slip on the lowest-indexed
+contacts: one lexicographic LP per state, whose last objective centres
+the forces by the largest least slack of the state's rows, then one tie
+rule across states. Under it a singular state is decided by its screen,
+and its box ladder runs only where its point is read. The same input
+always gives the same witness, but it is not unique: where the winner's
+lexicographic optimum is a face rather than a point, the LP engine's
+fixed row order and its nearest-to-zero rule pick one point of that
+face.
 """
 
 from __future__ import annotations
@@ -30,8 +36,13 @@ from .equilibrium import (EquilibriumSolution, PreparedState, PreparedStates,
 # unused here; the benchmark's traced run wraps it under this module's
 # name (stabbench/tracing.py)
 from .equilibrium import assemble_state_system  # noqa: F401
-from .model import GraspModel, as_wrench
-from .params import FLAT_REL, WITNESS_DIGITS, WITNESS_TIE
+from .model import GraspModel, as_wrench, cone_edges
+from .params import (FLAT_REL, PLANE_COINCIDENT, SEPARATION_REL,
+                     WITNESS_DIGITS, WITNESS_TIE)
+
+# the components of a cross product, a x b = a[_LEAD] b[_LAG] -
+# a[_LAG] b[_LEAD]
+_LEAD, _LAG = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 __all__ = [
     "Verdict",
@@ -50,6 +61,10 @@ class Verdict:
     states_tried: int
     detachment: bool
     first_feasible: int = -1  # canonical index of the first feasible state
+    # the unit wrench direction y of an unstable verdict decided by the
+    # friction-cone separation test, with g . y >= 0 for every cone-edge
+    # wrench g and w . y > 0; None for any other verdict
+    separating_direction: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -97,6 +112,14 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
     The verdict itself is identical under either policy; any other
     policy is a ValueError.
 
+    Once the input is checked, and before any state is enumerated, one
+    friction-cone separation test (``_separating_direction``) runs: where
+    it finds a direction y that every cone-edge wrench meets with g . y
+    >= 0 and the load with w . y above its margin, the verdict is
+    unstable with states_tried 0 and y as its separating_direction. The
+    test is sound, not complete, so a load it passes over takes the path
+    below, as does every stable one.
+
     The grasp's states are prepared as one batch (``SlipStateSet.prepared``):
     every direct state is decided and every singular state's consistency
     screened in a few array operations, and the singular states left are
@@ -113,7 +136,18 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
         raise ValueError(f"witness_policy must be 'first' or 'canonical', "
                          f"got {witness_policy!r}")
     w = as_wrench(w)
-    states = _states_of(model, states, detachment)
+    if states is not None:
+        _check_states(model, states, detachment)
+        detachment = states.detachment
+    elif detachment is None:
+        detachment = model.options.detachment
+
+    y = _separating_direction(model, w)
+    if y is not None:
+        return Verdict(stable=False, witness=None, states_tried=0,
+                       detachment=detachment, separating_direction=y)
+    if states is None:
+        states = enumerate_slip_states(model, detachment=detachment)
 
     first = witness_policy == "first"
     tried, feasible = _feasible_states(model, states.prepared, w, first)
@@ -123,25 +157,89 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
             _canonical_witness(w, feasible)
     if found is None:
         return Verdict(stable=False, witness=None, states_tried=tried,
-                       detachment=states.detachment)
+                       detachment=detachment)
     first_idx, witness = found
     return Verdict(stable=True, witness=witness, states_tried=tried,
-                   detachment=states.detachment, first_feasible=first_idx)
+                   detachment=detachment, first_feasible=first_idx)
 
 
-def _states_of(model: GraspModel, states: SlipStateSet | None,
-               detachment: bool | None) -> SlipStateSet:
-    """states, or the model's own when None; a ValueError when they were
-    enumerated for another model object, whose systems they would solve,
-    or with a detachment mode other than an explicit ``detachment``."""
-    if states is None:
-        return enumerate_slip_states(model, detachment=detachment)
+def _check_states(model: GraspModel, states: SlipStateSet,
+                  detachment: bool | None) -> None:
+    """A ValueError when states were enumerated for another model object,
+    whose systems they would solve, or with a detachment mode other than
+    an explicit ``detachment``."""
     if states.model is not model:
         raise ValueError("states were enumerated for another model")
     if detachment is not None and detachment != states.detachment:
         raise ValueError(f"states were enumerated with detachment="
                          f"{states.detachment}, not {detachment}")
+
+
+def _states_of(model: GraspModel, states: SlipStateSet | None,
+               detachment: bool | None) -> SlipStateSet:
+    """states, checked by ``_check_states``, or the model's own when None."""
+    if states is None:
+        return enumerate_slip_states(model, detachment=detachment)
+    _check_states(model, states, detachment)
     return states
+
+
+def _separating_direction(model: GraspModel, w: np.ndarray
+                          ) -> np.ndarray | None:
+    """A unit y with g . y >= 0 for every cone-edge wrench g of the grasp
+    and w . y above the margin, or None where the test finds none.
+
+    Under every slip state each contact force lies in its friction cone,
+    so equilibrium needs -w in the cone K spanned by the wrenches of the
+    contact forces (1, +-mu) (``model.cone_edges``); such a y puts -w
+    outside it. The candidates are the normals of the planes through
+    two generators that have every generator on one side. The test
+    works in a frame centred on the contacts' centroid, with lengths in
+    units of their largest distance from it, where it fires when the
+    deepest candidate has w . y > SEPARATION_REL * F (see params.py); y
+    is returned in the caller's frame. It is sound, not
+    complete: a plane is dropped when rounding puts a generator that is
+    not a copy of its two across it, and a separable w that the test
+    misses goes on to the slip states.
+    """
+    xs, ys = zip(*(c.position.tolist() for c in model.contacts))
+    cx, cy = sum(xs) / len(xs), sum(ys) / len(ys)
+    # one point of contact gives no length: its generators carry no torque
+    unit = math.sqrt(max((px - cx) ** 2 + (py - cy) ** 2
+                         for px, py in zip(xs, ys))) or 1.0
+    # a frictionless contact's two edges are one generator, held twice
+    gen = cone_edges(model)
+    gen[:, 2] = (gen[:, 2] - cx * gen[:, 1] + cy * gen[:, 0]) / unit
+    wx, wy, wz = w.tolist()
+    wrench = np.array([wx, wy, (wz - cx * wy + cy * wx) / unit])
+
+    # the normal g_i x g_j of every ordered pair, in explicit products
+    # (np.cross costs more than the arithmetic); g_j x g_i is its negative
+    k = len(gen)
+    lead, lag = gen[:, _LEAD], gen[:, _LAG]
+    cross = (lead[:, None] * lag - lag[:, None] * lead).reshape(k * k, 3)
+    gram = gen @ gen.T
+    sq = gram.diagonal()
+    # two coincident or opposite generators span no plane
+    plane = gram * gram <= PLANE_COINCIDENT ** 2 * np.multiply.outer(sq, sq)
+    # each plane holds its two generators and their exact copies, whatever
+    # the rounding of the products says
+    same = (gen[:, None] == gen).all(axis=2)
+    held = (cross @ gen.T >= 0.0) | (same[:, None] | same).reshape(k * k, k)
+    cands = cross[plane.ravel() & held.all(axis=1)]
+    if not len(cands):
+        return None
+    depth = (cands @ wrench) / np.sqrt((cands * cands).sum(axis=1))
+    best = int(depth.argmax())
+    force_unit = max(math.sqrt(wrench @ wrench),
+                     float(model.preload[:, 0].max()),
+                     float(model.stiffness.max()) * unit)
+    if not depth[best] > SEPARATION_REL * force_unit:
+        return None
+    # the same functional in the caller's frame: w . y = wrench . cands
+    yx, yy, yt = cands[best].tolist()
+    y = np.array([yx + cy * yt / unit, yy - cx * yt / unit, yt / unit])
+    return y / math.sqrt(y @ y)
 
 
 def _feasible_states(model: GraspModel, states: PreparedStates, w,

@@ -111,6 +111,34 @@ def test_cli_check_table3_row9(capsys):
     assert np.allclose(doc["motion"], [0, -0.25, 0.25], atol=1e-6)
 
 
+SUPPORTS = """name: supports
+contacts:
+  - {position: [-1.0, -1.0], normal: [0.0, -1.0], mu: 0.5}
+  - {position: [0.0, -1.0], normal: [0.0, -1.0], mu: 0.5}
+  - {position: [1.5, -1.0], normal: [0.0, -1.0], mu: 0.5}
+"""
+
+
+def test_cli_check_reports_the_separating_direction(tmp_path, capsys):
+    # nothing resting on supports can be pulled up: the friction cones
+    # decide the load with no slip state, and name the direction
+    path = tmp_path / "supports.grasp"
+    path.write_text(SUPPORTS)
+    _code, out = run_cli(capsys, "check", str(path), "--wrench", "0,1,0")
+    doc = json.loads(out)
+    assert doc["stable"] is False and doc["counts"]["states_tried"] == 0
+    y = doc["separating_direction"]
+    assert len(y) == 3 and np.linalg.norm(y) == pytest.approx(1.0)
+    assert y[1] > 0.0
+    # the same document, the key empty, where the test does not decide
+    # or for the reference commands
+    for argv in (["check", str(path), "--wrench", "0,-1,0"],
+                 ["oracle", str(path), "--wrench", "0,1,0"],
+                 ["linear", str(path), "--wrench", "0,1,0"]):
+        _code, out = run_cli(capsys, *argv)
+        assert json.loads(out)["separating_direction"] is None, argv
+
+
 def test_cli_strict_mode_changes_verdict(capsys):
     code, out = run_cli(capsys, "check", str(FIXTURES / "four_contact.grasp"),
                         "--wrench", "0,0,3", "--no-detach")

@@ -18,7 +18,7 @@ from graspstab.equilibrium import PreparedStates
 from graspstab.generate import balanced_preload, random_grasp
 from graspstab.grasp_io import load_grasp_file
 from graspstab.params import FLAT_REL, WITNESS_TIE
-from graspstab.stability import _feasible_states
+from graspstab.stability import _feasible_states, _separating_direction
 
 from conftest import FIXTURES, REPO, four_contact, three_contact
 from test_arrangement import degenerate_grasps
@@ -427,8 +427,19 @@ def _assert_batch_matches_loop(model, detachment, wrenches):
                                 witness_policy="first")
         canon = check_stability(model, w, states=states)
         assert first.stable == canon.stable == bool(ref), w
-        assert first.states_tried == (ref[0] + 1 if ref else len(states)), w
-        assert canon.states_tried == len(states), w
+        # a load the friction-cone separation test decides tries no state
+        y = _separating_direction(model, w)
+        for v in (first, canon):
+            if y is None:
+                assert v.separating_direction is None, w
+            else:
+                assert np.array_equal(v.separating_direction, y), w
+        if y is not None:
+            assert first.states_tried == canon.states_tried == 0, w
+        else:
+            assert first.states_tried == \
+                (ref[0] + 1 if ref else len(states)), w
+            assert canon.states_tried == len(states), w
         assert first.first_feasible == canon.first_feasible == \
             (ref[0] if ref else -1), w
         # the array screen rejects a singular state only where the box
