@@ -99,13 +99,13 @@ def gws_l1(model: GraspModel) -> WrenchPolytope:
     """L1 grasp wrench space: hull of the per-contact cone-edge wrenches
     at unit normal force, together with the zero wrench."""
     pts = np.concatenate([np.zeros((1, 3)), cone_edges(model)])
-    try:
-        from scipy.spatial import ConvexHull
+    from scipy.spatial import ConvexHull, QhullError
 
+    try:
         hull = ConvexHull(pts)
         return WrenchPolytope(points=pts, vertices=pts[hull.vertices],
                               equations=hull.equations, degenerate=False)
-    except Exception:
+    except QhullError:
         # flat point set (e.g. a single frictionless contact)
         return WrenchPolytope(points=pts, vertices=_extreme_points(pts),
                               equations=None, degenerate=True)

@@ -199,17 +199,19 @@ def _analyse(parser, args, model, name) -> int:
         t0 = time.perf_counter()
         states = enumerate_slip_states(model, detachment=detach)
         ms = 1e3 * (time.perf_counter() - t0)
+        counts = states.cell_counts
         doc = {
             "command": "enumerate",
             "grasp": name,
             "mode": {"detachment": detach},
             "planes": states.arrangement.n_planes,
-            "counts": dict(states.cell_counts,
+            "counts": dict(counts,
                            total=states.count_excluding_origin,
                            solver_states=len(states) - 1),
-            "dual_graph": {"V": states.graph.n_vertices,
-                           "E": states.graph.n_edges,
-                           "F": states.graph.n_faces},
+            # the dual graph has a vertex per region and an edge per
+            # facet; F follows from Euler-Poincare on the sphere
+            "dual_graph": {"V": counts["regions"], "E": counts["facets"],
+                           "F": counts["facets"] - counts["regions"] + 2},
             "timing_ms": ms,
         }
         print(dumps_result(doc))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nullspace_lp
-from .arrangement import DETACHED, LABEL_NAMES, SlipState
+from .arrangement import DETACHED, LABEL_NAMES
 from .model import (GraspMaps, GraspModel, as_wrench, build_maps, cross2,
                     tangent_of, world_force)
 from .params import (BOX_HIT, EQ_RESIDUAL, INEQ_SLACK, LADDER_START,
@@ -54,33 +54,24 @@ __all__ = [
 class StateSystem:
     """Linear system of one slip state over x = (d[3], c[2m]).
 
-    Equalities a_eq x = b_eq; inequalities a_in x >= b_in. ineq_kind
-    tags each inequality row (unilateral / cone / slip_sign / separation)
-    and slip_dirs maps slipping contacts to the d-row of their tangential
-    motion, used by the canonical-witness selection. factor is (x0, gain,
-    null) of a singular state prepared by ``PreparedStates``: the
-    least-norm solution x0 + gain @ w of the equalities under the wrench
-    w = -b_eq[:3] and their orthonormal null basis, so that its ladder
-    factors nothing.
+    Equalities a_eq x = b_eq; inequalities a_in x >= 0, whose right-hand
+    side is zero in every state. ineq_kind tags each inequality row
+    (unilateral / cone / slip_sign / separation) and slip_dirs maps
+    slipping contacts to the d-row of their tangential motion, used by
+    the canonical-witness selection. Its solutions and their factor are
+    those of the state's ``PreparedState``.
     """
 
     labels: tuple[int, ...]
     a_eq: np.ndarray
     b_eq: np.ndarray
     a_in: np.ndarray
-    b_in: np.ndarray
     ineq_kind: list[str]
     slip_dirs: dict[int, np.ndarray] = field(default_factory=dict)
-    m: int = 0
-    factor: tuple | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
         return self.a_eq.shape[1]
-
-    @property
-    def slip_count(self) -> int:
-        return len(self.slip_dirs)
 
     def at(self, w: np.ndarray) -> StateSystem:
         """The same state under the wrench w (its equilibrium rows' rhs)."""
@@ -159,26 +150,21 @@ def _system(model: GraspModel, maps: GraspMaps,
             slip_dirs[i] = a_in[r + 1, :3] = label * maps.motion[:, 2 * i + 1]
             r += 2
     return StateSystem(labels=labels, a_eq=a_eq, b_eq=b_eq, a_in=a_in,
-                       b_in=np.zeros(len(kinds)), ineq_kind=kinds,
-                       slip_dirs=slip_dirs, m=model.m)
+                       ineq_kind=kinds, slip_dirs=slip_dirs)
 
 
-def assemble_state_system(model: GraspModel, w,
-                          state: SlipState | tuple) -> StateSystem:
+def assemble_state_system(model: GraspModel, w, labels: tuple) -> StateSystem:
     """Build the equality/inequality blocks for one slip state.
 
     Contact i owns equality rows 3+2i and 4+2i and, in contact order,
     one inequality row when detached, two when slipping and three when
     sticking. Every inequality's right-hand side is zero.
     """
-    labels = state.labels if isinstance(state, SlipState) else tuple(state)
-    return _system(model, build_maps(model), labels).at(as_wrench(w))
+    return _system(model, build_maps(model), tuple(labels)).at(as_wrench(w))
 
 
 def _project_onto_equalities(a_eq, b_eq, x: np.ndarray) -> np.ndarray:
     """Minimal-norm correction pulling x onto the equality manifold."""
-    if a_eq.shape[0] == 0:
-        return x
     residual = a_eq @ x - b_eq
     if np.max(np.abs(residual)) < PROJECTION_SKIP:
         return x
@@ -189,7 +175,7 @@ def _project_onto_equalities(a_eq, b_eq, x: np.ndarray) -> np.ndarray:
 def _solution_from_x(sys: StateSystem, x: np.ndarray,
                      state_index: int) -> EquilibriumSolution:
     eq_res = float(np.max(np.abs(sys.a_eq @ x - sys.b_eq)))
-    slack = float(np.min(sys.a_in @ x - sys.b_in)) if len(sys.b_in) else np.inf
+    slack = float(np.min(sys.a_in @ x))
     return EquilibriumSolution(
         d=x[:3].copy(), forces=x[3:].reshape(-1, 2).copy(), labels=sys.labels,
         state_index=state_index, max_eq_residual=eq_res, min_ineq_slack=slack,
@@ -204,11 +190,11 @@ class PreparedState:
     equalities' solutions are x_p(w) + null @ z, with x_p(w) = x0 + gain @ w
     their least-norm solution, from the pseudo-inverse of the condensed
     system at the SINGULAR_REL cutoff, and its inequality slacks a_in
-    x_p(w) - b_in = s0 + slack_gain @ w. The equalities are consistent
-    when cons0 + cons_gain @ w, their right-hand side in an orthonormal
-    basis of their left null space at the RANK_EPS cutoff (zero-padded
-    to 3 + m rows), is small enough (see ``solve_state``). A direct state
-    has an empty null basis.
+    x_p(w) = s0 + slack_gain @ w. The equalities are consistent when
+    cons0 + cons_gain @ w, their right-hand side in an orthonormal basis
+    of their left null space at the RANK_EPS cutoff (zero-padded to 3 + m
+    rows), is small enough (``_eq_tol``, with b_max the largest
+    |b_eq[3:]|). A direct state has an empty null basis.
     """
 
     system: StateSystem
@@ -220,6 +206,7 @@ class PreparedState:
     null: np.ndarray
     cons0: np.ndarray
     cons_gain: np.ndarray
+    b_max: float
 
     @property
     def direct(self) -> bool:
@@ -235,23 +222,21 @@ class PreparedState:
         w: the consistency test of its equalities, then one feasibility
         LP over its whole null space (``_null_space_feasible``). Both
         reject only what the box ladder would."""
-        sys = self.system  # at zero load: w enters neither a_in nor the box
         # the ladder accepts only points whose max-norm residual is at
         # most eq_tol, hence whose 2-norm residual is at most sqrt(rows) *
         # eq_tol, and no point has a smaller residual than the norm of
         # b_eq in the left null basis
         if np.linalg.norm(self.cons0 + self.cons_gain @ w) > \
-                np.sqrt(len(sys.b_eq)) * _eq_tol(sys, w)[1]:
+                np.sqrt(self.system.n) * _eq_tol(w, self.b_max)[1]:
             return False
-        return _null_space_feasible(sys, self.x0 + self.gain @ w,
+        # w enters neither a_in nor the box
+        return _null_space_feasible(self.system.a_in, self.x0 + self.gain @ w,
                                     self.s0 + self.slack_gain @ w, self.null)
 
     def ladder_point(self, w: np.ndarray) -> EquilibriumSolution | None:
         """The singular state's point under w, from the box ladder of
         ``linear_feasibility``; None where the ladder finds none."""
-        sys = self.system.at(w)
-        x = linear_feasibility(sys)
-        return None if x is None else _solution_from_x(sys, x, self.index)
+        return linear_feasibility(self, w)
 
 
 def _inverse_cholesky(a: np.ndarray) -> np.ndarray:
@@ -466,11 +451,11 @@ class PreparedStates:
                     self._x[p, :, 4 + self._live[p]:4 + self._size[p]])
                 x = x - null @ (null.T @ x)
                 slack = sys.a_in @ x
-                sys.factor = x[:, 0], x[:, 1:], null
             prep = self._prepared[p] = PreparedState(
                 sys, self._index[p], x0=x[:, 0], gain=x[:, 1:],
                 s0=slack[:, 0], slack_gain=slack[:, 1:], null=null,
-                cons0=self._cons0[p], cons_gain=self._cons_gain[p])
+                cons0=self._cons0[p], cons_gain=self._cons_gain[p],
+                b_max=float(self._b_max[p]))
         return prep
 
     def candidates(self, w: np.ndarray) -> np.ndarray:
@@ -490,9 +475,8 @@ class PreparedStates:
         """Whether each state's equalities pass the consistency test of
         ``solve_state`` under w."""
         cons = np.linalg.norm(self._cons0 + self._cons_gain @ w, axis=1)
-        scale = np.maximum(max(1.0, float(np.max(np.abs(w)))), self._b_max)
-        bound = np.sqrt(3 + 2 * self.model.m) * EQ_RESIDUAL * (1.0 + scale)
-        return ~(cons > bound)
+        return ~(cons > np.sqrt(3 + 2 * self.model.m)
+                 * _eq_tol(w, self._b_max)[1])
 
     def stable_intervals(self, u, cap: float) -> list[tuple[float, float]]:
         """The loads t in [0, cap] under which some state holds w = t u.
@@ -534,7 +518,7 @@ class PreparedStates:
         return spans
 
 
-def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState
+def solve_state(model: GraspModel, w, state: tuple | PreparedState
                 ) -> EquilibriumSolution | None:
     """Solve one slip state; None when its constraints are inconsistent.
 
@@ -544,13 +528,11 @@ def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState
     space; the box ladder of ``linear_feasibility`` then runs only to
     produce the point (``PreparedState.ladder_point``). Both tests reject
     only what the ladder would, so the point is the one the ladder alone
-    returns. A PreparedState is used as it is; any other state is
-    prepared first, from its label vector.
+    returns. A PreparedState is used as it is; a label vector is
+    prepared first.
     """
     if isinstance(state, PreparedState):
         prep = state
-    elif isinstance(state, SlipState):
-        prep = PreparedStates(model, [state.labels], [state.index])[0]
     else:
         prep = PreparedStates(model, [state])[0]
     w = as_wrench(w)
@@ -561,31 +543,29 @@ def solve_state(model: GraspModel, w, state: SlipState | tuple | PreparedState
     return prep.ladder_point(w) if prep.passes_screen(w) else None
 
 
-def _eq_tol(sys: StateSystem, w: np.ndarray | None = None
-            ) -> tuple[float, float]:
-    """(scale, eq_tol): the data's magnitude and the largest max-norm
-    equality residual the box ladder accepts; with w, those of sys at
-    zero load under the wrench w (sys.at(w), whose b_eq[:3] is -w)."""
-    scale = max(1.0, float(np.max(np.abs(sys.b_eq), initial=0.0)),
-                float(np.max(np.abs(sys.b_in), initial=0.0)))
-    if w is not None:
-        scale = max(scale, float(np.max(np.abs(w))))
+def _eq_tol(w: np.ndarray, b_max):
+    """(scale, eq_tol) of a state under the wrench w whose largest
+    |b_eq[3:]| is b_max (one number, or an array of them for a batch):
+    the data's magnitude max(1, |w|, b_max), the largest |b_eq| with
+    b_eq[:3] = -w, and the largest max-norm equality residual the box
+    ladder accepts."""
+    scale = np.maximum(max(1.0, float(np.max(np.abs(w)))), b_max)
     return scale, EQ_RESIDUAL * (1.0 + scale)
 
 
-def _null_space_feasible(sys: StateSystem, x_p: np.ndarray, slack: np.ndarray,
+def _null_space_feasible(a_in: np.ndarray, x_p: np.ndarray, slack: np.ndarray,
                          null: np.ndarray) -> bool:
     """Whether some x = x_p + N z meets the relaxed rows in the +-X_MAX box.
 
-    slack is a_in x_p - b_in. The rows are a_in x >= b_in - INEQ_SLACK and
-    |x| <= X_MAX, as g z >= h. The ladder's boxes all lie within +-X_MAX
+    slack is a_in x_p. The rows are a_in x >= -INEQ_SLACK and |x| <=
+    X_MAX, as g z >= h. The ladder's boxes all lie within +-X_MAX
     and it accepts slack >= -INEQ_SLACK, so where no such z exists every
     rung fails too. One feasibility call of the null-space LP decides
     this at every nullity.
     """
-    k = null.shape[1]
-    g, h = nullspace_lp.null_rows(sys, x_p, slack + INEQ_SLACK, null, X_MAX)
-    bound = nullspace_lp.z_bound(sys.n, X_MAX)
+    n, k = null.shape
+    g, h = nullspace_lp.null_rows(a_in, x_p, slack + INEQ_SLACK, null, X_MAX)
+    bound = nullspace_lp.z_bound(n, X_MAX)
     return nullspace_lp.small_lp(g, h, np.zeros(k), np.full(k, -bound),
                                  np.full(k, bound)) is not None
 
@@ -609,14 +589,14 @@ def _singular_span(prep: PreparedState, u: np.ndarray, cap: float
     Under t u, x_p and its slack move by t (gain u) and t (slack_gain u),
     so the screen's rows g z >= h(t) become rows over (z, t).
     """
-    sys, null = prep.system, prep.null
-    k = null.shape[1]
-    g, h = nullspace_lp.null_rows(sys, prep.x0, prep.s0 + INEQ_SLACK, null,
-                                  X_MAX)
+    null = prep.null
+    n, k = null.shape
+    g, h = nullspace_lp.null_rows(prep.system.a_in, prep.x0,
+                                  prep.s0 + INEQ_SLACK, null, X_MAX)
     move = prep.gain @ u
     g = np.column_stack([g, np.concatenate([prep.slack_gain @ u, move,
                                             -move])])
-    bound = nullspace_lp.z_bound(sys.n, X_MAX)
+    bound = nullspace_lp.z_bound(n, X_MAX)
     lo = np.append(np.full(k, -bound), 0.0)
     hi = np.append(np.full(k, bound), cap)
     c = np.zeros(k + 1)
@@ -633,49 +613,40 @@ def _singular_span(prep: PreparedState, u: np.ndarray, cap: float
             cap if largest >= cap - near else largest)
 
 
-def linear_feasibility(sys: StateSystem, *,
-                       objective=None) -> np.ndarray | None:
-    """Point satisfying the state system, or None.
+def linear_feasibility(prep: PreparedState, w: np.ndarray, *,
+                       objective=None) -> EquilibriumSolution | None:
+    """The singular state's checked point under the wrench w, or None.
 
     Maximizes the minimum inequality slack subject to the equalities and
     a box bound on the unknowns. The box grows geometrically from
     LADDER_START times the data's magnitude up to X_MAX, so that solutions
     of ordinary magnitude are found at ordinary scale. Each rung is one
-    exact LP (``nullspace_lp.null_lp``) over x = x_p + N z, with x_p and
-    N from one SVD of the equality block. ``solve_state`` rejects
-    infeasible states before this ladder runs, by tests that reject only
-    what it would, so the ladder alone returns the same points.
+    exact LP (``nullspace_lp.null_lp``) over x = x_p(w) + N z, with x_p(w)
+    and N read from prep. ``solve_state`` rejects infeasible states before
+    this ladder runs, by tests that reject only what it would, so the
+    ladder alone returns the same points.
 
     With ``objective``, a stack of rows over x, the rows hold hard and
     each rung first minimizes the objectives lexicographically, in order,
     then maximizes the slack: the one LP of the canonical witness.
     """
-    a_eq, b_eq = sys.a_eq, sys.b_eq
-    scale, eq_tol = _eq_tol(sys)
-    if sys.factor is None:  # a hand-built system: factor its equalities
-        u, sv, vt = np.linalg.svd(a_eq)
-        live = int(np.count_nonzero(sv > SINGULAR_REL * sv[:1]))
-        x_p = vt[:live].T @ ((u[:, :live].T @ b_eq) / sv[:live])
-        null = vt[live:].T
-    else:
-        x0, gain, null = sys.factor
-        x_p = x0 - gain @ b_eq[:3]
-
+    sys = prep.system.at(w)
+    x_p = prep.x0 + prep.gain @ w
+    scale, eq_tol = _eq_tol(w, prep.b_max)
     box = LADDER_START * scale
     while True:
         box = min(box, X_MAX)
-        x, s = nullspace_lp.null_lp(sys, x_p, null, box, objective)
+        x, s = nullspace_lp.null_lp(sys.a_in, x_p, prep.null, box, objective)
         if x is not None and s >= -INEQ_SLACK:
             # the program's verdict is advisory: accept only a point that
             # verifiably satisfies the system at the working tolerances
-            x = _project_onto_equalities(a_eq, b_eq, x)
-            eq_res = float(np.max(np.abs(a_eq @ x - b_eq), initial=0.0))
-            slack = (float(np.min(sys.a_in @ x - sys.b_in))
-                     if len(sys.b_in) else np.inf)
-            if eq_res <= eq_tol and slack >= -INEQ_SLACK:
+            x = _project_onto_equalities(sys.a_eq, sys.b_eq, x)
+            sol = _solution_from_x(sys, x, prep.index)
+            if sol.max_eq_residual <= eq_tol and \
+                    sol.min_ineq_slack >= -INEQ_SLACK:
                 hits_box = float(np.max(np.abs(x))) > BOX_HIT * box
                 if not hits_box or box >= X_MAX:
-                    return x
+                    return sol
         if box >= X_MAX:
             return None
         box *= LADDER_STEP

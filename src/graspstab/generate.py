@@ -8,6 +8,8 @@ common line), which the quadratic state-count law assumes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import lp
@@ -29,10 +31,13 @@ def random_grasp(m: int, rng=None, *, mu: float = 0.5, preload: str = "none",
     preload: "none" or "auto" (a self-balancing, cone-interior preload
     computed by the feasibility program; falls back to none when the
     geometry admits no strictly positive preload, e.g. m = 2). After
-    MAX_TRIES draws in special position it raises RuntimeError.
+    MAX_TRIES draws in special position it raises RuntimeError. A
+    negative or non-finite mu is a ValueError.
     """
     if m < 1:
         raise ValueError("need at least one contact")
+    if not (math.isfinite(mu) and mu >= 0):
+        raise ValueError(f"mu must be finite and non-negative, got {mu}")
     rng = np.random.default_rng(rng)
     for _ in range(MAX_TRIES):
         theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))

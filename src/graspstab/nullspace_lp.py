@@ -15,14 +15,9 @@ stack of objectives before that margin.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .params import LP_REL, MARGIN_CAP
-
-if TYPE_CHECKING:
-    from .equilibrium import StateSystem
 
 __all__ = ["small_lp", "null_rows", "null_lp", "z_bound"]
 
@@ -36,33 +31,33 @@ def z_bound(n: int, box: float) -> float:
     return 2.0 * np.sqrt(n) * box
 
 
-def null_rows(sys: StateSystem, x_p: np.ndarray, slack: np.ndarray,
+def null_rows(a_in: np.ndarray, x_p: np.ndarray, slack: np.ndarray,
               null: np.ndarray, box: float):
     """Rows g z >= h over x = x_p + N z: a_in N z >= -slack, then |x| <=
-    box. slack is the residual at x_p of the rows to impose: a_in x_p -
-    b_in for a_in x >= b_in itself."""
-    return (np.vstack([sys.a_in @ null, null, -null]),
+    box. slack is the residual at x_p of the rows to impose: a_in x_p
+    for a state's own rows a_in x >= 0."""
+    return (np.vstack([a_in @ null, null, -null]),
             np.concatenate([-slack, -box - x_p, -box + x_p]))
 
 
-def null_lp(sys: StateSystem, x_p: np.ndarray, null: np.ndarray, box: float,
+def null_lp(a_in: np.ndarray, x_p: np.ndarray, null: np.ndarray, box: float,
             objective) -> tuple[np.ndarray | None, float]:
     """One rung of the ladder in the null-space coordinates x = x_p + N z.
 
     Maximizes the margin s (at most MARGIN_CAP) by which every row of the
-    state's own a_in x >= b_in holds, within the box |x| <= box. An
+    state's own a_in x >= 0 holds, within the box |x| <= box. An
     objective, a stack of rows over x, comes first: they are minimized
     lexicographically, in order, and the margin is maximized last, bounded
     below by 0, so that the rows hold hard and the objectives see the
     state's true feasible set. Returns (x, s), or (None, nan) when the
     rows cannot hold.
     """
-    k = null.shape[1]
-    g, h = null_rows(sys, x_p, sys.a_in @ x_p - sys.b_in, null, box)
-    bound = z_bound(sys.n, box)
+    n, k = null.shape
+    g, h = null_rows(a_in, x_p, a_in @ x_p, null, box)
+    bound = z_bound(n, box)
     # the margin enters the state's own rows, g z - s >= h
     margin = np.zeros((len(h), 1))
-    margin[:len(sys.b_in), 0] = 1.0
+    margin[:len(a_in), 0] = 1.0
     c = np.zeros(k + 1)
     c[-1] = -1.0
     if objective is None:

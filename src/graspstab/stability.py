@@ -26,13 +26,14 @@ face.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrangement import SlipStateSet, enumerate_slip_states
 from .equilibrium import (EquilibriumSolution, PreparedState, PreparedStates,
-                          _solution_from_x, linear_feasibility, solve_state)
+                          linear_feasibility, solve_state)
 # unused here; the benchmark's traced run wraps it under this module's
 # name (stabbench/tracing.py)
 from .equilibrium import assemble_state_system  # noqa: F401
@@ -300,20 +301,18 @@ def _canonical_witness(w, feasible
         dirs = np.array([sys.slip_dirs[i] for i in slipping]).reshape(-1, 3)
         flat = np.all(np.linalg.norm(dirs @ st.null[:3], axis=1)
                       <= FLAT_REL * np.linalg.norm(dirs, axis=1))
-        x = None
         if not flat:
-            sys = sys.at(w)
             # the least total slip speed, then each speed maximized
             rows = np.zeros((1 + len(dirs), sys.n))
             rows[0, :3], rows[1:, :3] = dirs.sum(axis=0), -dirs
-            x = linear_feasibility(sys, objective=rows)
-        if x is not None:
-            sol = _solution_from_x(sys, x, st.index)
-        elif sol is None:
+            lex = linear_feasibility(st, w, objective=rows)
+            if lex is not None:
+                sol = lex
+        if sol is None:
             sol = st.ladder_point(w)
-            if sol is None:
-                continue
-        speeds = np.zeros(sys.m)
+        if sol is None:
+            continue
+        speeds = np.zeros(len(sys.labels))
         speeds[slipping] = dirs @ sol.d
         entries.append((float(speeds.sum()),
                         tuple(np.round(speeds, WITNESS_DIGITS)), sol))
@@ -393,8 +392,14 @@ def resistible_region(model: GraspModel, n_directions: int, tol: float = 1e-3,
     The slip states and their systems depend only on the geometry, so
     they are enumerated once per grasp, and the one SlipStateSet, whose
     batch is prepared on the first direction, serves every direction's
-    stable intervals.
+    stable intervals. n_directions must be an integer (a ValueError
+    otherwise).
     """
+    try:
+        n_directions = operator.index(n_directions)
+    except TypeError:
+        raise ValueError(f"n_directions must be an integer, got "
+                         f"{n_directions!r}") from None
     if n_directions < 4:
         raise ValueError("need at least 4 directions")
     states = enumerate_slip_states(model, detachment=detachment)

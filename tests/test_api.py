@@ -6,13 +6,15 @@ point builds the grasp's maps from the model itself.
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import importlib
 import inspect
 
 import graspstab
-from graspstab import (arrangement, baselines, equilibrium, generate, params,
-                       stability)
-from graspstab.equilibrium import PreparedStates
+from graspstab import (arrangement, baselines, equilibrium, generate,
+                       nullspace_lp, params, stability)
+from graspstab.equilibrium import PreparedState, PreparedStates, StateSystem
 
 MODULES = ["arrangement", "baselines", "equilibrium", "generate", "grasp_io",
            "model", "nullspace_lp", "stability"]
@@ -52,6 +54,24 @@ def test_tolerances_are_gone():
     assert not hasattr(equilibrium, "prepare_state")
     assert "Tolerances" not in graspstab.__all__
     assert "prepare_state" not in graspstab.__all__
+
+
+def test_state_numbers_live_in_the_prepared_state():
+    # a state's factor and right-hand sides are kept once, in its
+    # PreparedState; the ladder starts from it, and the LP engine knows
+    # nothing of the state layer
+    fields = {f.name for f in dataclasses.fields(StateSystem)}
+    for name in ("factor", "b_in", "slip_count", "m"):
+        assert name not in fields and not hasattr(StateSystem, name), name
+    sig = inspect.signature(equilibrium.linear_feasibility, eval_str=True)
+    assert next(iter(sig.parameters.values())).annotation is PreparedState
+    tree = ast.parse(inspect.getsource(nullspace_lp))
+    imported = [node.module or "" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names]
+    assert not any("equilibrium" in name for name in imported), imported
 
 
 def test_single_state_handle_and_fixed_knobs():

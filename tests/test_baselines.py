@@ -64,6 +64,15 @@ def test_gws_single_frictionless_contact_is_segment():
     assert sl.degenerate
 
 
+def test_gws_nan_friction_is_an_error():
+    # qhull refuses NaN points; only a flat point set is degenerate
+    model = three_contact()
+    model.contacts[0] = Contact(model.contacts[0].position,
+                                model.contacts[0].normal, math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        gws_l1(model)
+
+
 def test_gws_three_contact_slice_contains_disc(m3):
     sl = gws_slice(gws_l1(m3), 0.0)
     assert not sl.degenerate

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from scipy.optimize import linprog
 
-from graspstab import (Contact, GraspModel, assemble_state_system,
-                       check_solution, enumerate_slip_states,
-                       linear_feasibility, lp, solve_state, world_force)
+from graspstab import (Contact, GraspModel, PreparedStates,
+                       assemble_state_system, check_solution,
+                       enumerate_slip_states, linear_feasibility, lp,
+                       solve_state, world_force)
 from graspstab.arrangement import DETACHED
-from graspstab.equilibrium import EquilibriumSolution, StateSystem
+from graspstab.equilibrium import EquilibriumSolution
 from graspstab.generate import random_grasp
 from graspstab.params import RANK_EPS, SINGULAR_REL, X_MAX
 
@@ -38,7 +39,7 @@ def test_detached_state_row_count(m4):
 def test_origin_state_rows(m3):
     sys = assemble_state_system(m3, (0, 0, 0), (0, 0, 0))
     assert sys.a_eq.shape == (9, 9)
-    assert sys.slip_count == 0
+    assert not sys.slip_dirs
 
 
 def test_square_system_any_labels(m4, rng):
@@ -82,30 +83,13 @@ def test_infeasible_state_returns_none(m3p):
 # linear feasibility
 # ---------------------------------------------------------------------------
 
-def _toy_system(a_in, b_in, n=1):
-    return StateSystem(labels=(), a_eq=np.zeros((0, n)), b_eq=np.zeros(0),
-                       a_in=np.array(a_in, float), b_in=np.array(b_in, float),
-                       ineq_kind=["?"] * len(b_in), m=0)
-
-
-def test_feasibility_trivial():
-    x = linear_feasibility(_toy_system([[1.0], [-1.0]], [1.0, -3.0]))
-    assert x is not None and 1.0 - 1e-8 <= x[0] <= 3.0 + 1e-8
-
-
-def test_feasibility_infeasible():
-    assert linear_feasibility(_toy_system([[1.0], [-1.0]], [1.0, 0.0])) is None
-
-
 def test_feasibility_all_stick_underdetermined(m4p):
     # all-stick at a horizontal pull: equalities are rank-deficient but a
     # cone-feasible force family exists
-    sys = assemble_state_system(m4p, (0, 2, 0), (0, 0, 0, 0))
-    x = linear_feasibility(sys)
-    assert x is not None
-    sol = EquilibriumSolution(d=x[:3], forces=x[3:].reshape(-1, 2),
-                              labels=(0, 0, 0, 0), state_index=-1,
-                              max_eq_residual=0, min_ineq_slack=0)
+    prep = PreparedStates(m4p, [(0, 0, 0, 0)])[0]
+    assert not prep.direct
+    sol = linear_feasibility(prep, np.array([0.0, 2.0, 0.0]))
+    assert sol is not None and sol.labels == (0, 0, 0, 0)
     report = check_solution(m4p, (0, 2, 0), sol)
     assert report["max_violation"] < 1e-9
 
@@ -200,8 +184,8 @@ def test_null_space_screen_rejects_before_the_ladder(make, preloaded, w,
     model = make(preloaded)
     sys = assemble_state_system(model, w, labels)
     assert _nullity(sys) == nullity
-    x, margin = lp.max_min_slack(sys.a_eq, sys.b_eq, sys.a_in, sys.b_in,
-                                 -100.0, 100.0)
+    x, margin = lp.max_min_slack(sys.a_eq, sys.b_eq, sys.a_in,
+                                 np.zeros(len(sys.a_in)), -100.0, 100.0)
     assert x is not None and margin < -0.2
     calls = _count_calls(monkeypatch)
     assert solve_state(model, w, labels) is None
@@ -229,10 +213,10 @@ def _highs(sys, *, relax, bounds):
     """HiGHS on the state system: (status, max min slack capped at 1)."""
     n = sys.n
     c = np.zeros(n + 1)
-    c[-1] = -1.0  # maximize the margin s in a_in x - s >= b_in - relax
-    a_ub = np.hstack([-sys.a_in, np.ones((len(sys.b_in), 1))])
+    c[-1] = -1.0  # maximize the margin s in a_in x - s >= -relax
+    a_ub = np.hstack([-sys.a_in, np.ones((len(sys.a_in), 1))])
     a_eq = np.hstack([sys.a_eq, np.zeros((sys.a_eq.shape[0], 1))])
-    res = linprog(c, A_ub=a_ub, b_ub=-(sys.b_in - relax), A_eq=a_eq,
+    res = linprog(c, A_ub=a_ub, b_ub=np.full(len(sys.a_in), relax), A_eq=a_eq,
                   b_eq=sys.b_eq, bounds=[bounds] * n + [(0.0, 1.0)],
                   method="highs")
     return res.status, (-res.fun if res.status == 0 else None)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from graspstab import (Contact, GraspFileError, GraspModel,
-                       GraspValidationError, format_grasp, parse_grasp_text)
+                       GraspValidationError, enumerate_slip_states,
+                       format_grasp, parse_grasp_text)
 from graspstab.cli import main
 from graspstab.generate import random_grasp
 from graspstab.grasp_io import load_grasp_file
@@ -237,6 +238,21 @@ def test_cli_enumerate_counts(capsys):
     assert doc["dual_graph"] == {"V": 4, "E": 4, "F": 2}
 
 
+@pytest.mark.parametrize("name", ["three_contact", "three_contact_preload",
+                                  "four_contact", "four_contact_preload"])
+@pytest.mark.parametrize("strict", [False, True])
+def test_cli_enumerate_dual_graph_matches_built_graph(capsys, name, strict):
+    # the counts come from the cells; the graph is built here only to
+    # check them (every fixture turns detachment on)
+    path = FIXTURES / f"{name}.grasp"
+    _code, out = run_cli(capsys, "enumerate", str(path),
+                         *(["--no-detach"] if strict else []))
+    graph = enumerate_slip_states(load_grasp_file(path)[0],
+                                  detachment=not strict).graph
+    assert json.loads(out)["dual_graph"] == {
+        "V": graph.n_vertices, "E": graph.n_edges, "F": graph.n_faces}
+
+
 def test_cli_enumerate_random_three(tmp_path, capsys):
     path = tmp_path / "g3.grasp"
     code, out = run_cli(capsys, "gen", "--contacts", "3", "--seed", "5")
@@ -360,6 +376,13 @@ def test_cli_gen_rejects_bad_input(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("mu", [-1.0, float("nan"), float("inf")])
+def test_random_grasp_rejects_bad_friction(mu):
+    # the generator itself refuses what validate_model would reject
+    with pytest.raises(ValueError, match="mu must be finite and non-negative"):
+        random_grasp(3, rng=0, mu=mu)
 
 
 def test_cli_gen_output_loads(tmp_path, capsys):

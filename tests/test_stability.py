@@ -133,6 +133,17 @@ def test_region_sweep_minimum_directions(m3):
         resistible_region(m3, 3)
 
 
+@pytest.mark.parametrize("n", [4.0, 4.5])
+def test_region_sweep_refuses_non_integer_count(m3, n):
+    with pytest.raises(ValueError, match="integer"):
+        resistible_region(m3, n)
+
+
+def test_region_sweep_takes_numpy_integer_count(m3):
+    sweep = resistible_region(m3, np.int64(8))
+    assert sweep.n_directions == 8 and len(sweep.results) == 8
+
+
 def test_random_grasp_witnesses_verify():
     for seed in range(5):
         model = random_grasp(4, rng=seed, preload="auto", detachment=True)
@@ -152,14 +163,14 @@ def _count_witness_lps(monkeypatch):
     ladder, witness_lp = equilibrium.linear_feasibility, \
         stability.linear_feasibility
 
-    def counted_ladder(sys, **kwargs):
-        ladders.append(sys.labels)
-        return ladder(sys, **kwargs)
+    def counted_ladder(prep, w, **kwargs):
+        ladders.append(prep.system.labels)
+        return ladder(prep, w, **kwargs)
 
-    def counted_witness(sys, **kwargs):
-        x = witness_lp(sys, **kwargs)
-        witness.append((sys.labels, x is not None))
-        return x
+    def counted_witness(prep, w, **kwargs):
+        sol = witness_lp(prep, w, **kwargs)
+        witness.append((prep.system.labels, sol is not None))
+        return sol
 
     monkeypatch.setattr(equilibrium, "linear_feasibility", counted_ladder)
     monkeypatch.setattr(stability, "linear_feasibility", counted_witness)
@@ -447,7 +458,7 @@ def _assert_batch_matches_loop(model, detachment, wrenches):
         kept = set(batch.candidates(w).tolist())
         for p in np.flatnonzero(~batch.direct):
             if p not in kept:
-                assert linear_feasibility(batch[p].system.at(w)) is None, \
+                assert linear_feasibility(batch[p], w) is None, \
                     (w, states.states[p].labels)
 
 
