@@ -544,11 +544,10 @@ def solve_state(model: GraspModel, w, state: tuple | PreparedState
 
 
 def _eq_tol(w: np.ndarray, b_max):
-    """(scale, eq_tol) of a state under the wrench w whose largest
-    |b_eq[3:]| is b_max (one number, or an array of them for a batch):
-    the data's magnitude max(1, |w|, b_max), the largest |b_eq| with
-    b_eq[:3] = -w, and the largest max-norm equality residual the box
-    ladder accepts."""
+    """(scale, eq_tol) under the wrench w: the data's magnitude max(1,
+    |w|, b_max), b_max the largest |b_eq[3:]| of a state (or an array of
+    them, one per state), and the largest max-norm equality residual the
+    box ladder accepts."""
     scale = np.maximum(max(1.0, float(np.max(np.abs(w)))), b_max)
     return scale, EQ_RESIDUAL * (1.0 + scale)
 
