@@ -28,15 +28,17 @@ No linear program runs; "plane l contains ray d" means
 O(n^2 log n) for n planes, and the state count is quadratic in the
 number of contacts.
 
-Each class of cells is built as arrays (``Cells``): an int8 sign row and
-a witness per cell. Every cell's per-contact labels come from its signs
-in one gather; with detachment, cells whose labels repeat are dropped,
-the first occurrence in the order lines, facets, regions kept; and one
+The whole arrangement is arrays. The planes (``PlaneArrangement``) are
+unit normals plus each contact's (plane, orientation) pairs, one (m, 2)
+int array for its tangent plane and one for its separation plane. Each
+class of cells (``Cells``) is an int8 sign row and a witness per cell.
+Every cell's per-contact labels come from its signs in two gathers;
+with detachment, cells whose labels repeat are dropped, the first
+occurrence in the order lines, facets, regions kept; and one
 ``np.lexsort`` puts the states in canonical order (origin first, then by
 dimension, labels, signs and witness rounded to ORDER_DIGITS). A
-SlipStateSet keeps those arrays and builds SlipState objects and the
-dual graph only when they are first asked for, and a CellState only
-when a Cells is indexed, so a stability query builds none of them.
+SlipStateSet keeps those arrays and builds SlipState objects only when
+they are first asked for, so a stability query builds none.
 
 minimum_cycle_basis is not part of the construction. Each face of the
 dual graph encircles one ray, so the graph's Horton minimum cycle basis
@@ -48,13 +50,13 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import GraspMaps, GraspModel, build_maps
+from .model import GraspModel, build_maps, check_finite
 from .params import GEOM_MARGIN, ORDER_DIGITS, PLANE_COINCIDENT, ZERO_PRELOAD
 
 if TYPE_CHECKING:
@@ -64,13 +66,10 @@ __all__ = [
     "DETACHED",
     "LABEL_NAMES",
     "PlaneArrangement",
-    "CellState",
     "Cells",
     "DualGraph",
     "SlipState",
     "SlipStateSet",
-    "tangent_planes",
-    "separation_planes",
     "line_states",
     "facet_states",
     "enumerate_regions",
@@ -98,85 +97,61 @@ class ArrangementError(RuntimeError):
 
 @dataclass(eq=False)
 class PlaneArrangement:
-    """The distinct planes through the origin and each contact's plane."""
+    """The distinct planes through the origin and each contact's planes."""
 
     # the planes' unit normals (n, 3), read-only
-    normals: np.ndarray = field(default_factory=lambda: np.zeros((0, 3)))
-    # per contact: (plane index, orientation); orientation is +1 when the
-    # contact's raw constraint normal is the plane's normal, -1 when it is
-    # its negation
-    tangent_ref: dict[int, tuple[int, int]] = field(default_factory=dict)
-    separation_ref: dict[int, tuple[int, int]] = field(default_factory=dict)
+    normals: np.ndarray
+    # per contact (m, 2) int: (plane index, orientation) of its tangent
+    # plane and of its separation plane, (-1, 0) where it has none;
+    # orientation is +1 when the contact's raw constraint normal is the
+    # plane's normal, -1 when it is its negation
+    tangent: np.ndarray
+    separation: np.ndarray
 
     @property
     def n_planes(self) -> int:
         return len(self.normals)
 
-    def _add(self, raws: np.ndarray, contacts: list[int], role: str) -> None:
-        """Give each contact the first plane that its unit normal, a row
-        of raws, coincides with, or a new plane where none does."""
-        # np.linalg.norm's arithmetic, row by row
-        units = raws / np.array([math.sqrt(r.dot(r)) for r in raws])[:, None]
-        rows = np.vstack([self.normals, units])
-        dots = (units @ rows.T).tolist()
-        ref = self.tangent_ref if role == "tangent" else self.separation_ref
-        n = self.n_planes
-        cols = list(range(n))  # each plane's row of rows
-        for k, (contact, dot) in enumerate(zip(contacts, dots)):
-            idx = next((idx for idx, col in enumerate(cols)
-                        if abs(dot[col]) > PLANE_COINCIDENT), None)
-            if idx is None:  # a new plane, oriented by its own normal
-                idx = len(cols)
-                cols.append(n + k)
-            ref[contact] = (idx, 1 if dot[cols[idx]] > 0 else -1)
-        self.normals = rows[cols]
-        self.normals.flags.writeable = False
 
-
-def tangent_planes(maps: GraspMaps) -> PlaneArrangement:
-    """One oriented plane per distinct zero-tangential-motion constraint."""
-    arr = PlaneArrangement()
-    m = maps.motion.shape[1] // 2
-    arr._add(maps.motion[:, 1::2].T, list(range(m)), "tangent")
-    return arr
-
-
-def separation_planes(model: GraspModel, maps: GraspMaps,
-                      arr: PlaneArrangement) -> PlaneArrangement:
-    """Extend the arrangement with separation planes of zero-preload contacts."""
-    free = np.flatnonzero(model.preload[:, 0] <= ZERO_PRELOAD)
-    arr._add(maps.motion[:, 2 * free].T, free.tolist(), "separation")
-    return arr
-
-
-@dataclass(eq=False)
-class CellState:
-    """A cell of the arrangement: sign per distinct plane plus a witness."""
-
-    signs: tuple[int, ...]
-    dim: str  # region | facet | line | origin
-    witness: np.ndarray
+def _plane_arrangement(model: GraspModel,
+                       detachment: bool) -> PlaneArrangement:
+    """Each contact's tangent plane, then, with detachment, each
+    zero-preload contact's separation plane. Each unit normal in turn
+    takes the first earlier plane it coincides with (|cos| >
+    PLANE_COINCIDENT), or a new plane oriented by itself."""
+    motion = build_maps(model).motion
+    m = model.m
+    free = np.flatnonzero(model.preload[:, 0] <= ZERO_PRELOAD) \
+        if detachment else np.zeros(0, int)
+    raws = np.concatenate([motion[:, 1::2].T, motion[:, 2 * free].T])
+    # np.linalg.norm's arithmetic, row by row
+    units = raws / np.array([math.sqrt(r.dot(r)) for r in raws])[:, None]
+    cols, refs = [], []  # each plane's row; each row's (plane, orientation)
+    for k, dot in enumerate((units @ units.T).tolist()):
+        idx = next((idx for idx, col in enumerate(cols)
+                    if abs(dot[col]) > PLANE_COINCIDENT), None)
+        if idx is None:
+            idx = len(cols)
+            cols.append(k)
+        refs.append((idx, 1 if dot[cols[idx]] > 0 else -1))
+    separation = [(-1, 0)] * m
+    for i, ref in zip(free.tolist(), refs[m:]):
+        separation[i] = ref
+    normals = units[cols]
+    normals.flags.writeable = False
+    return PlaneArrangement(normals, np.array(refs[:m]), np.array(separation))
 
 
 @dataclass(eq=False)
 class Cells:
     """One class of cells as arrays: row k holds a cell's sign per
-    distinct plane and its witness, a unit motion inside the cell.
-    Indexing or iterating gives CellStates, built on the spot."""
+    distinct plane and its witness, a unit motion inside the cell."""
 
-    dim: str  # region | facet | line
     signs: np.ndarray  # (K, planes) int8
     witness: np.ndarray  # (K, 3)
 
     def __len__(self) -> int:
         return len(self.signs)
-
-    def __getitem__(self, k: int) -> CellState:
-        return CellState(signs=tuple(self.signs[k].tolist()), dim=self.dim,
-                         witness=self.witness[k])
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
 
 
 @dataclass(eq=False)
@@ -247,7 +222,7 @@ def line_states(arr: PlaneArrangement) -> Cells:
     """
     n = arr.n_planes
     if n < 2:
-        return Cells("line", np.zeros((0, n), np.int8), np.zeros((0, 3)))
+        return Cells(np.zeros((0, n), np.int8), np.zeros((0, 3)))
     normals = arr.normals
     first, second = np.triu_indices(n, 1)
     dirs = _cross(normals[first], normals[second])
@@ -267,7 +242,7 @@ def line_states(arr: PlaneArrangement) -> Cells:
             cover[on] = np.minimum(cover[on], k)
     keep = cover[first, second] >= pairs
     dirs, signs = dirs[keep], signs[keep]
-    return Cells("line", np.stack([signs, -signs], axis=1).reshape(-1, n),
+    return Cells(np.stack([signs, -signs], axis=1).reshape(-1, n),
                  np.stack([dirs, -dirs], axis=1).reshape(-1, 3))
 
 
@@ -312,7 +287,7 @@ def facet_states(arr: PlaneArrangement, lines: Cells) -> Cells:
         + np.sin(mids)[:, None] * e2[plane]
     signs = np.sign(witness @ normals.T).astype(np.int8)
     signs[np.arange(len(plane)), plane] = 0
-    return Cells("facet", signs, witness)
+    return Cells(signs, witness)
 
 
 def enumerate_regions(arr: PlaneArrangement, facets: Cells) -> Cells:
@@ -335,7 +310,7 @@ def enumerate_regions(arr: PlaneArrangement, facets: Cells) -> Cells:
     witness = np.repeat(facets.witness, 2, axis=0) \
         + (side * np.repeat(delta, 2))[:, None] * normals[plane]
     first = _first_rows(_packed(signs))
-    return Cells("region", signs[first], witness[first])
+    return Cells(signs[first], witness[first])
 
 
 def build_dual_graph(regions: Cells, facets: Cells) -> DualGraph:
@@ -456,9 +431,8 @@ class SlipStateSet:
     ``dim_rank`` (S,), 0 for the origin, 1 for rays, 2 for facets and 3
     for regions. The origin's signs and witness are zero. ``cells`` holds
     the arrangement's cells of each class as Cells. SlipState objects
-    (``states``, iteration) and the dual graph (``graph``) are built when
-    first asked for, and a CellState whenever a Cells is indexed or
-    iterated; a stability query needs none of them.
+    (``states``, iteration) are built when first asked for; a stability
+    query needs none of them.
 
     ``model`` is the grasp the states were enumerated for. Their linear
     systems depend on it alone, so ``prepared``, the states' systems
@@ -498,10 +472,6 @@ class SlipStateSet:
         from .equilibrium import PreparedStates
         return PreparedStates(self.model, self.labels, range(len(self)))
 
-    @cached_property
-    def graph(self) -> DualGraph:
-        return build_dual_graph(self.cells["regions"], self.cells["facets"])
-
     @property
     def cell_counts(self) -> dict[str, int]:
         return {kind: len(c) for kind, c in self.cells.items()}
@@ -511,17 +481,12 @@ class SlipStateSet:
         return sum(map(len, self.cells.values()))
 
 
-def _cell_labels(signs: np.ndarray, arr: PlaneArrangement, m: int,
-                 detachment: bool) -> np.ndarray:
+def _cell_labels(signs: np.ndarray, arr: PlaneArrangement) -> np.ndarray:
     """Per-contact slip labels (K, m), int8, of cells with plane signs
-    (K, planes)."""
-    plane, orient = np.array([arr.tangent_ref[i] for i in range(m)]).T
-    labels = (signs[:, plane] * orient).astype(np.int8)
-    if detachment and arr.separation_ref:
-        contact = list(arr.separation_ref)
-        plane, orient = np.array([arr.separation_ref[i] for i in contact]).T
-        labels[:, contact] = np.where(signs[:, plane] * orient < 0, DETACHED,
-                                      labels[:, contact])
+    (K, planes): each tangent sign, oriented, or DETACHED on the
+    separating side of a separation plane."""
+    labels = (signs[:, arr.tangent[:, 0]] * arr.tangent[:, 1]).astype(np.int8)
+    labels[signs[:, arr.separation[:, 0]] * arr.separation[:, 1] < 0] = DETACHED
     return labels
 
 
@@ -536,14 +501,13 @@ def enumerate_slip_states(model: GraspModel, *,
     the arrangement's cells. The all-stick origin state is always
     present and always first. The rest follow SlipState.sort_key. The
     set records model, the one grasp its states may be solved for, and
-    condenses no system until a query asks for it.
+    condenses no system until a query asks for it. A model without
+    contacts or with a non-finite number is a ValueError (check_finite).
     """
-    maps = build_maps(model)
+    check_finite(model)
     if detachment is None:
         detachment = model.options.detachment
-    arr = tangent_planes(maps)
-    if detachment:
-        separation_planes(model, maps, arr)
+    arr = _plane_arrangement(model, detachment)
 
     lines = line_states(arr)
     facets = facet_states(arr, lines)
@@ -556,7 +520,7 @@ def enumerate_slip_states(model: GraspModel, *,
     witness = np.concatenate([np.zeros((1, 3)), *(c.witness for c in kinds)])
     rank = np.repeat(np.arange(4, dtype=np.int8),
                      [1, *(len(c) for c in kinds)])
-    labels = _cell_labels(signs, arr, model.m, detachment)
+    labels = _cell_labels(signs, arr)
     label_keys = _packed(labels)
     # with detachment, the origin's all-stick labels are seen first
     keep = _first_rows(label_keys) if detachment else np.arange(len(labels))

@@ -19,7 +19,8 @@ import numpy as np
 
 from .arrangement import DETACHED
 from .equilibrium import EquilibriumSolution, PreparedStates
-from .model import GraspModel, as_wrench, build_maps, cone_edges, cross2
+from .model import (GraspModel, as_wrench, build_maps, check_finite,
+                    cone_edges, cross2)
 from .params import (INEQ_SLACK, SINGULAR_REL, SLICE_EDGE, SLICE_PLANE,
                      STICK_MOTION, ZERO_PRELOAD)
 from .stability import Verdict, _feasible_states
@@ -48,10 +49,12 @@ def brute_force_verdict(model: GraspModel, w, *, detachment: bool | None = None
     detached when detachment is enabled. The label vectors are decided
     in product order, _BATCH at a time (see PreparedStates), so a stable
     query prepares no batch past the one holding its first feasible
-    vector. A grasp of more than MAX_CONTACTS contacts is a ValueError.
+    vector. A grasp of more than MAX_CONTACTS contacts is a ValueError,
+    as is one that check_finite refuses.
     """
     if model.m > MAX_CONTACTS:
         raise ValueError(f"brute force limited to {MAX_CONTACTS} contacts")
+    check_finite(model)
     if detachment is None:
         detachment = model.options.detachment
     w = as_wrench(w)

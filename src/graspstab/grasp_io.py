@@ -83,6 +83,10 @@ def parse_grasp_text(text: str) -> tuple[GraspModel, str]:
     unknown = set(doc) - _TOP_FIELDS
     if unknown:
         raise GraspFileError(f"unknown field(s): {', '.join(sorted(unknown))}")
+    # a bare "name:" reads as None
+    name = doc.get("name")
+    if isinstance(name, (list, dict)):
+        raise GraspFileError(f"name: expected a scalar, got {name!r}")
 
     raw_contacts = doc.get("contacts")
     if raw_contacts is None or not isinstance(raw_contacts, list):
@@ -142,7 +146,7 @@ def parse_grasp_text(text: str) -> tuple[GraspModel, str]:
     violations = validate_model(model)
     if violations:
         raise GraspValidationError(violations)
-    return model, str(doc.get("name", "unnamed"))
+    return model, "unnamed" if name is None else str(name)
 
 
 def load_grasp_file(path) -> tuple[GraspModel, str]:

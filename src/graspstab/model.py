@@ -19,6 +19,7 @@ delta_n`` and friction produced by slip opposes the slip direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,12 +193,19 @@ def preload_wrench(model: GraspModel) -> np.ndarray:
     return total
 
 
-def validate_model(model: GraspModel) -> list[str]:
-    """Check every model invariant; returns human-readable violations."""
-    errors = []
+def _non_finite(model: GraspModel) -> list[str]:
+    """The violations of a model without contacts or with a non-finite
+    number, the ones no computation can run past."""
     if model.m < 1:
-        errors.append("model has no contacts")
-        return errors
+        return ["model has no contacts"]
+    # one pass over Python floats, much cheaper than the per-contact
+    # numpy tests that name the culprits
+    numbers = model.stiffness.tolist() + model.preload.ravel().tolist()
+    for c in model.contacts:
+        numbers += c.position.tolist() + c.normal.tolist() + [c.mu]
+    if all(map(math.isfinite, numbers)):
+        return []
+    errors = []
     for i, c in enumerate(model.contacts):
         for what, value in (("position", c.position), ("normal", c.normal),
                             ("friction coefficient", c.mu),
@@ -205,6 +213,21 @@ def validate_model(model: GraspModel) -> list[str]:
                             ("preload", model.preload[i])):
             if not np.all(np.isfinite(value)):
                 errors.append(f"contact {i}: non-finite {what} {value}")
+    return errors
+
+
+def check_finite(model: GraspModel) -> None:
+    """A ValueError carrying validate_model's message when the model has
+    no contacts or a non-finite number; the entry points run this, not
+    the whole validate_model."""
+    errors = _non_finite(model)
+    if errors:
+        raise ValueError("; ".join(errors))
+
+
+def validate_model(model: GraspModel) -> list[str]:
+    """Check every model invariant; returns human-readable violations."""
+    errors = _non_finite(model)
     if errors:
         # NaN makes every comparison below false, so it would pass them all
         return errors

@@ -37,7 +37,7 @@ from .equilibrium import (EquilibriumSolution, PreparedState, PreparedStates,
 # unused here; the benchmark's traced run wraps it under this module's
 # name (stabbench/tracing.py)
 from .equilibrium import assemble_state_system  # noqa: F401
-from .model import GraspModel, as_wrench, cone_edges
+from .model import GraspModel, as_wrench, check_finite, cone_edges
 from .params import (FLAT_REL, PLANE_COINCIDENT, SEPARATION_REL,
                      WITNESS_DIGITS, WITNESS_TIE)
 
@@ -111,7 +111,8 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
       "first"     - witness from the first feasible state (fastest);
       "canonical" - deterministic minimal-slip witness (see module doc).
     The verdict itself is identical under either policy; any other
-    policy is a ValueError.
+    policy is a ValueError, as is a model without contacts or with a
+    non-finite number (``model.check_finite``).
 
     Once the input is checked, and before any state is enumerated, one
     friction-cone separation test (``_separating_direction``) runs: where
@@ -137,6 +138,7 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
         raise ValueError(f"witness_policy must be 'first' or 'canonical', "
                          f"got {witness_policy!r}")
     w = as_wrench(w)
+    check_finite(model)
     if states is not None:
         _check_states(model, states, detachment)
         detachment = states.detachment
@@ -194,7 +196,11 @@ def _separating_direction(model: GraspModel, w: np.ndarray
     so equilibrium needs -w in the cone K spanned by the wrenches of the
     contact forces (1, +-mu) (``model.cone_edges``); such a y puts -w
     outside it. The candidates are the normals of the planes through
-    two generators that have every generator on one side. The test
+    two generators that have every generator on one side. Where one
+    such plane has every generator on both sides, K is flat, and the
+    normals of the planes through its normal and one generator that
+    have every generator on one side join them, so a load in the plane
+    of K is decided too. The test
     works in a frame centred on the contacts' centroid, with lengths in
     units of their largest distance from it, where it fires when the
     deepest candidate has w . y > SEPARATION_REL * F (see params.py); y
@@ -227,7 +233,17 @@ def _separating_direction(model: GraspModel, w: np.ndarray
     # the rounding of the products says
     same = (gen[:, None] == gen).all(axis=2)
     held = (cross @ gen.T >= 0.0) | (same[:, None] | same).reshape(k * k, k)
-    cands = cross[plane.ravel() & held.all(axis=1)]
+    keep = (plane.ravel() & held.all(axis=1)).reshape(k, k)
+    cands = cross[keep.ravel()]
+    # a plane with every generator on both sides contains K: within it,
+    # K is bounded by the planes through its normal and one generator
+    flat = np.flatnonzero((keep & keep.T).ravel())
+    if len(flat):
+        normal = cross[flat[0]]
+        inner = normal[_LEAD] * lag - normal[_LAG] * lead
+        inner = np.concatenate([inner, -inner])
+        on_side = (inner @ gen.T >= 0.0) | np.concatenate([same, same])
+        cands = np.concatenate([cands, inner[on_side.all(axis=1)]])
     if not len(cands):
         return None
     depth = (cands @ wrench) / np.sqrt((cands * cands).sum(axis=1))
@@ -347,11 +363,13 @@ def max_resistible(model: GraspModel, direction, tol: float = 1e-3,
     stable the bracket is (0, h). No stability query runs. ``states``
     is as in check_stability: a SlipStateSet of this model object,
     whose batch (``SlipStateSet.prepared``) is built once and shared by
-    every call it is passed to.
+    every call it is passed to. A model that check_finite refuses is a
+    ValueError.
     """
     if not (math.isfinite(tol) and math.isfinite(cap) and tol > 0
             and cap > 0):
         raise ValueError("tol and cap must be finite and positive")
+    check_finite(model)
     u = np.asarray(direction, dtype=float).reshape(2)
     with np.errstate(over="ignore"):  # an overflowing norm is refused
         norm = np.linalg.norm(u)

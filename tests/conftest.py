@@ -54,14 +54,16 @@ def partial_cube_problem(states) -> str | None:
     the number of signs in which they differ.
     """
     normals = states.arrangement.normals
-    regions = [r.signs for r in states.cells["regions"]]
+    regions = list(map(tuple, states.cells["regions"].signs.tolist()))
     index = {signs: k for k, signs in enumerate(regions)}
     adj = [set() for _ in regions]
-    for k, facet in enumerate(states.cells["facets"]):
-        i = facet.signs.index(0)
-        dist = np.abs(normals @ facet.witness)
+    facets = states.cells["facets"]
+    for k, (signs, witness) in enumerate(zip(facets.signs.tolist(),
+                                             facets.witness)):
+        i = signs.index(0)
+        dist = np.abs(normals @ witness)
         delta = 0.5 * np.delete(dist, i).min(initial=1.0)
-        ends = [tuple(np.sign(normals @ (facet.witness + s * delta * normals[i]))
+        ends = [tuple(np.sign(normals @ (witness + s * delta * normals[i]))
                       .astype(int).tolist()) for s in (1, -1)]
         if np.flatnonzero(np.not_equal(*ends)).tolist() != [i]:
             return f"facet {k}: its sides {ends} differ off plane {i}"

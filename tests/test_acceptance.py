@@ -202,25 +202,18 @@ def test_criterion_7_arrangement_invariants():
         detach = bool(run % 2)
         model = random_grasp(m, rng=rng)
         states = enumerate_slip_states(model, detachment=detach)
-        graph, arr = states.graph, states.arrangement
-        if graph.n_vertices - graph.n_edges + graph.n_faces != 2:
-            problems.append(f"run {run}: Euler violated")
-            break
+        arr = states.arrangement
         chi, expected = cell_euler(states)
         if chi != expected:
             problems.append(f"run {run}: rays - facets + regions = {chi}")
             break
-        regions = states.cells["regions"]
-        ok_cube = all(
-            sum(a != b for a, b in zip(regions[i].signs, regions[j].signs)) == 1
-            for i, j, _p in graph.edges)
         cube = partial_cube_problem(states)
-        if not ok_cube or cube is not None:
-            problems.append(f"run {run}: partial-cube violated {cube or ''}")
+        if cube is not None:
+            problems.append(f"run {run}: partial-cube violated {cube}")
             break
         n = arr.n_planes
-        rays = states.cells["lines"]
-        whole = sum(1 for s in rays if all(v == 0 for v in s.signs))
+        regions, rays = states.cells["regions"], states.cells["lines"]
+        whole = int(np.count_nonzero(np.all(rays.signs == 0, axis=1)))
         counts = {3: len(regions), 2: len(states.cells["facets"]),
                   1: len(rays) - whole // 2}
         if any(counts[k] > zaslavsky_bound(n, 3, k) for k in (1, 2, 3)):
@@ -243,12 +236,11 @@ def _sampling_complete(model, states, rng):
     for col in range(signs.shape[1]):
         labels = []
         for i in range(model.m):
-            if states.detachment and i in arr.separation_ref:
-                js, orient = arr.separation_ref[i]
-                if orient * signs[js, col] < 0:
-                    labels.append(DETACHED)
-                    continue
-            jt, orient = arr.tangent_ref[i]
+            js, orient = arr.separation[i].tolist()
+            if states.detachment and js >= 0 and orient * signs[js, col] < 0:
+                labels.append(DETACHED)
+                continue
+            jt, orient = arr.tangent[i].tolist()
             labels.append(orient * signs[jt, col])
         if tuple(labels) not in known:
             return False

@@ -14,12 +14,13 @@ import inspect
 import graspstab
 from graspstab import (arrangement, baselines, equilibrium, generate,
                        nullspace_lp, params, stability)
+from graspstab.arrangement import PlaneArrangement, SlipState, SlipStateSet
 from graspstab.equilibrium import PreparedState, PreparedStates, StateSystem
 
 MODULES = ["arrangement", "baselines", "equilibrium", "generate", "grasp_io",
            "model", "nullspace_lp", "stability"]
 # functions whose maps are their input
-TAKE_MAPS = {"tangent_planes", "separation_planes", "contact_motion"}
+TAKE_MAPS = {"contact_motion"}
 
 
 def _public_callables():
@@ -88,3 +89,27 @@ def test_single_state_handle_and_fixed_knobs():
                      (generate.balanced_preload, "total_normal"),
                      (baselines.brute_force_verdict, "max_contacts")):
         assert knob not in inspect.signature(fn).parameters, knob
+
+
+def test_arrangement_has_one_array_form():
+    # the planes and cells are arrays only: no per-cell objects, no plane
+    # dicts and no dual graph on the state set
+    for name in ("CellState", "tangent_planes", "separation_planes"):
+        assert not hasattr(arrangement, name), name
+        assert name not in arrangement.__all__, name
+    assert not hasattr(SlipStateSet, "graph")
+    for name in ("__getitem__", "__iter__", "dim"):
+        assert not hasattr(arrangement.Cells, name), name
+    model = generate.random_grasp(4, rng=2)
+    states = arrangement.enumerate_slip_states(model, detachment=True)
+    arr = states.arrangement
+    assert isinstance(arr, PlaneArrangement)
+    for refs in (arr.tangent, arr.separation):
+        assert refs.shape == (model.m, 2)
+        assert refs.dtype.kind == "i"
+    # the benchmark reads SlipStates off an iterated set
+    listed = list(states)
+    assert len(listed) == len(states)
+    assert all(isinstance(st, SlipState) for st in listed)
+    assert [st.labels for st in listed] == list(map(tuple, states.labels.tolist()))
+    assert listed[0].dim == "origin" and listed[-1].dim == "region"

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from graspstab import Contact, GraspModel, build_maps, enumerate_slip_states, zaslavsky_bound
-from graspstab.arrangement import (DETACHED, CellState, DualGraph, SlipState,
-                                   _first_rows, _packed, build_dual_graph,
-                                   enumerate_regions, facet_states,
-                                   line_states, minimum_cycle_basis,
-                                   separation_planes, tangent_planes)
+from graspstab import Contact, GraspModel, enumerate_slip_states, zaslavsky_bound
+from graspstab.arrangement import (DETACHED, DualGraph, SlipState,
+                                   _first_rows, _packed, _plane_arrangement,
+                                   build_dual_graph, enumerate_regions,
+                                   facet_states, line_states,
+                                   minimum_cycle_basis)
 from graspstab.cli import main
 from graspstab.generate import random_grasp
 from graspstab.grasp_io import format_grasp
@@ -26,11 +26,7 @@ SQRT2 = np.sqrt(2.0)
 
 
 def _arr(model, detachment=False):
-    maps = build_maps(model)
-    arr = tangent_planes(maps)
-    if detachment:
-        separation_planes(model, maps, arr)
-    return arr
+    return _plane_arrangement(model, detachment)
 
 
 def _cells(arr):
@@ -54,9 +50,9 @@ def test_three_contact_tangent_planes():
 def test_four_contact_tangent_planes_merge():
     arr = _arr(four_contact())
     assert arr.n_planes == 2
-    assert arr.tangent_ref[0][0] == arr.tangent_ref[1][0]
-    assert arr.tangent_ref[2][0] == arr.tangent_ref[3][0]
-    assert all(orient == 1 for _idx, orient in arr.tangent_ref.values())
+    assert arr.tangent[0, 0] == arr.tangent[1, 0]
+    assert arr.tangent[2, 0] == arr.tangent[3, 0]
+    assert np.all(arr.tangent[:, 1] == 1)
 
 
 def test_single_contact_one_plane():
@@ -67,15 +63,15 @@ def test_single_contact_one_plane():
 def test_four_contact_separation_planes_merge_oppositely():
     arr = _arr(four_contact(), detachment=True)
     assert arr.n_planes == 4
-    assert arr.separation_ref[0][0] == arr.separation_ref[3][0]
-    assert arr.separation_ref[0][1] == -arr.separation_ref[3][1]
-    assert arr.separation_ref[1][0] == arr.separation_ref[2][0]
+    assert arr.separation[0, 0] == arr.separation[3, 0]
+    assert arr.separation[0, 1] == -arr.separation[3, 1]
+    assert arr.separation[1, 0] == arr.separation[2, 0]
 
 
 def test_preloaded_contacts_get_no_separation_planes():
     arr = _arr(four_contact(True), detachment=True)
     assert arr.n_planes == 2
-    assert arr.separation_ref == {}
+    assert arr.separation.tolist() == [[-1, 0]] * 4
 
 
 def test_zero_preload_single_contact_separation_plane():
@@ -103,8 +99,9 @@ def _witness_values(kind):
     for model, detachment in WITNESS_CASES:
         arr = _arr(model, detachment)
         lines, facets, regions, _graph = _cells(arr)
-        for cell in {"line": lines, "facet": facets, "region": regions}[kind]:
-            yield np.array(cell.signs), arr.normals @ cell.witness
+        cells = {"line": lines, "facet": facets, "region": regions}[kind]
+        for signs, witness in zip(cells.signs, cells.witness):
+            yield signs, arr.normals @ witness
 
 
 def test_region_witnesses_realize_their_signs():
@@ -150,14 +147,13 @@ def test_dual_graph_single_plane():
     _lines, facets, _regions, graph = _cells(
         _arr(GraspModel([Contact([0, 0], [0, -1], 0.5)])))
     assert (graph.n_vertices, graph.n_edges) == (2, 1)
-    assert [f.signs for f in facets] == [(0,)]
+    assert facets.signs.tolist() == [[0]]
 
 
 def test_partial_cube_property_random():
     _lines, _facets, regions, graph = _cells(_arr(random_grasp(5, rng=7)))
     for a, b, plane in graph.edges:
-        sa, sb = np.array(regions[a].signs), np.array(regions[b].signs)
-        diff = np.nonzero(sa != sb)[0]
+        diff = np.nonzero(regions.signs[a] != regions.signs[b])[0]
         assert len(diff) == 1 and diff[0] == plane
 
 
@@ -229,8 +225,8 @@ def test_rays_match_minimum_cycle_basis(m, seed, detachment):
         _arr(random_grasp(m, rng=seed), detachment))
     mcb = minimum_cycle_basis(graph)
     assert len(mcb) + 1 == len(lines)
-    zero_sets = {frozenset(j for j, s in enumerate(l.signs) if s == 0)
-                 for l in lines}
+    zero_sets = {frozenset(np.flatnonzero(signs == 0).tolist())
+                 for signs in lines.signs}
     for cycle in mcb:
         assert frozenset(graph.edges[e][2] for e in cycle) in zero_sets
 
@@ -242,7 +238,7 @@ def test_rays_match_minimum_cycle_basis(m, seed, detachment):
 def test_line_states_two_planes_two_rays():
     lines = line_states(_arr(four_contact()))
     assert len(lines) == 2
-    dirs = sorted(tuple(np.round(l.witness, 9)) for l in lines)
+    dirs = sorted(tuple(np.round(w, 9)) for w in lines.witness)
     assert np.allclose(dirs[0], (-1, 0, 0)) and np.allclose(dirs[1], (1, 0, 0))
 
 
@@ -264,7 +260,7 @@ def test_line_states_match_pairwise_intersection_oracle():
             vals = normals @ direction
             signs = tuple(0 if abs(v) < 1e-9 else int(np.sign(v)) for v in vals)
             expected.add(signs)
-    assert {l.signs for l in lines} == expected
+    assert set(map(tuple, lines.signs.tolist())) == expected
     assert len(lines) == len(expected)
 
 
@@ -275,9 +271,9 @@ def test_line_states_three_planes_through_one_line():
     arr = _arr(model)
     lines = line_states(arr)
     assert arr.n_planes == 3
-    assert [l.signs for l in lines] == [(0, 0, 0), (0, 0, 0)]
-    assert np.allclose(np.abs(lines[0].witness), (0, 1, 0))
-    assert np.allclose(lines[0].witness, -lines[1].witness)
+    assert lines.signs.tolist() == [[0, 0, 0], [0, 0, 0]]
+    assert np.allclose(np.abs(lines.witness[0]), (0, 1, 0))
+    assert np.allclose(lines.witness[0], -lines.witness[1])
 
 
 def test_single_plane_no_line_states():
@@ -336,12 +332,11 @@ def _assert_sampling_complete(model, states, rng):
     for col in range(signs.shape[1]):
         labels = []
         for i in range(model.m):
-            jt, ot = arr.tangent_ref[i]
-            if i in arr.separation_ref:
-                js, os_ = arr.separation_ref[i]
-                if os_ * signs[js, col] < 0:
-                    labels.append(DETACHED)
-                    continue
+            jt, ot = arr.tangent[i].tolist()
+            js, os_ = arr.separation[i].tolist()
+            if js >= 0 and os_ * signs[js, col] < 0:
+                labels.append(DETACHED)
+                continue
             labels.append(ot * signs[jt, col])
         assert tuple(labels) in known
 
@@ -375,12 +370,11 @@ def _labels_of(signs, arr, m, detachment):
     """A cell's per-contact labels, read off its signs contact by contact."""
     labels = []
     for i in range(m):
-        if detachment and i in arr.separation_ref:
-            j, orient = arr.separation_ref[i]
-            if orient * signs[j] < 0:
-                labels.append(DETACHED)
-                continue
-        j, orient = arr.tangent_ref[i]
+        j, orient = arr.separation[i].tolist()
+        if detachment and j >= 0 and orient * signs[j] < 0:
+            labels.append(DETACHED)
+            continue
+        j, orient = arr.tangent[i].tolist()
         labels.append(orient * signs[j])
     return tuple(labels)
 
@@ -400,18 +394,19 @@ def test_enumerated_order_is_canonical(model, detachment):
     arr = states.arrangement
     first = {}  # labels -> the first cell with them, lines to regions
     for kind in ("lines", "facets", "regions"):
-        for cell in states.cells[kind]:
-            first.setdefault(_labels_of(cell.signs, arr, model.m, detachment),
-                             cell)
+        cells = states.cells[kind]
+        for signs, witness in zip(cells.signs.tolist(), cells.witness):
+            first.setdefault(_labels_of(signs, arr, model.m, detachment),
+                             (kind[:-1], tuple(signs), witness))
     if not detachment:
         assert len(rest) == states.count_excluding_origin
         return
     first.pop((0,) * model.m, None)  # the origin's labels come first
     assert len(rest) == len(first)
     for st in rest:
-        cell = first[st.labels]
-        assert (st.dim, st.signs) == (cell.dim, cell.signs)
-        assert np.array_equal(st.witness, cell.witness)
+        dim, signs, witness = first[st.labels]
+        assert (st.dim, st.signs) == (dim, signs)
+        assert np.array_equal(st.witness, witness)
 
 
 @pytest.mark.parametrize("width", [1, 2, 31, 32, 65])
@@ -428,11 +423,11 @@ def test_packed_rows_order_and_first_occurrences(width, rng):
 
 def test_states_are_built_only_when_asked_for(monkeypatch):
     built = []
-    for cls in (SlipState, CellState):
-        def counting(self, *args, _init=cls.__init__, **kwargs):
-            built.append(type(self).__name__)
-            _init(self, *args, **kwargs)
-        monkeypatch.setattr(cls, "__init__", counting)
+
+    def counting(self, *args, _init=SlipState.__init__, **kwargs):
+        built.append(type(self).__name__)
+        _init(self, *args, **kwargs)
+    monkeypatch.setattr(SlipState, "__init__", counting)
 
     large = enumerate_slip_states(random_grasp(20, 1), detachment=False)
     assert large.arrangement.n_planes == 20 and len(large) == 1523
@@ -442,7 +437,6 @@ def test_states_are_built_only_when_asked_for(monkeypatch):
     # (Table III), so the box ladder and the canonical witness run
     assert check_stability(model, (0.0, 1.999, 0.0), states=states).stable
     assert max_resistible(model, (0.0, 1.0), states=states).magnitude > 0
-    assert large.graph.n_vertices == large.cell_counts["regions"]
     assert built == []
 
     assert len(large.states) == len(large)
@@ -450,10 +444,6 @@ def test_states_are_built_only_when_asked_for(monkeypatch):
     built.clear()
     assert len(list(states)) == len(states)
     assert built == ["SlipState"] * len(states)
-    built.clear()
-    cells = [cell for kind in large.cells.values() for cell in kind]
-    assert len(cells) == large.count_excluding_origin
-    assert built == ["CellState"] * large.count_excluding_origin
 
 
 def test_labels_of_a_grasp_with_more_planes_than_int8_holds():
@@ -473,7 +463,7 @@ def test_labels_of_a_grasp_with_more_planes_than_int8_holds():
 def _one_face_count(states):
     # antipodal rays with an all-zero sign vector bound a single line cell
     rays = states.cells["lines"]
-    whole_lines = sum(1 for s in rays if all(v == 0 for v in s.signs))
+    whole_lines = int(np.count_nonzero(np.all(rays.signs == 0, axis=1)))
     return len(rays) - whole_lines // 2
 
 
@@ -482,8 +472,6 @@ def test_euler_and_zaslavsky_random():
         m = 2 + seed
         states = enumerate_slip_states(random_grasp(m, rng=100 + seed),
                                        detachment=bool(seed % 2))
-        graph = states.graph
-        assert graph.n_vertices - graph.n_edges + graph.n_faces == 2
         chi, expected = cell_euler(states)
         assert chi == expected, (seed, chi)
         assert partial_cube_problem(states) is None, seed
@@ -585,8 +573,8 @@ def test_cell_sign_vectors_match_exhaustive_oracle(case):
     model, detachment = case
     states = enumerate_slip_states(model, detachment=detachment)
     normals = states.arrangement.normals
-    cells = [c.signs for kind in ("lines", "facets", "regions")
-             for c in states.cells[kind]]
+    cells = [tuple(signs) for kind in ("lines", "facets", "regions")
+             for signs in states.cells[kind].signs.tolist()]
     assert set(cells) == _oracle_sign_vectors(normals)
     # only the two rays of a line every plane contains share a sign vector
     repeats = len(cells) - len(set(cells))
@@ -647,8 +635,9 @@ def _reference_cells(arr):
 def _assert_cells_match_reference(model, detachment):
     arr = _arr(model, detachment)
     for cells, ref in zip(_cells(arr)[:3], _reference_cells(arr)):
-        assert [c.signs for c in cells] == [signs for signs, _w in ref]
-        got = np.array([c.witness for c in cells]).reshape(-1, 3)
+        assert list(map(tuple, cells.signs.tolist())) == [
+            signs for signs, _w in ref]
+        got = cells.witness
         want = np.array([w for _s, w in ref]).reshape(-1, 3)
         assert np.array_equal(got, want)
 

@@ -8,6 +8,7 @@ import pytest
 from graspstab import (Contact, GraspFileError, GraspModel,
                        GraspValidationError, enumerate_slip_states,
                        format_grasp, parse_grasp_text)
+from graspstab.arrangement import build_dual_graph
 from graspstab.cli import main
 from graspstab.generate import random_grasp
 from graspstab.grasp_io import load_grasp_file
@@ -42,6 +43,25 @@ def test_parse_rejects_unknown_fields():
     with pytest.raises(GraspFileError) as err:
         parse_grasp_text("contacts:\n  - {position: [0,0], normal: [0,-1], mu: 0.5}\nbogus: 1\n")
     assert "bogus" in str(err.value)
+
+
+ONE_CONTACT = "contacts:\n  - {position: [0, 0], normal: [0, -1], mu: 0.5}\n"
+
+
+@pytest.mark.parametrize("line, name", [("", "unnamed"), ("name:\n", "unnamed"),
+                                        ("name: ~\n", "unnamed"),
+                                        ("name: grip\n", "grip"),
+                                        ("name: 42\n", "42")])
+def test_parse_reads_the_name(line, name):
+    assert parse_grasp_text(line + ONE_CONTACT)[1] == name
+
+
+@pytest.mark.parametrize("line", ["name: [1, 2]\n", "name: {a: 1}\n",
+                                  "name:\n  - grip\n"])
+def test_parse_rejects_a_name_that_is_no_scalar(line):
+    with pytest.raises(GraspFileError) as err:
+        parse_grasp_text(line + ONE_CONTACT)
+    assert "name" in str(err.value)
 
 
 def test_parse_rejects_bad_yaml():
@@ -247,8 +267,9 @@ def test_cli_enumerate_dual_graph_matches_built_graph(capsys, name, strict):
     path = FIXTURES / f"{name}.grasp"
     _code, out = run_cli(capsys, "enumerate", str(path),
                          *(["--no-detach"] if strict else []))
-    graph = enumerate_slip_states(load_grasp_file(path)[0],
-                                  detachment=not strict).graph
+    states = enumerate_slip_states(load_grasp_file(path)[0],
+                                   detachment=not strict)
+    graph = build_dual_graph(states.cells["regions"], states.cells["facets"])
     assert json.loads(out)["dual_graph"] == {
         "V": graph.n_vertices, "E": graph.n_edges, "F": graph.n_faces}
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
 import pytest
 
-from graspstab import Contact, GraspModel, build_maps, contact_motion, validate_model, world_force
+from graspstab import (Contact, GraspModel, brute_force_verdict, build_maps,
+                       check_stability, contact_motion, enumerate_slip_states,
+                       max_resistible, validate_model, world_force)
 
 from conftest import THREE_PRELOAD, three_contact, four_contact
 
@@ -114,3 +119,46 @@ def test_preload_self_balance_sums_to_zero():
 
 def test_preload_values_match_fixture():
     assert np.allclose(three_contact(True).preload, THREE_PRELOAD)
+
+
+def _with(model, i, **changes):
+    """model with contact i's position, normal or mu replaced."""
+    contacts = list(model.contacts)
+    c = contacts[i]
+    contacts[i] = Contact(changes.get("position", c.position),
+                          changes.get("normal", c.normal),
+                          changes.get("mu", c.mu))
+    return GraspModel(contacts, stiffness=model.stiffness,
+                      preload=model.preload, options=model.options)
+
+
+def _bad_models():
+    """Models no computation can run past: no contacts, or a non-finite
+    position, normal, mu, stiffness or preload."""
+    stiffness = np.ones(3)
+    stiffness[2] = math.inf
+    preload = np.array(THREE_PRELOAD)
+    preload[1, 0] = math.nan
+    return [GraspModel([]),
+            _with(three_contact(), 1, position=(math.inf, -1.0)),
+            _with(three_contact(), 0, normal=(math.nan, 0.0)),
+            _with(three_contact(), 0, mu=math.nan),
+            GraspModel(three_contact().contacts, stiffness=stiffness),
+            GraspModel(three_contact().contacts, preload=preload)]
+
+
+ENTRY_POINTS = {
+    "check_stability": lambda model: check_stability(model, (0, -1, 0)),
+    "max_resistible": lambda model: max_resistible(model, (0, -1)),
+    "enumerate_slip_states": enumerate_slip_states,
+    "brute_force_verdict": lambda model: brute_force_verdict(model, (0, -1, 0)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_refuse_a_model_with_validate_models_message(entry):
+    for model in _bad_models():
+        message = "; ".join(validate_model(model))
+        assert message
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ENTRY_POINTS[entry](model)

@@ -98,14 +98,39 @@ def test_degenerate_cone_certificates_hold(model):
 
 def test_one_contact_fires_off_its_plane():
     # K is a wedge in a plane through the origin: a load off that plane
-    # is refused along its normal, one on it is left to the slip states
+    # is refused along its normal, one on it but outside the wedge along
+    # a direction that the plane's normal cannot give (w . normal = 0)
     edges = _edges(ONE_CONTACT)
     normal = np.cross(edges[0], edges[1])
     normal /= np.linalg.norm(normal)
     for w in [normal, -normal, normal + 0.2 * edges[0]]:
         y = _separating_direction(ONE_CONTACT, w)
         assert y is not None and abs(abs(y @ normal) - 1.0) < 1e-12
-    assert _separating_direction(ONE_CONTACT, edges[0] - 3 * edges[1]) is None
+    w = edges[0] - 3 * edges[1]
+    y = _separating_direction(ONE_CONTACT, w)
+    assert abs(w @ normal) < 1e-12 and y is not None
+    _assert_certificate(ONE_CONTACT, w, y)
+    # -w inside the wedge is balanced by the contact force
+    assert _separating_direction(ONE_CONTACT, -(edges[0] + edges[1])) is None
+
+
+@pytest.mark.parametrize("model", [ONE_CONTACT, FRICTIONLESS],
+                         ids=["one_contact", "frictionless"])
+def test_flat_cone_decides_every_load_in_its_plane(model):
+    # every generator lies in one plane; a load in that plane is refused
+    # exactly when HiGHS finds -w outside K
+    g = _edges(model)
+    other = next(e for e in g if np.linalg.norm(np.cross(g[0], e)) > 0.1)
+    rng = np.random.default_rng(5)
+    fired = 0
+    for a, b in rng.normal(size=(30, 2)):
+        w = a * g[0] + b * other
+        y = _separating_direction(model, w)
+        assert (y is not None) == (not _in_cone(model, w)), w
+        if y is not None:
+            fired += 1
+            _assert_certificate(model, w, y)
+    assert 0 < fired < 30
 
 
 def test_parallel_normals_refuse_a_pull_off_the_supports():
