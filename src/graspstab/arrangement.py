@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import GraspModel, build_maps, check_finite
+from .model import GraspModel, check_finite, motion_rows
 from .params import GEOM_MARGIN, ORDER_DIGITS, PLANE_COINCIDENT, ZERO_PRELOAD
 
 if TYPE_CHECKING:
@@ -119,11 +119,11 @@ def _plane_arrangement(model: GraspModel,
     zero-preload contact's separation plane. Each unit normal in turn
     takes the first earlier plane it coincides with (|cos| >
     PLANE_COINCIDENT), or a new plane oriented by itself."""
-    motion = build_maps(model).motion
+    rows = motion_rows(model)
     m = model.m
     free = np.flatnonzero(model.preload[:, 0] <= ZERO_PRELOAD) \
         if detachment else np.zeros(0, int)
-    raws = np.concatenate([motion[:, 1::2].T, motion[:, 2 * free].T])
+    raws = np.concatenate([rows[1::2], rows[2 * free]])
     # np.linalg.norm's arithmetic, row by row
     units = raws / np.array([math.sqrt(r.dot(r)) for r in raws])[:, None]
     cols, refs = [], []  # each plane's row; each row's (plane, orientation)

@@ -138,19 +138,23 @@ class GraspMaps:
     wrench: np.ndarray
 
 
+def motion_rows(model: GraspModel) -> np.ndarray:
+    """The motion map's columns as rows (2m, 3): contact i's normal (n,
+    p x n) at 2i and tangent (t, p x t) at 2i + 1, with cross2's
+    arithmetic. A loop over Python floats, as in cone_edges."""
+    rows = []
+    for c in model.contacts:
+        (px, py), (nx, ny) = c.position.tolist(), c.normal.tolist()
+        # t = (n_y, -n_x)
+        rows += [(nx, ny, px * ny - py * nx), (ny, -nx, px * -nx - py * ny)]
+    return np.array(rows).reshape(-1, 3)
+
+
 def build_maps(model: GraspModel) -> GraspMaps:
     """Assemble the motion and wrench maps from the contact geometry."""
-    m = model.m
-    motion = np.zeros((3, 2 * m))
-    wrench = np.zeros((3, 2 * m))
-    for i, c in enumerate(model.contacts):
-        n, t, p = c.normal, c.tangent, c.position
-        motion[:2, 2 * i] = n
-        motion[2, 2 * i] = cross2(p, n)
-        motion[:2, 2 * i + 1] = t
-        motion[2, 2 * i + 1] = cross2(p, t)
-        wrench[:, 2 * i] = -motion[:, 2 * i]
-        wrench[:, 2 * i + 1] = motion[:, 2 * i + 1]
+    motion = np.ascontiguousarray(motion_rows(model).T)
+    wrench = motion.copy()
+    wrench[:, 0::2] = -motion[:, 0::2]
     return GraspMaps(motion=motion, wrench=wrench)
 
 

@@ -11,9 +11,15 @@ variable; ``null_lp`` builds one rung of the box ladder of
 ``equilibrium.linear_feasibility`` on it, with the margin as one more
 variable, and the canonical witness's one lexicographic LP, an ordered
 stack of objectives before that margin.
+
+Each such LP has at most 4 unknowns and takes 2-3 eliminations, so
+numpy's cost per call would exceed its arithmetic: ``small_lp`` scales
+the rows once in numpy and runs the recursion on Python lists of floats.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 import numpy as np
 
@@ -80,7 +86,8 @@ def small_lp(g, h, c, lo, hi) -> np.ndarray | None:
     lexicographically: each later objective only breaks the ties that
     the earlier ones leave, each objective's coefficients counting as
     zero below LP_REL of its largest. A stack of one gives the same
-    point as its one objective.
+    point as its one objective. The inputs may be arrays or nested
+    sequences and are not modified; the result is a float64 array (d,).
 
     Seidel's incremental algorithm (Seidel 1991, "Small-dimensional
     linear programming and convex hulls made easy"), exact up to rounding,
@@ -97,94 +104,112 @@ def small_lp(g, h, c, lo, hi) -> np.ndarray | None:
     Where every objective leaves a variable free, it takes the
     value of its range nearest 0: in the null space, the point nearest
     x_p, the least-norm solution of the equalities. Rows are scaled to
-    unit norm once, so that every residual, before or after an
-    elimination, is a distance in y.
+    unit norm once, in numpy, so that every residual, before or after an
+    elimination, is a distance in y. The recursion then runs on Python
+    lists of floats, because on at most 4 variables and 2-3 eliminations
+    an LP numpy's per-call cost would exceed the arithmetic; only the
+    dot product that recovers an eliminated variable stays numpy's.
     """
     c = np.asarray(c, dtype=float)
     h = np.asarray(h, dtype=float)
     d = c.shape[-1]
     g = np.asarray(g, dtype=float).reshape(len(h), d)
     norm = np.sqrt(np.einsum("ij,ij->i", g, g))
-    flat = norm <= LP_REL
-    if flat.any():
-        if np.any(h[flat] > LP_REL * (1.0 + np.abs(h[flat]))):
+    live = norm > LP_REL
+    if not live.all():
+        flat = h[~live]
+        if np.any(flat > LP_REL * (1.0 + np.abs(flat))):
             return None
-        g, h, norm = g[~flat], h[~flat], norm[~flat]
-    c = c.reshape(-1, d)
-    c_norm = np.abs(c).max(axis=1, keepdims=True, initial=0.0)
-    c_norm[c_norm == 0.0] = 1.0
-    return _seidel(g / norm[:, None], h / norm, c / c_norm,
-                   np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+        g, h, norm = g[live], h[live], norm[live]
+    y = _seidel((g / norm[:, None]).tolist(), (h / norm).tolist(),
+                [_unit(ck) for ck in c.reshape(-1, d).tolist()],
+                np.asarray(lo, dtype=float).tolist(),
+                np.asarray(hi, dtype=float).tolist())
+    return None if y is None else np.array(y)
+
+
+def _unit(ck: list) -> list:
+    """An objective scaled to a largest coefficient of 1, or left as it
+    is where all are zero."""
+    top = max(map(abs, ck), default=0.0)
+    return [v / top for v in ck] if top else ck
 
 
 def _seidel(g, h, c, lo, hi):
-    """small_lp on rows whose entries are at most about 1, c (K, d)
-    likewise."""
-    if c.shape[1] == 1:
-        return _interval(g[:, 0], h, c[:, 0], lo[0], hi[0])
+    """small_lp on lists: rows g whose entries are at most about 1, h,
+    the stack c (K rows) likewise, and the bounds lo and hi."""
+    if len(lo) == 1:
+        return _interval([row[0] for row in g], h, [ck[0] for ck in c],
+                         lo[0], hi[0])
     # the box vertex that is optimal before any row is added: each
     # variable at the bound its first objective that is not flat in it
     # prefers, so the objectives are applied from the last
-    y = np.clip(0.0, lo, hi)
-    for row in c[::-1]:
-        y = np.where(row > LP_REL, lo, np.where(row < -LP_REL, hi, y))
-    i = 0
-    while i < len(h):
-        bad = np.flatnonzero(g[i:] @ y - h[i:] < -LP_REL * (
-            1.0 + np.abs(h[i:]) + np.abs(y).sum()))
-        if bad.size == 0:
-            break
-        i += int(bad[0])
-        y = _on_row(g, h, c, lo, hi, i)
-        if y is None:
-            return None
-        i += 1
+    y = [min(max(0.0, a), b) for a, b in zip(lo, hi)]
+    for row in reversed(c):
+        y = [a if ck > LP_REL else b if ck < -LP_REL else v
+             for ck, a, b, v in zip(row, lo, hi, y)]
+    size = sum(map(abs, y))
+    for i, (row, b) in enumerate(zip(g, h)):
+        if sum(map(mul, row, y)) - b < -LP_REL * (1.0 + abs(b) + size):
+            y = _on_row(g, h, c, lo, hi, i)
+            if y is None:
+                return None
+            size = sum(map(abs, y))
     return y
 
 
 def _on_row(g, h, c, lo, hi, i):
     """The optimum over rows before i and the box, on row i's hyperplane.
 
-    The variable j with the largest coefficient in row i is eliminated,
-    y_j = t - q y'; its bounds become the subproblem's first two rows,
-    and every objective c y becomes (c' - c_j q) y' + c_j t.
-    Row i is violated, so where it is flat no point meets it.
+    The variable j with the largest coefficient in row i (the first such)
+    is eliminated, y_j = t - q y'; its bounds become the subproblem's
+    first two rows, and every objective c y becomes (c' - c_j q) y' +
+    c_j t. Row i is violated, so where it is flat no point meets it.
     """
-    j = int(np.argmax(np.abs(g[i])))
-    if abs(g[i, j]) <= LP_REL:
+    row = g[i]
+    mags = list(map(abs, row))
+    j = mags.index(max(mags))
+    pivot = row[j]
+    if abs(pivot) <= LP_REL:
         return None
-    keep = np.arange(c.shape[1]) != j
-    q = g[i, keep] / g[i, j]
-    t = h[i] / g[i, j]
-    sub_g, sub_h = np.empty((i + 2, len(q))), np.empty(i + 2)
-    sub_g[0], sub_g[1], sub_g[2:] = -q, q, g[:i, keep] - g[:i, j:j + 1] * q
-    sub_h[0], sub_h[1], sub_h[2:] = lo[j] - t, t - hi[j], h[:i] - g[:i, j] * t
-    sub = _seidel(sub_g, sub_h, c[:, keep] - c[:, j:j + 1] * q, lo[keep],
-                  hi[keep])
+    q = [v / pivot for v in _drop(row, j)]
+    t = h[i] / pivot
+    sub_g = [[-v for v in q], q]
+    sub_g += [[v - r[j] * qk for v, qk in zip(_drop(r, j), q)] for r in g[:i]]
+    sub_h = [lo[j] - t, t - hi[j]]
+    sub_h += [b - r[j] * t for r, b in zip(g[:i], h[:i])]
+    sub_c = [[v - ck[j] * qk for v, qk in zip(_drop(ck, j), q)] for ck in c]
+    sub = _seidel(sub_g, sub_h, sub_c, _drop(lo, j), _drop(hi, j))
     if sub is None:
         return None
-    y = np.empty(c.shape[1])
-    y[keep] = sub
-    y[j] = t - q @ sub
-    return y
+    # numpy's dot, whose BLAS kernel may fuse its multiply-adds: a Python
+    # sum would move some points by an ulp from those the engine gave
+    # when its recursion ran in numpy
+    return sub[:j] + [t - float(np.matmul(q, sub))] + sub[j:]
+
+
+def _drop(v: list, j: int) -> list:
+    return v[:j] + v[j + 1:]
 
 
 def _interval(a, b, c, lo, hi):
-    """The one-variable case: the end of the interval of y that the
-    first objective of c (K,) not flat in y prefers."""
-    up, down = a > LP_REL, a < -LP_REL
-    flat = ~(up | down)
-    if flat.any() and np.any(b[flat] > LP_REL * (1.0 + np.abs(b[flat]))):
-        return None
-    low = max(lo, (b[up] / a[up]).max()) if up.any() else lo
-    high = min(hi, (b[down] / a[down]).min()) if down.any() else hi
+    """The one-variable case over lists: the end of the interval of y
+    that the first objective of c (K,) not flat in y prefers."""
+    low, high = lo, hi
+    for ak, bk in zip(a, b):
+        if ak > LP_REL:
+            low = max(low, bk / ak)
+        elif ak < -LP_REL:
+            high = min(high, bk / ak)
+        elif bk > LP_REL * (1.0 + abs(bk)):
+            return None
     if low > high:
         if low - high > LP_REL * (1.0 + abs(low) + abs(high)):
             return None
-        return np.array([0.5 * (low + high)])
-    for ck in c.tolist():
+        return [0.5 * (low + high)]
+    for ck in c:
         if ck > LP_REL:
-            return np.array([low])
+            return [low]
         if ck < -LP_REL:
-            return np.array([high])
-    return np.array([min(max(0.0, low), high)])
+            return [high]
+    return [min(max(0.0, low), high)]

@@ -8,9 +8,11 @@ import pytest
 
 from graspstab import (Contact, GraspModel, brute_force_verdict, build_maps,
                        check_stability, contact_motion, enumerate_slip_states,
-                       max_resistible, validate_model, world_force)
+                       load_grasp_file, max_resistible, random_grasp,
+                       validate_model, world_force)
+from graspstab.model import cross2
 
-from conftest import THREE_PRELOAD, three_contact, four_contact
+from conftest import FIXTURES, THREE_PRELOAD, three_contact, four_contact
 
 
 def test_single_contact_columns():
@@ -30,6 +32,36 @@ def test_four_contact_columns():
     maps = build_maps(four_contact())
     assert np.allclose(maps.motion[:, 0], [-1, 0, 1])
     assert np.allclose(maps.motion[:, 1], [0, 1, -1])
+
+
+def _maps_by_contact(model):
+    """The maps written column by column, one contact at a time."""
+    motion = np.zeros((3, 2 * model.m))
+    wrench = np.zeros((3, 2 * model.m))
+    for i, c in enumerate(model.contacts):
+        n, t, p = c.normal, c.tangent, c.position
+        motion[:2, 2 * i] = n
+        motion[2, 2 * i] = cross2(p, n)
+        motion[:2, 2 * i + 1] = t
+        motion[2, 2 * i + 1] = cross2(p, t)
+        wrench[:, 2 * i] = -motion[:, 2 * i]
+        wrench[:, 2 * i + 1] = motion[:, 2 * i + 1]
+    return motion, wrench
+
+
+def test_maps_match_the_per_contact_columns_bitwise():
+    models = [load_grasp_file(str(path))[0]
+              for path in sorted(FIXTURES.glob("*.grasp"))]
+    models += [random_grasp(2 + k % 4, rng=k,
+                            preload="auto" if k % 2 else "none")
+               for k in range(40)]
+    assert len(models) == 44
+    for model in models:
+        maps = build_maps(model)
+        for got, want in zip((maps.motion, maps.wrench),
+                             _maps_by_contact(model)):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
 
 
 def test_validate_ok_zero_preload(m3):

@@ -3,10 +3,14 @@
 Small integer data make the degenerate cases exact: parallel and opposed
 rows, single-point and empty feasible sets, and optima on the box. An
 infeasible system of such rows misses by far more than either solver's
-tolerance, so the two must agree on feasibility.
+tolerance, so the two must agree on feasibility. The LPs the queries
+themselves pose, 22-34 rows with repeated box rows, are recorded from
+the paper's tables and the fixtures' sweeps and replayed.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from graspstab import (check_stability, enumerate_slip_states,
+                       load_grasp_file, max_resistible, nullspace_lp)
 from graspstab.nullspace_lp import small_lp
+
+from conftest import FIXTURES
 
 COEF = st.integers(-2, 2)
 
@@ -71,18 +79,17 @@ def lexicographic_lps(draw):
     return g, h, np.array(stack, dtype=float), box
 
 
-def _sequential_highs(g, h, stack, box):
+def _sequential_highs(g, h, stack, lo, hi):
     """HiGHS on each objective in turn, each earlier optimum held as a row
     to within 1e-10, so that a later optimum can improve on the exact
     one by no more than that times the data's small ratios: the optima,
     or None when the rows cannot hold."""
-    d = g.shape[1]
     a_ub, b_ub = -g, -h
     optima = []
     for c in stack:
         ref = linprog(c, A_ub=a_ub if len(b_ub) else None,
                       b_ub=b_ub if len(b_ub) else None,
-                      bounds=[(-box, box)] * d, method="highs")
+                      bounds=list(zip(lo, hi)), method="highs")
         assert ref.status in (0, 2)
         if ref.status == 2:
             return None
@@ -97,8 +104,9 @@ def _sequential_highs(g, h, stack, box):
 def test_lexicographic_small_lp_agrees_with_sequential_highs(case):
     g, h, stack, box = case
     d = g.shape[1]
-    y = small_lp(g, h, stack, np.full(d, -box), np.full(d, box))
-    optima = _sequential_highs(g, h, stack, box)
+    lo, hi = np.full(d, -box), np.full(d, box)
+    y = small_lp(g, h, stack, lo, hi)
+    optima = _sequential_highs(g, h, stack, lo, hi)
     assert (y is not None) == (optima is not None)
     if y is None:
         return
@@ -162,3 +170,139 @@ def test_small_lp_infeasible():
     assert small_lp(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([1.0, 0.0]),
                     np.array([1.0, 0.0]), np.full(2, -5.0),
                     np.full(2, 5.0)) is None
+
+
+# the 19 queries of the paper's Table I and Table III: (fixture, wrench,
+# detachment), Table III rows 7-8 again in strict mode
+PAPER_QUERIES = [
+    ("three_contact", (0, 0, 0), True), ("three_contact_preload", (0, 0, 0), True),
+    ("three_contact", (0, -1, 0), True), ("three_contact", (0, -2, 0), True),
+    ("three_contact", (0, 1, 0), True), ("three_contact_preload", (0, 1, 0), True),
+    ("three_contact_preload", (0, 1.1, 0), True),
+    ("four_contact", (0, 0, 0), True), ("four_contact_preload", (0, 0, 0), True),
+    ("four_contact", (0, 2, 0), True), ("four_contact", (0, -2, 0), True),
+    ("four_contact_preload", (0, 2, 0), True),
+    ("four_contact_preload", (0, -2, 0), True),
+    ("four_contact", (0, 0, 3), True), ("four_contact", (0, 0, -3), True),
+    ("four_contact_preload", (0, 0, 3), True),
+    ("four_contact_preload", (0, 0, -3), True),
+    ("four_contact", (0, 0, 3), False), ("four_contact", (0, 0, -3), False),
+]
+# (fixture, directions, angle of the first) of the fixtures' sweeps
+SWEEPS = [("three_contact", 6, 0.0), ("three_contact_preload", 4, 0.0),
+          ("four_contact_preload", 2, 0.5 * math.pi)]
+
+
+def _recorded_lps(monkeypatch):
+    """(g, h, c, lo, hi) of every small_lp call the paper's queries and
+    the fixtures' max_resistible sweeps make."""
+    calls = []
+    solve = nullspace_lp.small_lp
+
+    def record(g, h, c, lo, hi):
+        calls.append(tuple(np.array(a, dtype=float) for a in (g, h, c, lo, hi)))
+        return solve(g, h, c, lo, hi)
+
+    monkeypatch.setattr(nullspace_lp, "small_lp", record)
+    models = {path.stem: load_grasp_file(str(path))[0]
+              for path in FIXTURES.glob("*.grasp")}
+    for name, w, detachment in PAPER_QUERIES:
+        check_stability(models[name], w, detachment=detachment)
+    for name, count, first in SWEEPS:
+        states = enumerate_slip_states(models[name])
+        for k in range(count):
+            angle = first + 2.0 * math.pi * k / count
+            max_resistible(models[name], (math.cos(angle), math.sin(angle)),
+                           1e-3, 1e3, states=states)
+    monkeypatch.undo()
+    return calls
+
+
+def test_small_lp_replays_the_queries_lps_as_highs_solves_them(monkeypatch):
+    calls = _recorded_lps(monkeypatch)
+    assert len(calls) > 200
+    sizes = [len(h) for _g, h, *_ in calls]
+    assert min(sizes) >= 22 and max(sizes) >= 34
+    # every one repeats rows: the box rows of coordinates the null space
+    # leaves alone are all zero
+    assert all(len(np.unique(g, axis=0)) < len(g) for g, *_ in calls)
+    feasible = 0
+    for g, h, c, lo, hi in calls:
+        y = small_lp(g, h, c, lo, hi)
+        stack = np.atleast_2d(c)
+        optima = _sequential_highs(g, h, stack, lo, hi)
+        assert (y is None) == (optima is None)
+        if y is None:
+            continue
+        feasible += 1
+        assert np.all(g @ y - h >= -1e-9)
+        assert np.all(y >= lo - 1e-9 * (1.0 + np.abs(lo)))
+        assert np.all(y <= hi + 1e-9 * (1.0 + np.abs(hi)))
+        for ck, best in zip(stack, optima):
+            assert abs(ck @ y - best) <= 1e-8 * (1.0 + abs(best)), (ck, best)
+    assert feasible > 100
+
+
+def _tuples(a: np.ndarray) -> tuple:
+    return tuple(map(tuple, a)) if a.ndim == 2 else tuple(a)
+
+
+@pytest.mark.parametrize("kind", [np.array, np.ndarray.tolist, _tuples],
+                         ids=["array", "list", "tuple"])
+def test_small_lp_takes_lists_tuples_and_arrays_alike(kind):
+    g = np.array([[0.0, 2.0, -1.0], [1.0, 0.0, 1.0], [-1.0, 2.0, -2.0],
+                  [1.0, 1.0, 1.0]])
+    h = np.array([0.0, 1.0, -3.0, 0.5])
+    c = np.array([[2.0, 0.0, 2.0], [-2.0, -1.0, -1.0]])
+    lo, hi = np.full(3, -3.0), np.array([3.0, 2.0, 3.0])
+    args = (g, h, c, lo, hi)
+    kept = [a.copy() for a in args]
+    want = small_lp(*args)
+    y = small_lp(*(kind(a) for a in args))
+    assert y.dtype == np.float64 and y.shape == (3,)
+    assert y.tobytes() == want.tobytes()
+    for a, b in zip(args, kept):
+        assert np.array_equal(a, b)
+    one = small_lp(kind(np.array([[1.0], [-1.0]])), kind(np.array([0.5, -2.0])),
+                   kind(np.array([1.0])), kind(np.array([-3.0])),
+                   kind(np.array([3.0])))
+    assert one.dtype == np.float64 and one.shape == (1,) and one[0] == 0.5
+
+
+# Rows p + q, p, q with p zero where q is largest: eliminating on q turns
+# p + q into p, and eliminating on p below that leaves it flat in the
+# two-variable subproblem. Found by search; in the first the flat row
+# holds, in the second one of them cannot.
+FLAT_AT_DEPTH = [
+    ([[0, 2, -1, -1], [1, 0, 1, 0], [-1, 2, -2, -1]], [0, 4, 3],
+     [[2, 0, 2, 2], [-2, -1, -1, 0], [2, 0, 2, -1], [2, 0, 1, -1]]),
+    ([[1, 0, -1, 0], [0, 0, -2, 0], [1, 0, 1, 0]], [0, 2, 3],
+     [[2, 2, 1, 2], [1, -2, 0, 0], [-1, -2, 1, -2], [-2, -2, -1, 1]]),
+]
+
+
+@pytest.mark.parametrize("g, h, stack", FLAT_AT_DEPTH)
+def test_small_lp_with_a_row_flat_two_levels_down(monkeypatch, g, h, stack):
+    g, h, stack = (np.array(a, dtype=float) for a in (g, h, stack))
+    lo, hi = np.full(4, -3.0), np.full(4, 3.0)
+    flat_rows = []
+    seidel = nullspace_lp._seidel
+
+    def spy(sub_g, sub_h, sub_c, sub_lo, sub_hi):
+        if len(sub_lo) == 2:
+            # past the two rows of the eliminated variable's bounds
+            flat_rows.extend(b for row, b in zip(sub_g[2:], sub_h[2:])
+                             if max(map(abs, row)) <= 1e-12)
+        return seidel(sub_g, sub_h, sub_c, sub_lo, sub_hi)
+
+    monkeypatch.setattr(nullspace_lp, "_seidel", spy)
+    y = small_lp(g, h, stack, lo, hi)
+    monkeypatch.undo()
+    assert flat_rows
+    optima = _sequential_highs(g, h, stack, lo, hi)
+    assert (y is None) == (optima is None)
+    if y is None:
+        return
+    assert np.all(g @ y - h >= -1e-9) and np.all(np.abs(y) <= 3.0 + 1e-9)
+    for c, best in zip(stack, optima):
+        assert abs(c @ y - best) <= 1e-8 * (1.0 + abs(best)), (c, best)
