@@ -4,7 +4,7 @@ Small integer data make the degenerate cases exact: parallel and opposed
 rows, single-point and empty feasible sets, and optima on the box. An
 infeasible system of such rows misses by far more than either solver's
 tolerance, so the two must agree on feasibility. The LPs the queries
-themselves pose, 22-34 rows with repeated box rows, are recorded from
+themselves pose, 22-34 rows each, some repeated, are recorded from
 the paper's tables and the fixtures' sweeps and replayed.
 """
 
@@ -223,8 +223,7 @@ def test_small_lp_replays_the_queries_lps_as_highs_solves_them(monkeypatch):
     assert len(calls) > 200
     sizes = [len(h) for _g, h, *_ in calls]
     assert min(sizes) >= 22 and max(sizes) >= 34
-    # every one repeats rows: the box rows of coordinates the null space
-    # leaves alone are all zero
+    # every one repeats some row
     assert all(len(np.unique(g, axis=0)) < len(g) for g, *_ in calls)
     feasible = 0
     for g, h, c, lo, hi in calls:
@@ -270,20 +269,24 @@ def test_small_lp_takes_lists_tuples_and_arrays_alike(kind):
 
 
 # Rows p + q, p, q with p zero where q is largest: eliminating on q turns
-# p + q into p, and eliminating on p below that leaves it flat in the
-# two-variable subproblem. Found by search; in the first the flat row
-# holds, in the second one of them cannot.
+# p + q into p, up to rounding, and eliminating on p below that leaves it
+# flat in the two-variable subproblem. Found by search: in the first the
+# flat row cannot hold; in the others one flat row has entries near
+# 1e-17, flat only up to rounding, and holds.
 FLAT_AT_DEPTH = [
-    ([[0, 2, -1, -1], [1, 0, 1, 0], [-1, 2, -2, -1]], [0, 4, 3],
-     [[2, 0, 2, 2], [-2, -1, -1, 0], [2, 0, 2, -1], [2, 0, 1, -1]]),
-    ([[1, 0, -1, 0], [0, 0, -2, 0], [1, 0, 1, 0]], [0, 2, 3],
+    ([0, 0, -2, 0], [1, 0, 1, 0], [0, 2, 3],
      [[2, 2, 1, 2], [1, -2, 0, 0], [-1, -2, 1, -2], [-2, -2, -1, 1]]),
+    ([0.0, 0.2, 0.3, 0.7], [0.7, 0.2, -0.2, 0.1], [3, 2, 0],
+     [[0, -2, 0, 0], [1, 0, -1, 0], [1, -2, 1, -1], [1, 0, 0, -2]]),
+    ([0.7, 0.3, -0.1, 0.0], [0.1, -0.2, 0.2, 0.3], [2, 2, 2],
+     [[2, -1, 2, -2], [-2, 2, 2, -1], [-2, -1, -2, 2], [1, 0, -1, 0]]),
 ]
 
 
-@pytest.mark.parametrize("g, h, stack", FLAT_AT_DEPTH)
-def test_small_lp_with_a_row_flat_two_levels_down(monkeypatch, g, h, stack):
-    g, h, stack = (np.array(a, dtype=float) for a in (g, h, stack))
+@pytest.mark.parametrize("p, q, h, stack", FLAT_AT_DEPTH)
+def test_small_lp_with_a_row_flat_two_levels_down(monkeypatch, p, q, h, stack):
+    p, q, h, stack = (np.array(a, dtype=float) for a in (p, q, h, stack))
+    g = np.vstack([p + q, p, q])
     lo, hi = np.full(4, -3.0), np.full(4, 3.0)
     flat_rows = []
     seidel = nullspace_lp._seidel
