@@ -21,8 +21,8 @@ from .arrangement import DETACHED
 from .equilibrium import EquilibriumSolution, PreparedStates
 from .model import (GraspModel, as_wrench, build_maps, check_finite,
                     cone_edges, cross2)
-from .params import (INEQ_SLACK, SINGULAR_REL, SLICE_EDGE, SLICE_PLANE,
-                     STICK_MOTION, ZERO_PRELOAD)
+from .params import (GWS_DUPLICATE, INEQ_SLACK, SINGULAR_REL, SLICE_DIGITS,
+                     SLICE_EDGE, SLICE_PLANE, STICK_MOTION, ZERO_PRELOAD)
 from .stability import Verdict, _feasible_states
 
 __all__ = [
@@ -100,7 +100,9 @@ class SliceError(ValueError):
 
 def gws_l1(model: GraspModel) -> WrenchPolytope:
     """L1 grasp wrench space: hull of the per-contact cone-edge wrenches
-    at unit normal force, together with the zero wrench."""
+    at unit normal force, together with the zero wrench. A model that
+    check_finite refuses is a ValueError."""
+    check_finite(model)
     pts = np.concatenate([np.zeros((1, 3)), cone_edges(model)])
     from scipy.spatial import ConvexHull, QhullError
 
@@ -117,7 +119,7 @@ def gws_l1(model: GraspModel) -> WrenchPolytope:
 def _extreme_points(pts: np.ndarray) -> np.ndarray:
     keep = []
     for i, p in enumerate(pts):
-        if not any(np.allclose(p, q, atol=1e-12) for q in keep):
+        if not any(np.allclose(p, q, atol=GWS_DUPLICATE) for q in keep):
             keep.append(p)
     return np.array(keep)
 
@@ -147,7 +149,7 @@ def gws_slice(poly: WrenchPolytope, tau: float = 0.0) -> SlicePolygon:
 
 def _hull2d(pts: np.ndarray) -> np.ndarray:
     """Monotone-chain convex hull, counter-clockwise."""
-    pts = np.unique(np.round(pts, 12), axis=0)
+    pts = np.unique(np.round(pts, SLICE_DIGITS), axis=0)
     if len(pts) <= 2:
         return pts
     order = np.lexsort((pts[:, 1], pts[:, 0]))
@@ -192,9 +194,11 @@ def linear_compliance_verdict(model: GraspModel, w,
     which makes the grasp stiffness matrix the positive-semidefinite sum
     of spring dyads. This model has no slip states: a single linear solve
     either passes the cone and unilaterality checks or the grasp is
-    declared unstable, including the known spurious rejections.
+    declared unstable, including the known spurious rejections. A model
+    that check_finite refuses is a ValueError.
     """
     w = as_wrench(w)
+    check_finite(model)
     m = model.m
     k_t = np.asarray(tangent_stiffness, dtype=float)
     k_t = np.full(m, float(k_t)) if k_t.ndim == 0 else k_t.reshape(m)

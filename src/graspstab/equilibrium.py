@@ -15,11 +15,16 @@ unknowns, as affine maps of the wrench w. A direct state (N empty) is
 decided by its slacks at x_p(w), all of a grasp's at once; any other
 state in its null space, one at a time. Along a ray of loads w = t u
 the maps are affine in t, so each state holds on an interval of t,
-found without probing (``PreparedStates.stable_intervals``). Every LP
-over a state, the screen that decides a singular state, the box ladder
-that produces its point and the canonical witness's one lexicographic
-LP, has x = x_p + N z and so runs in the k null-space coordinates (plus
-a margin), k <= 3 in practice, on one exact engine: Seidel's
+found without probing (``PreparedStates.stable_intervals``).
+
+This module poses every LP over a singular state: the screen that
+decides it, the least and largest load along a ray at which that screen
+passes, each rung of the box ladder that produces its point and the
+canonical witness's one lexicographic LP. Each has x = x_p + N z and so
+runs in the k null-space coordinates, k <= 3 in practice, on the rows
+[a_in N; N; -N], which slicing stacks once per state; only the
+right-hand side, the box and any extra column (the load, the margin)
+differ (``_box_program``). One exact engine solves them all: Seidel's
 incremental algorithm (``nullspace_lp.small_lp``).
 """
 
@@ -35,8 +40,8 @@ from .arrangement import DETACHED, LABEL_NAMES
 from .model import (GraspMaps, GraspModel, as_wrench, build_maps, cross2,
                     tangent_of, world_force)
 from .params import (BOX_HIT, EQ_RESIDUAL, INEQ_SLACK, LADDER_START,
-                     LADDER_STEP, LP_REL, PROJECTION_SKIP, RANK_EPS,
-                     SINGULAR_REL, X_MAX)
+                     LADDER_STEP, LP_REL, MARGIN_CAP, PROJECTION_SKIP,
+                     RANK_EPS, SINGULAR_REL, X_MAX)
 
 __all__ = [
     "StateSystem",
@@ -194,7 +199,9 @@ class PreparedState:
     cons0 + cons_gain @ w, their right-hand side in an orthonormal basis
     of their left null space at the RANK_EPS cutoff (zero-padded to 3 + m
     rows), is small enough (``_eq_tol``, with b_max the largest
-    |b_eq[3:]|). A direct state has an empty null basis.
+    |b_eq[3:]|). A direct state has an empty null basis and no rows; a
+    singular state's rows [a_in N; N; -N] are the left-hand side of every
+    LP over it (``_box_program``).
     """
 
     system: StateSystem
@@ -204,6 +211,7 @@ class PreparedState:
     s0: np.ndarray
     slack_gain: np.ndarray
     null: np.ndarray
+    rows: np.ndarray | None
     cons0: np.ndarray
     cons_gain: np.ndarray
     b_max: float
@@ -219,9 +227,11 @@ class PreparedState:
 
     def passes_screen(self, w: np.ndarray) -> bool:
         """Whether the singular state passes the tests that decide it under
-        w: the consistency test of its equalities, then one feasibility
-        LP over its whole null space (``_null_space_feasible``). Both
-        reject only what the box ladder would."""
+        w: the consistency test of its equalities, then whether some x =
+        x_p(w) + N z meets the relaxed rows a_in x >= -INEQ_SLACK in the
+        +-X_MAX box, one feasibility LP over its whole null space at every
+        nullity. Both reject only what the box ladder would: its boxes
+        all lie within +-X_MAX and it accepts slack >= -INEQ_SLACK."""
         # the ladder accepts only points whose max-norm residual is at
         # most eq_tol, hence whose 2-norm residual is at most sqrt(rows) *
         # eq_tol, and no point has a smaller residual than the norm of
@@ -230,8 +240,12 @@ class PreparedState:
                 np.sqrt(self.system.n) * _eq_tol(w, self.b_max)[1]:
             return False
         # w enters neither a_in nor the box
-        return _null_space_feasible(self.system.a_in, self.x0 + self.gain @ w,
-                                    self.s0 + self.slack_gain @ w, self.null)
+        g, h, bound = _box_program(
+            self.rows, self.x0 + self.gain @ w,
+            self.s0 + self.slack_gain @ w + INEQ_SLACK, X_MAX)
+        k = self.null.shape[1]
+        return nullspace_lp.small_lp(g, h, np.zeros(k), np.full(k, -bound),
+                                     np.full(k, bound)) is not None
 
     def ladder_point(self, w: np.ndarray) -> EquilibriumSolution | None:
         """The singular state's point under w, from the box ladder of
@@ -441,20 +455,22 @@ class PreparedStates:
             sys = _system(self.model, self._maps,
                           tuple(self._labels[p].tolist()))
             x, slack = self._x[p, :, :4], self._slack[p, self._valid[p]]
-            null = np.zeros((sys.n, 0))
+            null, rows = np.zeros((sys.n, 0)), None
             if not self.direct[p]:
                 # only a singular state reaches an LP: E N_c, its right
                 # singular vectors beyond live expanded, orthonormalised
                 # (E keeps y among the full unknowns, so E N_c has full
-                # column rank), and the least-norm point x_p
+                # column rank), the least-norm point x_p, and the rows
+                # of every LP over the state
                 null = _orthonormal(
                     self._x[p, :, 4 + self._live[p]:4 + self._size[p]])
                 x = x - null @ (null.T @ x)
                 slack = sys.a_in @ x
+                rows = np.vstack([sys.a_in @ null, null, -null])
             prep = self._prepared[p] = PreparedState(
                 sys, self._index[p], x0=x[:, 0], gain=x[:, 1:],
                 s0=slack[:, 0], slack_gain=slack[:, 1:], null=null,
-                cons0=self._cons0[p], cons_gain=self._cons_gain[p],
+                rows=rows, cons0=self._cons0[p], cons_gain=self._cons_gain[p],
                 b_max=float(self._b_max[p]))
         return prep
 
@@ -490,7 +506,7 @@ class PreparedStates:
         too. Where it passes the consistency test at t = 0 and t = cap,
         it is consistent on the whole ray, and its interval is the least
         and the largest t over (z, t) under the rows and the +-X_MAX box
-        of ``_null_space_feasible``: two ``small_lp`` calls in k + 1
+        of ``PreparedState.passes_screen``: two ``small_lp`` calls in k + 1
         variables. Any other singular state is consistent only on a band
         about EQ_RESIDUAL wide around one load, or nowhere; it is left
         out. Intervals merge where one starts at or before the end of
@@ -552,21 +568,20 @@ def _eq_tol(w: np.ndarray, b_max):
     return scale, EQ_RESIDUAL * (1.0 + scale)
 
 
-def _null_space_feasible(a_in: np.ndarray, x_p: np.ndarray, slack: np.ndarray,
-                         null: np.ndarray) -> bool:
-    """Whether some x = x_p + N z meets the relaxed rows in the +-X_MAX box.
+def _box_program(rows: np.ndarray, x_p: np.ndarray, slack: np.ndarray,
+                 box: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(g, h, bound): an LP's rows g z >= h over x = x_p + N z, and a
+    bound on each z_i of a point in the +-box box.
 
-    slack is a_in x_p. The rows are a_in x >= -INEQ_SLACK and |x| <=
-    X_MAX, as g z >= h. The ladder's boxes all lie within +-X_MAX
-    and it accepts slack >= -INEQ_SLACK, so where no such z exists every
-    rung fails too. One feasibility call of the null-space LP decides
-    this at every nullity.
+    rows are a state's stored [a_in N; N; -N], with any extra columns,
+    and g is rows itself. h makes its blocks a_in N z >= -slack, where
+    slack is a_in x_p plus any relaxation of a_in x >= 0, and |x| <=
+    box. z = N^T (x - x_p) and x_p is orthogonal to the orthonormal basis
+    N, so |z_i| <= |N_i|_1 box <= sqrt(n) box; twice that leaves the
+    bound slack.
     """
-    n, k = null.shape
-    g, h = nullspace_lp.null_rows(a_in, x_p, slack + INEQ_SLACK, null, X_MAX)
-    bound = nullspace_lp.z_bound(n, X_MAX)
-    return nullspace_lp.small_lp(g, h, np.zeros(k), np.full(k, -bound),
-                                 np.full(k, bound)) is not None
+    return (rows, np.concatenate([-slack, -box - x_p, -box + x_p]),
+            2.0 * np.sqrt(len(x_p)) * box)
 
 
 def _merged(spans) -> list[tuple[float, float]]:
@@ -583,19 +598,17 @@ def _merged(spans) -> list[tuple[float, float]]:
 def _singular_span(prep: PreparedState, u: np.ndarray, cap: float
                    ) -> tuple[float, float] | None:
     """(least, largest) t in [0, cap] at which the singular state holds
-    w = t u, by the test of ``_null_space_feasible``; None if at none.
+    w = t u, by the LP of ``PreparedState.passes_screen``; None if at none.
 
     Under t u, x_p and its slack move by t (gain u) and t (slack_gain u),
     so the screen's rows g z >= h(t) become rows over (z, t).
     """
-    null = prep.null
-    n, k = null.shape
-    g, h = nullspace_lp.null_rows(prep.system.a_in, prep.x0,
-                                  prep.s0 + INEQ_SLACK, null, X_MAX)
+    k = prep.null.shape[1]
+    g, h, bound = _box_program(prep.rows, prep.x0, prep.s0 + INEQ_SLACK,
+                               X_MAX)
     move = prep.gain @ u
     g = np.column_stack([g, np.concatenate([prep.slack_gain @ u, move,
                                             -move])])
-    bound = nullspace_lp.z_bound(n, X_MAX)
     lo = np.append(np.full(k, -bound), 0.0)
     hi = np.append(np.full(k, bound), cap)
     c = np.zeros(k + 1)
@@ -620,26 +633,48 @@ def linear_feasibility(prep: PreparedState, w: np.ndarray, *,
     a box bound on the unknowns. The box grows geometrically from
     LADDER_START times the data's magnitude up to X_MAX, so that solutions
     of ordinary magnitude are found at ordinary scale. Each rung is one
-    exact LP (``nullspace_lp.null_lp``) over x = x_p(w) + N z, with x_p(w)
-    and N read from prep. ``solve_state`` rejects infeasible states before
-    this ladder runs, by tests that reject only what it would, so the
-    ladder alone returns the same points.
+    exact LP over x = x_p(w) + N z, with x_p(w) and N read from prep, and
+    the margin s (at most MARGIN_CAP) by which every row of a_in x >= 0
+    holds as one more variable. ``solve_state`` rejects infeasible states
+    before this ladder runs, by tests that reject only what it would, so
+    the ladder alone returns the same points.
 
-    With ``objective``, a stack of rows over x, the rows hold hard and
-    each rung first minimizes the objectives lexicographically, in order,
-    then maximizes the slack: the one LP of the canonical witness.
+    With ``objective``, a stack of rows over x, the rows hold hard (s >=
+    0) and each rung first minimizes the objectives lexicographically, in
+    order, then maximizes the slack: the one LP of the canonical witness.
     """
     sys = prep.system.at(w)
     x_p = prep.x0 + prep.gain @ w
+    slack = sys.a_in @ x_p
+    k = prep.null.shape[1]
+    # the margin enters the state's own rows, g z - s >= h
+    margin = np.zeros((len(prep.rows), 1))
+    margin[:len(slack), 0] = 1.0
+    rows = np.hstack([prep.rows, -margin])
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    if objective is None:
+        reach = np.abs(prep.rows).sum(axis=1)
+    else:
+        s_lo = 0.0
+        obj = np.atleast_2d(objective) @ prep.null
+        c = np.vstack([np.hstack([obj, np.zeros((len(obj), 1))]), c])
     scale, eq_tol = _eq_tol(w, prep.b_max)
     box = LADDER_START * scale
     while True:
         box = min(box, X_MAX)
-        x, s = nullspace_lp.null_lp(sys.a_in, x_p, prep.null, box, objective)
-        if x is not None and s >= -INEQ_SLACK:
+        g, h, bound = _box_program(rows, x_p, slack, box)
+        if objective is None:
+            # every point of the z box has slack above s_lo
+            s_lo = -1.0 - (np.abs(h) + reach * bound).max()
+        y = nullspace_lp.small_lp(
+            g, h, c, np.append(np.full(k, -bound), s_lo),
+            np.append(np.full(k, bound), MARGIN_CAP))
+        if y is not None and y[-1] >= -INEQ_SLACK:
             # the program's verdict is advisory: accept only a point that
             # verifiably satisfies the system at the working tolerances
-            x = _project_onto_equalities(sys.a_eq, sys.b_eq, x)
+            x = _project_onto_equalities(sys.a_eq, sys.b_eq,
+                                         x_p + prep.null @ y[:k])
             sol = _solution_from_x(sys, x, prep.index)
             if sol.max_eq_residual <= eq_tol and \
                     sol.min_ineq_slack >= -INEQ_SLACK:

@@ -13,8 +13,10 @@ import math
 import numpy as np
 
 from . import lp
-from .model import Contact, GraspModel, Options, build_maps, cross2
-from .params import GENERAL_DET, GENERAL_PARALLEL, PRELOAD_MARGIN
+from .model import (Contact, GraspModel, Options, build_maps, check_finite,
+                    cross2)
+from .params import (GENERAL_DET, GENERAL_PARALLEL, PRELOAD_BOX,
+                     PRELOAD_MARGIN)
 
 __all__ = ["random_grasp", "balanced_preload"]
 
@@ -79,8 +81,9 @@ def balanced_preload(model: GraspModel) -> np.ndarray:
 
     Normal components sum to NORMAL_PER_CONTACT per contact. Returns
     zeros when no balanced preload has a cone margin above
-    PRELOAD_MARGIN.
+    PRELOAD_MARGIN. A model that check_finite refuses is a ValueError.
     """
+    check_finite(model)
     m = model.m
     target = NORMAL_PER_CONTACT * m
     maps = build_maps(model)
@@ -101,8 +104,8 @@ def balanced_preload(model: GraspModel) -> np.ndarray:
             row[2 * i + 1] = -sgn
             rows.append(row)
             rhs.append(0.0)
-    x, s = lp.max_min_slack(a_eq, b_eq, rows, rhs, -10.0 * target,
-                            10.0 * target, s_cap=target)
+    x, s = lp.max_min_slack(a_eq, b_eq, rows, rhs, -PRELOAD_BOX * target,
+                            PRELOAD_BOX * target, s_cap=target)
     if x is None or s <= PRELOAD_MARGIN:
         return np.zeros((m, 2))
     residual = a_eq @ x - b_eq

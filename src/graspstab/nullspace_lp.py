@@ -1,16 +1,12 @@
-"""Linear programs of a slip state in its null-space coordinates.
+"""The exact LP engine of the slip states' null spaces.
 
 Every LP over a slip state has x = x_p + N z, so it runs in the k
-coordinates z of the state's null space, plus a margin for max-min-slack
-problems; k is at most 3 on every grasp measured. ``small_lp`` solves
-such a program exactly with Seidel's incremental algorithm, at every k:
-it is the feasibility screen that decides a singular state, on the rows
-of ``null_rows``, and the least and largest load along a ray at which
-that screen passes, on the same rows with the load as one more
-variable; ``null_lp`` builds one rung of the box ladder of
-``equilibrium.linear_feasibility`` on it, with the margin as one more
-variable, and the canonical witness's one lexicographic LP, an ordered
-stack of objectives before that margin.
+coordinates z of the state's null space, plus at most one more variable
+(the load along a ray, or a max-min-slack margin); k is at most 3 on
+every grasp measured. ``equilibrium`` poses each of them, and
+``small_lp`` solves it exactly with Seidel's incremental algorithm, at
+every dimension. The engine knows nothing of slip states: it takes rows,
+a right-hand side, objectives and a box.
 
 Each such LP has at most 4 unknowns and takes 2-3 eliminations, so
 numpy's cost per call would exceed its arithmetic: ``small_lp`` scales
@@ -23,60 +19,9 @@ from operator import mul
 
 import numpy as np
 
-from .params import LP_REL, MARGIN_CAP
+from .params import LP_REL
 
-__all__ = ["small_lp", "null_rows", "null_lp", "z_bound"]
-
-
-def z_bound(n: int, box: float) -> float:
-    """A bound on each null-space coordinate of a point in the +-box box.
-
-    z = N^T (x - x_p) and x_p is orthogonal to the orthonormal basis N, so
-    |z_i| <= |N_i|_1 box <= sqrt(n) box; twice that leaves the bound slack.
-    """
-    return 2.0 * np.sqrt(n) * box
-
-
-def null_rows(a_in: np.ndarray, x_p: np.ndarray, slack: np.ndarray,
-              null: np.ndarray, box: float):
-    """Rows g z >= h over x = x_p + N z: a_in N z >= -slack, then |x| <=
-    box. slack is the residual at x_p of the rows to impose: a_in x_p
-    for a state's own rows a_in x >= 0."""
-    return (np.vstack([a_in @ null, null, -null]),
-            np.concatenate([-slack, -box - x_p, -box + x_p]))
-
-
-def null_lp(a_in: np.ndarray, x_p: np.ndarray, null: np.ndarray, box: float,
-            objective) -> tuple[np.ndarray | None, float]:
-    """One rung of the ladder in the null-space coordinates x = x_p + N z.
-
-    Maximizes the margin s (at most MARGIN_CAP) by which every row of the
-    state's own a_in x >= 0 holds, within the box |x| <= box. An
-    objective, a stack of rows over x, comes first: they are minimized
-    lexicographically, in order, and the margin is maximized last, bounded
-    below by 0, so that the rows hold hard and the objectives see the
-    state's true feasible set. Returns (x, s), or (None, nan) when the
-    rows cannot hold.
-    """
-    n, k = null.shape
-    g, h = null_rows(a_in, x_p, a_in @ x_p, null, box)
-    bound = z_bound(n, box)
-    # the margin enters the state's own rows, g z - s >= h
-    margin = np.zeros((len(h), 1))
-    margin[:len(a_in), 0] = 1.0
-    c = np.zeros(k + 1)
-    c[-1] = -1.0
-    if objective is None:
-        # every point of the z box has slack above s_lo
-        s_lo = -1.0 - (np.abs(h) + np.abs(g).sum(axis=1) * bound).max()
-    else:
-        s_lo = 0.0
-        obj = np.atleast_2d(objective) @ null
-        c = np.vstack([np.hstack([obj, np.zeros((len(obj), 1))]), c])
-    lo = np.append(np.full(k, -bound), s_lo)
-    hi = np.append(np.full(k, bound), MARGIN_CAP)
-    y = small_lp(np.hstack([g, -margin]), h, c, lo, hi)
-    return (None, np.nan) if y is None else (x_p + null @ y[:k], y[-1])
+__all__ = ["small_lp"]
 
 
 def small_lp(g, h, c, lo, hi) -> np.ndarray | None:

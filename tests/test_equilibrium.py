@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from scipy.optimize import linprog
 
 from graspstab import (Contact, GraspModel, PreparedStates,
-                       assemble_state_system, check_solution,
+                       assemble_state_system, check_solution, check_stability,
                        enumerate_slip_states, linear_feasibility, lp,
                        solve_state, world_force)
 from graspstab.arrangement import DETACHED
@@ -192,6 +192,61 @@ def test_null_space_screen_rejects_before_the_ladder(make, preloaded, w,
     assert calls == {"solve_lp": 0, "small_lp": 1, "linear_feasibility": 0}
 
 
+def _spy_rows(monkeypatch):
+    """The g of each null-space LP call, as passed."""
+    from graspstab import nullspace_lp
+
+    seen = []
+    solve = nullspace_lp.small_lp
+
+    def spy(g, h, c, lo, hi):
+        seen.append(np.array(g, dtype=float))
+        return solve(g, h, c, lo, hi)
+
+    monkeypatch.setattr(nullspace_lp, "small_lp", spy)
+    return seen
+
+
+def test_every_lp_of_a_state_starts_from_its_stored_rows(monkeypatch):
+    # soft springs: the ladder of the singular state (slip+, slip-, slip-)
+    # under a pull climbs three rungs
+    from graspstab.equilibrium import _singular_span
+
+    model = three_contact(True)
+    model.stiffness = model.stiffness * 1e-4
+    w = np.array([0.0, 1.0, 0.0])
+    states = enumerate_slip_states(model)
+    batch = states.prepared
+    (p,) = [p for p in range(len(batch))
+            if tuple(batch._labels[p].tolist()) == (1, -1, -1)]
+    prep = batch[p]
+    assert not prep.direct and batch[p] is prep
+    k = prep.null.shape[1]
+    assert np.array_equal(prep.rows, np.vstack(
+        [prep.system.a_in @ prep.null, prep.null, -prep.null]))
+    seen = _spy_rows(monkeypatch)
+    assert prep.passes_screen(w)
+    assert _singular_span(prep, w, 10.0) is not None
+    screen_and_span = len(seen)
+    assert linear_feasibility(prep, w) is not None
+    assert len(seen) - screen_and_span == 3
+    objective = np.zeros((2, prep.system.n))
+    objective[:, :3] = list(prep.system.slip_dirs.values())[:2]
+    assert linear_feasibility(prep, w, objective=objective) is not None
+    assert len(seen) > screen_and_span + 3
+    assert all(g[:, :k].tobytes() == prep.rows.tobytes() for g in seen)
+    # every LP of a canonical query, witness LPs included, starts from the
+    # rows stored on a sliced state
+    seen.clear()
+    assert check_stability(model, w, states=states).stable
+    stored = {q.rows.tobytes() for q in batch._prepared.values()
+              if q.rows is not None}
+    assert any(g.shape[1] == k + 1 for g in seen)  # the witness LPs
+    assert all(any(
+        np.ascontiguousarray(g[:, :j]).tobytes() in stored
+        for j in (g.shape[1] - 1, g.shape[1])) for g in seen)
+
+
 # independent feasibility check of every slip state by HiGHS (test-only:
 # the program itself never uses it, being several times slower per LP).
 # Wrenches: Tables I and III, a grid, and two just inside the friction
@@ -292,6 +347,11 @@ def _assert_condensed_matches_full(model, detachment, wrenches):
                 x = prep.x0 + prep.gain @ w
                 assert np.abs(x - x_full).max() <= 1e-9 * max(
                     1.0, np.abs(x_full).max()), (st.labels, w)
+                # the batch's slack maps against the state's own rows
+                slack = prep.system.a_in @ x
+                assert np.all(np.abs(prep.s0 + prep.slack_gain @ w - slack)
+                              <= 1e-9 * np.maximum(1.0, np.abs(slack))), \
+                    (st.labels, w)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])

@@ -8,8 +8,10 @@ import pytest
 
 from graspstab import (Contact, GraspModel, brute_force_verdict, build_maps,
                        check_stability, contact_motion, enumerate_slip_states,
-                       load_grasp_file, max_resistible, random_grasp,
+                       gws_l1, linear_compliance_verdict, load_grasp_file,
+                       max_resistible, random_grasp, resistible_region,
                        validate_model, world_force)
+from graspstab.generate import balanced_preload
 from graspstab.model import cross2
 
 from conftest import FIXTURES, THREE_PRELOAD, three_contact, four_contact
@@ -184,6 +186,11 @@ ENTRY_POINTS = {
     "max_resistible": lambda model: max_resistible(model, (0, -1)),
     "enumerate_slip_states": enumerate_slip_states,
     "brute_force_verdict": lambda model: brute_force_verdict(model, (0, -1, 0)),
+    "resistible_region": lambda model: resistible_region(model, 4),
+    "linear_compliance_verdict":
+        lambda model: linear_compliance_verdict(model, (0, -1, 0), 1.0),
+    "gws_l1": gws_l1,
+    "balanced_preload": balanced_preload,
 }
 
 
