@@ -15,17 +15,13 @@ unknowns, as affine maps of the wrench w. A direct state (N empty) is
 decided by its slacks at x_p(w), all of a grasp's at once; any other
 state in its null space, one at a time. Along a ray of loads w = t u
 the maps are affine in t, so each state holds on an interval of t,
-found without probing (``PreparedStates.stable_intervals``).
-
-This module poses every LP over a singular state: the screen that
-decides it, the least and largest load along a ray at which that screen
-passes, each rung of the box ladder that produces its point and the
-canonical witness's one lexicographic LP. Each has x = x_p + N z and so
-runs in the k null-space coordinates, k <= 3 in practice, on the rows
-[a_in N; N; -N], which slicing stacks once per state; only the
-right-hand side, the box and any extra column (the load, the margin)
-differ (``_box_program``). One exact engine solves them all: Seidel's
-incremental algorithm (``nullspace_lp.small_lp``).
+found without probing (``PreparedStates.stable_intervals``). This
+module poses every LP over a singular state: the screen that decides
+it, the ends of its span along a ray, each rung of the box ladder and
+the canonical witness's LP. Each runs over x = x_p + N z, in the k <= 3
+null-space coordinates, on the rows [a_in N; N; -N] that slicing stacks
+once per state (``_box_program``); one exact engine solves them all,
+Seidel's incremental algorithm (``nullspace_lp.small_lp``).
 """
 
 from __future__ import annotations
@@ -199,9 +195,8 @@ class PreparedState:
     cons0 + cons_gain @ w, their right-hand side in an orthonormal basis
     of their left null space at the RANK_EPS cutoff (zero-padded to 3 + m
     rows), is small enough (``_eq_tol``, with b_max the largest
-    |b_eq[3:]|). A direct state has an empty null basis and no rows; a
-    singular state's rows [a_in N; N; -N] are the left-hand side of every
-    LP over it (``_box_program``).
+    |b_eq[3:]|). A direct state has an empty null basis and rows None; a
+    singular one's rows [a_in N; N; -N] start each of its LPs.
     """
 
     system: StateSystem
@@ -227,11 +222,11 @@ class PreparedState:
 
     def passes_screen(self, w: np.ndarray) -> bool:
         """Whether the singular state passes the tests that decide it under
-        w: the consistency test of its equalities, then whether some x =
-        x_p(w) + N z meets the relaxed rows a_in x >= -INEQ_SLACK in the
-        +-X_MAX box, one feasibility LP over its whole null space at every
-        nullity. Both reject only what the box ladder would: its boxes
-        all lie within +-X_MAX and it accepts slack >= -INEQ_SLACK."""
+        w: the consistency test of its equalities, then one feasibility
+        LP over its whole null space, some x = x_p(w) + N z with a_in x >=
+        -INEQ_SLACK and |x| <= X_MAX. Both reject only what the box ladder
+        would, whose boxes lie within X_MAX and whose points need that
+        slack."""
         # the ladder accepts only points whose max-norm residual is at
         # most eq_tol, hence whose 2-norm residual is at most sqrt(rows) *
         # eq_tol, and no point has a smaller residual than the norm of
@@ -460,8 +455,7 @@ class PreparedStates:
                 # only a singular state reaches an LP: E N_c, its right
                 # singular vectors beyond live expanded, orthonormalised
                 # (E keeps y among the full unknowns, so E N_c has full
-                # column rank), the least-norm point x_p, and the rows
-                # of every LP over the state
+                # column rank), the least-norm point x_p and its LP rows
                 null = _orthonormal(
                     self._x[p, :, 4 + self._live[p]:4 + self._size[p]])
                 x = x - null @ (null.T @ x)
@@ -570,16 +564,11 @@ def _eq_tol(w: np.ndarray, b_max):
 
 def _box_program(rows: np.ndarray, x_p: np.ndarray, slack: np.ndarray,
                  box: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(g, h, bound): an LP's rows g z >= h over x = x_p + N z, and a
-    bound on each z_i of a point in the +-box box.
-
-    rows are a state's stored [a_in N; N; -N], with any extra columns,
-    and g is rows itself. h makes its blocks a_in N z >= -slack, where
-    slack is a_in x_p plus any relaxation of a_in x >= 0, and |x| <=
-    box. z = N^T (x - x_p) and x_p is orthogonal to the orthonormal basis
-    N, so |z_i| <= |N_i|_1 box <= sqrt(n) box; twice that leaves the
-    bound slack.
-    """
+    """(g, h, bound): rows g z >= h over x = x_p + N z, a_in N z >= -slack
+    and |x| <= box, and a bound on each z_i in that box. g is rows, a
+    state's [a_in N; N; -N] with any extra columns; slack is a_in x_p
+    plus any relaxation. z = N^T (x - x_p), x_p orthogonal to N, so |z_i|
+    <= |N_i|_1 box <= sqrt(n) box; twice that leaves the bound slack."""
     return (rows, np.concatenate([-slack, -box - x_p, -box + x_p]),
             2.0 * np.sqrt(len(x_p)) * box)
 
@@ -633,15 +622,14 @@ def linear_feasibility(prep: PreparedState, w: np.ndarray, *,
     a box bound on the unknowns. The box grows geometrically from
     LADDER_START times the data's magnitude up to X_MAX, so that solutions
     of ordinary magnitude are found at ordinary scale. Each rung is one
-    exact LP over x = x_p(w) + N z, with x_p(w) and N read from prep, and
-    the margin s (at most MARGIN_CAP) by which every row of a_in x >= 0
-    holds as one more variable. ``solve_state`` rejects infeasible states
-    before this ladder runs, by tests that reject only what it would, so
-    the ladder alone returns the same points.
+    exact LP over x = x_p(w) + N z and the margin s <= MARGIN_CAP of the
+    rows a_in x >= 0. ``solve_state`` rejects infeasible states before
+    this ladder runs, by tests that reject only what it would, so the
+    ladder alone returns the same points.
 
-    With ``objective``, a stack of rows over x, the rows hold hard (s >=
-    0) and each rung first minimizes the objectives lexicographically, in
-    order, then maximizes the slack: the one LP of the canonical witness.
+    With ``objective``, a stack of rows over x, the rows hold hard and
+    each rung first minimizes the objectives lexicographically, in order,
+    then maximizes the slack: the one LP of the canonical witness.
     """
     sys = prep.system.at(w)
     x_p = prep.x0 + prep.gain @ w

@@ -84,12 +84,10 @@ STICK_MOTION = 1e-12
 # SLICE_EDGE has no direction to test a point against
 SLICE_PLANE = 1e-12
 SLICE_EDGE = 1e-15
-# the GWS's generating wrenches are cone edges at unit normal force, of
-# the data's unit scale: those of a flat set within GWS_DUPLICATE of one
-# another (beside numpy's default relative 1e-5) are one extreme point,
-# and the slice's crossings, rounded to SLICE_DIGITS decimals, merge
-# where rounding alone sets copies of one vertex apart. Both stay
-# absolute, like the rest, until the grasp gets a unit of force
+# the GWS's points are cone edges at unit normal force, of the data's
+# unit scale: in a flat GWS two within GWS_DUPLICATE (and numpy's default
+# relative 1e-5) are one, and slice crossings rounded to SLICE_DIGITS
+# decimals merge where rounding alone parts copies of one vertex
 GWS_DUPLICATE = 1e-12
 SLICE_DIGITS = 12
 # random grasps are in general position when no two tangent planes'
@@ -100,8 +98,7 @@ GENERAL_DET = 1e-4
 # a generated balanced preload needs a cone margin above this, or the
 # grasp gets none
 PRELOAD_MARGIN = 1e-9
-# its LP bounds every force component by PRELOAD_BOX times the normal
-# preloads' sum T. A cone-interior preload has 0 <= c_n <= T and |c_t|
-# <= mu c_n, so the box binds only where mu exceeds PRELOAD_BOX; it is
-# relative to T, and so to the preload's own scale
+# its LP bounds each force by PRELOAD_BOX times the normal sum T: a
+# cone-interior preload has 0 <= c_n <= T and |c_t| <= mu c_n, so the
+# box binds only where mu exceeds PRELOAD_BOX
 PRELOAD_BOX = 10.0

@@ -217,8 +217,7 @@ def test_every_lp_of_a_state_starts_from_its_stored_rows(monkeypatch):
     w = np.array([0.0, 1.0, 0.0])
     states = enumerate_slip_states(model)
     batch = states.prepared
-    (p,) = [p for p in range(len(batch))
-            if tuple(batch._labels[p].tolist()) == (1, -1, -1)]
+    (p,) = [p for p, st in enumerate(states) if st.labels == (1, -1, -1)]
     prep = batch[p]
     assert not prep.direct and batch[p] is prep
     k = prep.null.shape[1]
