@@ -12,7 +12,6 @@ modes (no passive/active distinction, spurious cone violations).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +20,8 @@ from .arrangement import DETACHED
 from .equilibrium import EquilibriumSolution, PreparedStates
 from .model import (GraspModel, as_wrench, build_maps, check_finite,
                     cone_edges, cross2)
-from .params import (GWS_DUPLICATE, INEQ_SLACK, SINGULAR_REL, SLICE_DIGITS,
-                     SLICE_EDGE, SLICE_PLANE, STICK_MOTION, ZERO_PRELOAD)
+from .params import (INEQ_SLACK, SINGULAR_REL, SLICE_DIGITS, SLICE_EDGE,
+                     SLICE_PLANE, STICK_MOTION, ZERO_PRELOAD)
 from .stability import Verdict, _feasible_states
 
 __all__ = [
@@ -111,17 +110,14 @@ def gws_l1(model: GraspModel) -> WrenchPolytope:
         return WrenchPolytope(points=pts, vertices=pts[hull.vertices],
                               equations=hull.equations, degenerate=False)
     except QhullError:
-        # flat point set (e.g. a single frictionless contact)
-        return WrenchPolytope(points=pts, vertices=_extreme_points(pts),
+        # flat point set (e.g. a single frictionless contact): its hull in
+        # its own plane, on the two coordinates left once the one nearest
+        # the plane's normal is dropped, so the chain reads the points'
+        # own numbers
+        normal = np.linalg.svd(pts - pts.mean(axis=0))[2][-1]
+        plane = np.delete(pts, np.argmax(np.abs(normal)), axis=1)
+        return WrenchPolytope(points=pts, vertices=pts[_hull(plane)],
                               equations=None, degenerate=True)
-
-
-def _extreme_points(pts: np.ndarray) -> np.ndarray:
-    keep = []
-    for i, p in enumerate(pts):
-        if not any(np.allclose(p, q, atol=GWS_DUPLICATE) for q in keep):
-            keep.append(p)
-    return np.array(keep)
 
 
 def gws_slice(poly: WrenchPolytope, tau: float = 0.0) -> SlicePolygon:
@@ -143,31 +139,29 @@ def gws_slice(poly: WrenchPolytope, tau: float = 0.0) -> SlicePolygon:
             section.append((a + t * (b - a))[:2])
     if not section:
         raise SliceError(f"slice torque {tau} misses the polytope")
-    verts = _hull2d(np.array(section))
+    section = np.unique(np.round(section, SLICE_DIGITS), axis=0)
+    verts = section[_hull(section)]
     return SlicePolygon(vertices=verts, degenerate=len(verts) < 3)
 
 
-def _hull2d(pts: np.ndarray) -> np.ndarray:
-    """Monotone-chain convex hull, counter-clockwise."""
-    pts = np.unique(np.round(pts, SLICE_DIGITS), axis=0)
-    if len(pts) <= 2:
-        return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
+def _hull(pts: np.ndarray) -> list[int]:
+    """Indices of the convex hull's vertices of the planar points pts (k,
+    2), counter-clockwise from the lexicographically least: Andrew's
+    monotone chain, which keeps no point on an edge, so a collinear set
+    gives its two ends."""
+    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
 
     def build(seq):
         chain = []
-        for p in seq:
-            while len(chain) >= 2 and cross2(chain[-1] - chain[-2],
-                                             p - chain[-2]) <= 0:
+        for i in seq:
+            while len(chain) >= 2 and cross2(pts[chain[-1]] - pts[chain[-2]],
+                                             pts[i] - pts[chain[-2]]) <= 0:
                 chain.pop()
-            chain.append(p)
+            chain.append(i)
         return chain
 
-    lower = build(pts)
-    upper = build(pts[::-1])
-    hull = np.array(lower[:-1] + upper[:-1])
-    return hull if len(hull) >= 3 else pts
+    hull = build(order)[:-1] + build(order[::-1])[:-1]
+    return hull or order
 
 
 def polygon_contains(poly: np.ndarray, point, margin: float = 0.0) -> bool:

@@ -17,11 +17,12 @@ state in its null space, one at a time. Along a ray of loads w = t u
 the maps are affine in t, so each state holds on an interval of t,
 found without probing (``PreparedStates.stable_intervals``). This
 module poses every LP over a singular state: the screen that decides
-it, the ends of its span along a ray, each rung of the box ladder and
-the canonical witness's LP. Each runs over x = x_p + N z, in the k <= 3
-null-space coordinates, on the rows [a_in N; N; -N] that slicing stacks
-once per state (``_box_program``); one exact engine solves them all,
-Seidel's incremental algorithm (``nullspace_lp.small_lp``).
+it, the ends of its span along a ray, the two boxes of its point (the
+first sized from x_p(w), then X_MAX) and the canonical witness's LP.
+Each runs over x = x_p + N z, in the k null-space coordinates (m - 3 at
+the all-stick origin state), on the rows [a_in N; N; -N] that slicing
+stacks once per state (``_box_program``); one exact engine solves them
+all, Seidel's incremental algorithm (``nullspace_lp.small_lp``).
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ import numpy as np
 from . import nullspace_lp
 from .arrangement import DETACHED, LABEL_NAMES
 from .model import (GraspMaps, GraspModel, as_wrench, build_maps, cross2,
-                    tangent_of, world_force)
+                    tangent_of)
 from .params import (BOX_HIT, EQ_RESIDUAL, INEQ_SLACK, LADDER_START,
-                     LADDER_STEP, LP_REL, MARGIN_CAP, PROJECTION_SKIP,
-                     RANK_EPS, SINGULAR_REL, X_MAX)
+                     LP_REL, MARGIN_CAP, PROJECTION_SKIP, RANK_EPS,
+                     SINGULAR_REL, X_MAX)
 
 __all__ = [
     "StateSystem",
@@ -224,10 +225,10 @@ class PreparedState:
         """Whether the singular state passes the tests that decide it under
         w: the consistency test of its equalities, then one feasibility
         LP over its whole null space, some x = x_p(w) + N z with a_in x >=
-        -INEQ_SLACK and |x| <= X_MAX. Both reject only what the box ladder
-        would, whose boxes lie within X_MAX and whose points need that
-        slack."""
-        # the ladder accepts only points whose max-norm residual is at
+        -INEQ_SLACK and |x| <= X_MAX. Both reject only what
+        ``linear_feasibility`` would, whose two boxes lie within X_MAX and
+        whose points need that slack."""
+        # a point is accepted only where its max-norm residual is at
         # most eq_tol, hence whose 2-norm residual is at most sqrt(rows) *
         # eq_tol, and no point has a smaller residual than the norm of
         # b_eq in the left null basis
@@ -243,8 +244,8 @@ class PreparedState:
                                      np.full(k, bound)) is not None
 
     def ladder_point(self, w: np.ndarray) -> EquilibriumSolution | None:
-        """The singular state's point under w, from the box ladder of
-        ``linear_feasibility``; None where the ladder finds none."""
+        """The singular state's point under w, from the two boxes of
+        ``linear_feasibility``; None where neither gives one."""
         return linear_feasibility(self, w)
 
 
@@ -535,10 +536,10 @@ def solve_state(model: GraspModel, w, state: tuple | PreparedState
     A direct state is decided by its slacks at its one solution. Any
     other state is decided in its null space (``PreparedState.passes_screen``):
     the consistency test, then one feasibility LP over the whole null
-    space; the box ladder of ``linear_feasibility`` then runs only to
+    space; the two boxes of ``linear_feasibility`` then run only to
     produce the point (``PreparedState.ladder_point``). Both tests reject
-    only what the ladder would, so the point is the one the ladder alone
-    returns. A PreparedState is used as it is; a label vector is
+    only what those boxes would, so the point is the one they alone
+    return. A PreparedState is used as it is; a label vector is
     prepared first.
     """
     if isinstance(state, PreparedState):
@@ -556,8 +557,8 @@ def solve_state(model: GraspModel, w, state: tuple | PreparedState
 def _eq_tol(w: np.ndarray, b_max):
     """(scale, eq_tol) under the wrench w: the data's magnitude max(1,
     |w|, b_max), b_max the largest |b_eq[3:]| of a state (or an array of
-    them, one per state), and the largest max-norm equality residual the
-    box ladder accepts."""
+    them, one per state), and the largest max-norm equality residual a
+    point of ``linear_feasibility`` may have."""
     scale = np.maximum(max(1.0, float(np.max(np.abs(w)))), b_max)
     return scale, EQ_RESIDUAL * (1.0 + scale)
 
@@ -619,16 +620,18 @@ def linear_feasibility(prep: PreparedState, w: np.ndarray, *,
     """The singular state's checked point under the wrench w, or None.
 
     Maximizes the minimum inequality slack subject to the equalities and
-    a box bound on the unknowns. The box grows geometrically from
-    LADDER_START times the data's magnitude up to X_MAX, so that solutions
-    of ordinary magnitude are found at ordinary scale. Each rung is one
-    exact LP over x = x_p(w) + N z and the margin s <= MARGIN_CAP of the
-    rows a_in x >= 0. ``solve_state`` rejects infeasible states before
-    this ladder runs, by tests that reject only what it would, so the
-    ladder alone returns the same points.
+    a box bound on the unknowns, in at most two exact LPs over x =
+    x_p(w) + N z and the margin s <= MARGIN_CAP of the rows a_in x >= 0.
+    The first box is LADDER_START times the larger of the data's
+    magnitude and |x_p(w)|, within X_MAX, so that a solution of the
+    state's own magnitude is found at that scale. The second, X_MAX, runs
+    only when the first gives no accepted point or its point hits the
+    box. ``solve_state`` rejects infeasible states before these LPs run,
+    by tests that reject only what the X_MAX box would, so they alone
+    return the same points.
 
     With ``objective``, a stack of rows over x, the rows hold hard and
-    each rung first minimizes the objectives lexicographically, in order,
+    each LP first minimizes the objectives lexicographically, in order,
     then maximizes the slack: the one LP of the canonical witness.
     """
     sys = prep.system.at(w)
@@ -648,9 +651,8 @@ def linear_feasibility(prep: PreparedState, w: np.ndarray, *,
         obj = np.atleast_2d(objective) @ prep.null
         c = np.vstack([np.hstack([obj, np.zeros((len(obj), 1))]), c])
     scale, eq_tol = _eq_tol(w, prep.b_max)
-    box = LADDER_START * scale
-    while True:
-        box = min(box, X_MAX)
+    first = min(LADDER_START * max(scale, float(np.max(np.abs(x_p)))), X_MAX)
+    for box in (first, X_MAX) if first < X_MAX else (X_MAX,):
         g, h, bound = _box_program(rows, x_p, slack, box)
         if objective is None:
             # every point of the z box has slack above s_lo
@@ -665,13 +667,10 @@ def linear_feasibility(prep: PreparedState, w: np.ndarray, *,
                                          x_p + prep.null @ y[:k])
             sol = _solution_from_x(sys, x, prep.index)
             if sol.max_eq_residual <= eq_tol and \
-                    sol.min_ineq_slack >= -INEQ_SLACK:
-                hits_box = float(np.max(np.abs(x))) > BOX_HIT * box
-                if not hits_box or box >= X_MAX:
-                    return sol
-        if box >= X_MAX:
-            return None
-        box *= LADDER_STEP
+                    sol.min_ineq_slack >= -INEQ_SLACK and \
+                    (box >= X_MAX or np.max(np.abs(x)) <= BOX_HIT * box):
+                return sol
+    return None
 
 
 def check_solution(model: GraspModel, w, sol: EquilibriumSolution) -> dict:

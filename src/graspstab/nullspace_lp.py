@@ -2,15 +2,19 @@
 
 Every LP over a slip state has x = x_p + N z, so it runs in the k
 coordinates z of the state's null space, plus at most one more variable
-(the load along a ray, or a max-min-slack margin); k is at most 3 on
-every grasp measured. ``equilibrium`` poses each of them, and
+(the load along a ray, or a max-min-slack margin). k is m - 3 at the
+all-stick origin state, whose m sticking tangential forces meet only the
+3 equilibrium rows, so it grows with the grasp; on the benchmark's
+grasps (m <= 5) it is at most 3. ``equilibrium`` poses each of them, and
 ``small_lp`` solves it exactly with Seidel's incremental algorithm, at
-every dimension. The engine knows nothing of slip states: it takes rows,
-a right-hand side, objectives and a box.
+every dimension. Its expected cost grows about as k!, so on a grasp of
+many contacts the origin state's screen costs steeply. The engine knows
+nothing of slip states: it takes rows, a right-hand side, objectives
+and a box.
 
-Each such LP has at most 4 unknowns and takes 2-3 eliminations, so
-numpy's cost per call would exceed its arithmetic: ``small_lp`` scales
-the rows once in numpy and runs the recursion on Python lists of floats.
+An LP of a few unknowns takes 2-3 eliminations, so numpy's cost per call
+would exceed its arithmetic: ``small_lp`` scales the rows once in numpy
+and runs the recursion on Python lists of floats.
 """
 
 from __future__ import annotations
@@ -51,9 +55,9 @@ def small_lp(g, h, c, lo, hi) -> np.ndarray | None:
     x_p, the least-norm solution of the equalities. Rows are scaled to
     unit norm once, in numpy, so that every residual, before or after an
     elimination, is a distance in y. The recursion then runs on Python
-    lists of floats, because on at most 4 variables and 2-3 eliminations
-    an LP numpy's per-call cost would exceed the arithmetic; only the
-    dot product that recovers an eliminated variable stays numpy's.
+    lists of floats, because on a few variables and 2-3 eliminations an
+    LP numpy's per-call cost would exceed the arithmetic; only the dot
+    product that recovers an eliminated variable stays numpy's.
     """
     c = np.asarray(c, dtype=float)
     h = np.asarray(h, dtype=float)

@@ -57,12 +57,12 @@ WITNESS_DIGITS = 9
 SEPARATION_REL = 100 * (INEQ_SLACK + EQ_RESIDUAL)
 # box bound on unknowns in the feasibility program
 X_MAX = 1e6
-# the box ladder: its first box is LADDER_START times the data's
-# magnitude, each rung multiplies it by LADDER_STEP up to X_MAX, the
-# max-min-slack margin is capped at MARGIN_CAP, and a point with an
-# entry beyond BOX_HIT times the box hits it, so the next rung runs
+# a singular state's point takes at most two boxes: the first is
+# LADDER_START times the larger of the data's magnitude and the state's
+# least-norm solution |x_p(w)|, within X_MAX; a point with an entry
+# beyond BOX_HIT times it hits it, so the second, X_MAX, runs. The
+# max-min-slack margin is capped at MARGIN_CAP
 LADDER_START = 100.0
-LADDER_STEP = 100.0
 MARGIN_CAP = 1e3
 BOX_HIT = 0.9
 # the null-space LP counts a unit row g y >= h as met when its
@@ -85,10 +85,8 @@ STICK_MOTION = 1e-12
 SLICE_PLANE = 1e-12
 SLICE_EDGE = 1e-15
 # the GWS's points are cone edges at unit normal force, of the data's
-# unit scale: in a flat GWS two within GWS_DUPLICATE (and numpy's default
-# relative 1e-5) are one, and slice crossings rounded to SLICE_DIGITS
-# decimals merge where rounding alone parts copies of one vertex
-GWS_DUPLICATE = 1e-12
+# unit scale: slice crossings rounded to SLICE_DIGITS decimals merge
+# where rounding alone parts copies of one vertex
 SLICE_DIGITS = 12
 # random grasps are in general position when no two tangent planes'
 # unit normals have |dot| above 1 - GENERAL_PARALLEL and no three have

@@ -16,11 +16,11 @@ breaks remaining ties by concentrating slip on the lowest-indexed
 contacts: one lexicographic LP per state, whose last objective centres
 the forces by the largest least slack of the state's rows, then one tie
 rule across states. Under it a singular state is decided by its screen,
-and its box ladder runs only where its point is read. The same input
-always gives the same witness, but it is not unique: where the winner's
-lexicographic optimum is a face rather than a point, the LP engine's
-fixed row order and its nearest-to-zero rule pick one point of that
-face.
+and the LPs of its point (at most two boxes) run only where it is read.
+The same input always gives the same witness, but it is not unique:
+where the winner's lexicographic optimum is a face rather than a point,
+the LP engine's fixed row order and its nearest-to-zero rule pick one
+point of that face.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
     screened in a few array operations, and the singular states left are
     decided one by one in canonical order, "first" stopping at the first
     feasible state. "canonical" decides a singular state by its screen
-    and runs its box ladder only where the witness reads its point; a
-    state whose ladder then finds none does not hold, as under "first".
+    and runs the LPs of its point only where the witness reads it; a
+    state whose two boxes then give none does not hold, as under "first".
     ``states``, enumerated for this model object (a
     ValueError otherwise), keeps its batch for the next query and sets
     the detachment mode, which an explicit ``detachment`` must match (a
@@ -268,7 +268,7 @@ def _feasible_states(model: GraspModel, states: PreparedStates, w,
     ``solve_state``, and the walk ends at the first feasible state, and
     so does the count of states tried. Without it, a singular one is
     decided by its screen alone (``PreparedState.passes_screen``), and
-    its solution is None: its box ladder has not run.
+    its solution is None: the LPs of its point have not run.
     """
     feasible: list[tuple[PreparedState, EquilibriumSolution | None]] = []
     for p in states.candidates(w).tolist():
@@ -306,9 +306,10 @@ def _canonical_witness(w, feasible
     state is flat when no slip row r moves with N (|r N[:3]| <=
     FLAT_REL |r|), as a direct state or one without slip is: it runs no
     LP, and its point is its own solution, as is that of a state whose
-    LP fails. A singular state's own solution, None in feasible, is its
-    box ladder's point, computed only here, where it is read; a state
-    whose ladder finds none holds nowhere and drops out.
+    LP fails. A singular state's own solution, None in feasible, is the
+    point of its two boxes (``PreparedState.ladder_point``), computed only
+    here, where it is read; a state for which they give none holds
+    nowhere and drops out.
     """
     entries = []
     for st, sol in feasible:

@@ -64,6 +64,35 @@ def test_gws_single_frictionless_contact_is_segment():
     assert sl.degenerate
 
 
+def _frictionless(*ys):
+    """Frictionless contacts at (0, y), each with normal (-1, 0): unit
+    normal force gives the generating wrench (1, 0, -y)."""
+    return GraspModel([Contact([0, y], [-1, 0], 0.0) for y in ys])
+
+
+def test_gws_slice_of_a_segment_is_its_two_ends():
+    # the crossings (0.5, 0), (0.75, 0) and (1, 0) lie on one segment
+    sl = gws_slice(gws_l1(_frictionless(-1, -2, -3)), 1.5)
+    assert sl.degenerate
+    assert sl.vertices.tolist() == [[0.5, 0.0], [1.0, 0.0]]
+
+
+def test_flat_gws_keeps_only_extreme_points():
+    # (1, 0, 2) lies between (1, 0, 1) and (1, 0, 3)
+    poly = gws_l1(_frictionless(-1, -2, -3))
+    assert poly.degenerate
+    assert sorted(map(tuple, poly.vertices.tolist())) == \
+        [(0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (1.0, 0.0, 3.0)]
+
+
+def test_flat_gws_keeps_nearby_extreme_points():
+    # (1, 0, 1.000003) is a vertex 3e-6 from (1, 0, 1), not a copy of it
+    poly = gws_l1(_frictionless(-1, -1.000003))
+    assert poly.degenerate
+    assert sorted(map(tuple, poly.vertices.tolist())) == \
+        [(0.0, 0.0, 0.0), (1.0, 0.0, 1.0), (1.0, 0.0, 1.000003)]
+
+
 def test_gws_nan_friction_is_an_error():
     # refused before qhull sees the NaN points: only a flat point set is
     # degenerate

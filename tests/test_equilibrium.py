@@ -15,7 +15,7 @@ from graspstab import (Contact, GraspModel, PreparedStates,
 from graspstab.arrangement import DETACHED
 from graspstab.equilibrium import EquilibriumSolution
 from graspstab.generate import random_grasp
-from graspstab.params import RANK_EPS, SINGULAR_REL, X_MAX
+from graspstab.params import INEQ_SLACK, RANK_EPS, SINGULAR_REL, X_MAX
 
 from conftest import four_contact, three_contact
 from test_arrangement import degenerate_grasps
@@ -207,17 +207,24 @@ def _spy_rows(monkeypatch):
     return seen
 
 
+def _soft_state(soft):
+    """(model, w, states, position): springs softened by soft, and the
+    singular state (slip+, slip-, slip-) under a pull, whose least-norm
+    point has entries of 1 / soft, far beyond the data's magnitude."""
+    model = three_contact(True)
+    model.stiffness = model.stiffness * soft
+    states = enumerate_slip_states(model)
+    (p,) = [p for p, st in enumerate(states) if st.labels == (1, -1, -1)]
+    return model, np.array([0.0, 1.0, 0.0]), states, p
+
+
 def test_every_lp_of_a_state_starts_from_its_stored_rows(monkeypatch):
-    # soft springs: the ladder of the singular state (slip+, slip-, slip-)
-    # under a pull climbs three rungs
+    # the soft state's first box, sized from its least-norm point, holds
+    # its point: one LP
     from graspstab.equilibrium import _singular_span
 
-    model = three_contact(True)
-    model.stiffness = model.stiffness * 1e-4
-    w = np.array([0.0, 1.0, 0.0])
-    states = enumerate_slip_states(model)
+    model, w, states, p = _soft_state(1e-4)
     batch = states.prepared
-    (p,) = [p for p, st in enumerate(states) if st.labels == (1, -1, -1)]
     prep = batch[p]
     assert not prep.direct and batch[p] is prep
     k = prep.null.shape[1]
@@ -228,11 +235,11 @@ def test_every_lp_of_a_state_starts_from_its_stored_rows(monkeypatch):
     assert _singular_span(prep, w, 10.0) is not None
     screen_and_span = len(seen)
     assert linear_feasibility(prep, w) is not None
-    assert len(seen) - screen_and_span == 3
+    assert len(seen) - screen_and_span == 1
     objective = np.zeros((2, prep.system.n))
     objective[:, :3] = list(prep.system.slip_dirs.values())[:2]
     assert linear_feasibility(prep, w, objective=objective) is not None
-    assert len(seen) > screen_and_span + 3
+    assert len(seen) > screen_and_span + 1
     assert all(g[:, :k].tobytes() == prep.rows.tobytes() for g in seen)
     # every LP of a canonical query, witness LPs included, starts from the
     # rows stored on a sliced state
@@ -244,6 +251,79 @@ def test_every_lp_of_a_state_starts_from_its_stored_rows(monkeypatch):
     assert all(any(
         np.ascontiguousarray(g[:, :j]).tobytes() in stored
         for j in (g.shape[1] - 1, g.shape[1])) for g in seen)
+
+
+def test_a_point_that_hits_the_first_box_takes_the_second(monkeypatch):
+    # with BOX_HIT 0 every point hits its box, so the X_MAX box runs next;
+    # at 1e-2 the first box, 100 |x_p| = 1e4, lies within X_MAX
+    from graspstab import equilibrium, nullspace_lp
+
+    model, w, states, p = _soft_state(1e-2)
+    prep = states.prepared[p]
+    bounds = []
+    solve = nullspace_lp.small_lp
+
+    def spy(g, h, c, lo, hi):
+        bounds.append(float(np.asarray(hi)[0]))
+        return solve(g, h, c, lo, hi)
+
+    monkeypatch.setattr(nullspace_lp, "small_lp", spy)
+    monkeypatch.setattr(equilibrium, "BOX_HIT", 0.0)
+    sol = linear_feasibility(prep, w)
+    # the z bound of a box B is 2 sqrt(n) B (_box_program)
+    at_x_max = 2.0 * np.sqrt(prep.system.n) * X_MAX
+    assert len(bounds) == 2 and bounds[0] < at_x_max and bounds[1] == at_x_max
+    assert sol is not None
+    scale, eq_tol = equilibrium._eq_tol(w, prep.b_max)
+    assert check_solution(model, w, sol)["max_violation"] <= \
+        max(eq_tol, INEQ_SLACK)
+
+
+def _lps_per_point(monkeypatch):
+    """The small_lp calls of each linear_feasibility call, under either
+    module's name."""
+    from graspstab import equilibrium, nullspace_lp, stability
+
+    calls, runs = [0], []
+    solve, point = nullspace_lp.small_lp, equilibrium.linear_feasibility
+
+    def counted_lp(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    def counted_point(*args, **kwargs):
+        before = calls[0]
+        out = point(*args, **kwargs)
+        runs.append(calls[0] - before)
+        return out
+
+    monkeypatch.setattr(nullspace_lp, "small_lp", counted_lp)
+    for module in (equilibrium, stability):
+        monkeypatch.setattr(module, "linear_feasibility", counted_point)
+    return runs
+
+
+# soft fixtures and loads where a box grown from the data's magnitude by
+# factors of 100 needed two or three boxes
+@pytest.mark.parametrize("make, preloaded, soft, w", [
+    (three_contact, False, 1e-2, (1, -2, 1)),
+    (three_contact, False, 1e-2, (-1, -2, -1)),
+    (three_contact, True, 1e-2, (0, 0, 1)),
+    (three_contact, False, 1e-4, (-2, -2, 0)),
+    (three_contact, True, 1e-4, (0, 0, -1)),
+    (four_contact, False, 1e-4, (2, 0, 0)),
+    (four_contact, True, 1e-4, (1, -2, 1)),
+])
+def test_a_soft_grasp_finds_its_point_in_the_first_box(make, preloaded, soft,
+                                                       w, monkeypatch):
+    model = make(preloaded)
+    model.stiffness = model.stiffness * soft
+    runs = _lps_per_point(monkeypatch)
+    for detachment in (False, True):
+        states = enumerate_slip_states(model, detachment=detachment)
+        for policy in ("first", "canonical"):
+            check_stability(model, w, states=states, witness_policy=policy)
+    assert runs and runs == [1] * len(runs)
 
 
 # independent feasibility check of every slip state by HiGHS (test-only:
