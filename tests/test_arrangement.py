@@ -434,7 +434,7 @@ def test_states_are_built_only_when_asked_for(monkeypatch):
     model = four_contact(True)
     states = enumerate_slip_states(model)
     # the all-stick state is singular and feasible under this pull
-    # (Table III), so the box ladder and the canonical witness run
+    # (Table III), so the point's LPs and the canonical witness run
     assert check_stability(model, (0.0, 1.999, 0.0), states=states).stable
     assert max_resistible(model, (0.0, 1.0), states=states).magnitude > 0
     assert built == []

@@ -123,8 +123,8 @@ def antipodal(preloaded=False):
 
 
 def _count_calls(monkeypatch):
-    """Calls of the simplex, of the null-space LP engine and of the box
-    ladder, by name."""
+    """Calls of the simplex, of the null-space LP engine and of the point
+    search (linear_feasibility), by name."""
     from graspstab import equilibrium, nullspace_lp
 
     calls = {"solve_lp": 0, "small_lp": 0, "linear_feasibility": 0}
@@ -157,7 +157,7 @@ def test_consistent_infeasible_singular_state_rejected_before_the_ladder(
         m4, monkeypatch):
     # all-stick under a downward push without preload: the equalities have
     # solutions, but no passive forces balance the load (Table III row 4);
-    # the screen, one null-space LP, rejects it before the box ladder runs
+    # the screen, one null-space LP, rejects it before the point's LPs run
     labels = (0, 0, 0, 0)
     sys = assemble_state_system(m4, (0, -2, 0), labels)
     assert _nullity(sys) == 2
@@ -179,8 +179,8 @@ def test_null_space_screen_rejects_before_the_ladder(make, preloaded, w,
                                                      monkeypatch):
     # consistent singular states whose best max-min margin is -0.25 to
     # -0.85: a phase-1 LP over the +-X_MAX box let the first two into the
-    # box ladder, since its row equilibration scales their residuals down
-    # by ~X_MAX; the screen rejects all three before the ladder runs
+    # point's LPs, since its row equilibration scales their residuals down
+    # by ~X_MAX; the screen rejects all three before those LPs run
     model = make(preloaded)
     sys = assemble_state_system(model, w, labels)
     assert _nullity(sys) == nullity
@@ -333,7 +333,7 @@ def test_a_soft_grasp_finds_its_point_in_the_first_box(make, preloaded, soft,
 # all-stick state is singular and feasible with a margin of only 2.5e-4.
 # (0, +-0.5, +-1) reach nullity-1 states whose feasible points all lie
 # away from z = 0: four_contact's (-1, detached, 1, detached) under
-# (0, -0.5, 1) has slack -0.5 at z = 0 and a ladder margin of 0.5
+# (0, -0.5, 1) has slack -0.5 at z = 0 and a max-min margin of 0.5
 REF_WRENCHES = sorted(
     {(0.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, -2.0, 0.0), (0.0, 1.0, 0.0),
      (0.0, 1.1, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0), (0.0, 0.0, -3.0),

@@ -155,7 +155,7 @@ def test_random_grasp_witnesses_verify():
 
 def _count_witness_lps(monkeypatch):
     """(ladders, witness LPs): the labels of the states whose objective-free
-    box ladder runs, and of those whose witness LP runs, each with
+    point LPs run, and of those whose witness LP runs, each with
     whether it found a point, in the order they run."""
     from graspstab import equilibrium, stability
 
@@ -196,7 +196,7 @@ def _flat(prep) -> bool:
 
 def test_canonical_query_runs_one_lp_per_non_flat_feasible_state(monkeypatch):
     # Table III: a canonical query runs one witness LP for each feasible
-    # state whose slip speeds vary, and the objective-free box ladder only
+    # state whose slip speeds vary, and the objective-free point LPs only
     # for the feasible singular states whose speeds do not (flat) and for
     # those whose witness LP failed; every other state is decided by its
     # screen alone
@@ -229,7 +229,7 @@ GRID_WRENCHES = [(fx, fy, tz) for fx in (-2, -1, 0, 1, 2) for fy in (-2, 0, 2)
 
 def _assert_screened_states_have_points(model, detachment, wrenches):
     """Every singular state that passes its screen under a wrench gets a
-    point from its box ladder, so the canonical walk, which decides such
+    point from its two boxes, so the canonical walk, which decides such
     a state by its screen alone, keeps only states that hold."""
     batch = enumerate_slip_states(model, detachment=detachment).prepared
     for w in np.asarray(wrenches, dtype=float):
@@ -453,8 +453,8 @@ def _assert_batch_matches_loop(model, detachment, wrenches):
             assert canon.states_tried == len(states), w
         assert first.first_feasible == canon.first_feasible == \
             (ref[0] if ref else -1), w
-        # the array screen rejects a singular state only where the box
-        # ladder, which never reads the consistency map, finds no point
+        # the array screen rejects a singular state only where the two
+        # boxes, which never read the consistency map, give no point
         kept = set(batch.candidates(w).tolist())
         for p in np.flatnonzero(~batch.direct):
             if p not in kept:

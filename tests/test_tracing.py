@@ -33,7 +33,7 @@ def test_trace_targets_resolve():
 
 def test_traced_check_records_spans_and_restores():
     # the preloaded all-stick state is singular and feasible under this
-    # pull (Table III): "first" runs its box ladder inside solve_state,
+    # pull (Table III): "first" runs its point's LPs inside solve_state,
     # and the canonical witness, which reads the point of this state
     # without slip, runs it itself
     before = {(mod, attr): getattr(mod, attr) for mod, attr in _targets()}
