@@ -274,7 +274,7 @@ def test_a_point_that_hits_the_first_box_takes_the_second(monkeypatch):
     at_x_max = 2.0 * np.sqrt(prep.system.n) * X_MAX
     assert len(bounds) == 2 and bounds[0] < at_x_max and bounds[1] == at_x_max
     assert sol is not None
-    scale, eq_tol = equilibrium._eq_tol(w, prep.b_max)
+    eq_tol = equilibrium._eq_tol(w, prep.b_max)[1]
     assert check_solution(model, w, sol)["max_violation"] <= \
         max(eq_tol, INEQ_SLACK)
 
