@@ -12,17 +12,22 @@ right-hand side, so a grasp's states are prepared once, as one batch:
 condensed at zero load, grouped by s with one SVD call per group, and
 expanded back to each state's solution family x_p(w) + N z in the full
 unknowns, as affine maps of the wrench w. A direct state (N empty) is
-decided by its slacks at x_p(w), all of a grasp's at once; any other
-state in its null space, one at a time. Along a ray of loads w = t u
-the maps are affine in t, so each state holds on an interval of t,
-found without probing (``PreparedStates.stable_intervals``). This
-module poses every LP over a singular state: the screen that decides
-it, the ends of its span along a ray, the two boxes of its point (the
-first sized from x_p(w), then X_MAX) and the canonical witness's LP.
-Each runs over x = x_p + N z, in the k null-space coordinates (m - 3 at
-the all-stick origin state), on the rows [a_in N; N; -N] that slicing
-stacks once per state (``_box_program``); one exact engine solves them
-all, Seidel's incremental algorithm (``nullspace_lp.small_lp``).
+decided by its slacks at x_p(w), all of a grasp's at once. So is a
+singular state of nullity 1, whose screen LP in its one null-space
+coordinate is an interval of it (``PreparedStates.candidates``); any
+other state is decided in its null space, one at a time. Along a ray of
+loads w = t u the maps are affine in t, so each state holds on an
+interval of t, found without probing
+(``PreparedStates.stable_intervals``). This module poses every LP over
+a singular state: the screen that decides it, the ends of its span
+along a ray, the two boxes of its point (the first sized from x_p(w),
+then X_MAX) and the canonical witness's LP. Each runs over x = x_p + N
+z, in the k null-space coordinates (m - 3 at the all-stick origin
+state), on the rows [a_in N; N; -N] that slicing stacks once per state
+(``_box_program``); one exact engine solves them all, Seidel's
+incremental algorithm (``nullspace_lp.small_lp``). The batch decides
+the screens of nullity 1 by that engine's one-variable rules
+(``_line_holds``).
 """
 
 from __future__ import annotations
@@ -389,18 +394,30 @@ def _condense(model: GraspModel, maps: GraspMaps, labels: np.ndarray):
         + preload[..., None] * np.eye(1, 4 + width)[0]
     tangent = np.where(stick[..., None], free, slope[..., None] * normal)
     x[:, 3::2], x[:, 4::2] = normal, tangent
-    # the slacks at x_p
-    normal, tangent = normal[..., :4], tangent[..., :4]
-    motion = motion[..., :4]
-    slack = np.zeros((count, m, 3, 4))
+    slack = _slots(labels, mu, normal[..., :4], tangent[..., :4],
+                   motion[..., :4])
+    return (x, slack, _SLOT_VALID[labels + 1].reshape(count, 3 * m), cons,
+            live, 3 + sticking, np.abs(preload).max(axis=1, initial=0.0))
+
+
+def _slots(labels: np.ndarray, mu: np.ndarray, normal: np.ndarray,
+           tangent: np.ndarray, motion: np.ndarray) -> np.ndarray:
+    """The inequality slots a_in x (S, 3m, K) of the states of the label
+    vectors labels (S, m) at K points x each, given by each contact's
+    c_n and c_t (S, m, K) and its motion (delta_n, delta_t) (S, 2m, K):
+    three slots a contact, filled in the order of ``_KINDS``, zero on the
+    padding."""
+    count, m = labels.shape
+    attached, stick = labels != DETACHED, labels == 0
+    # the slip direction: -1 or +1 when slipping, else 0
+    sign = labels * (attached & ~stick)
+    slack = np.zeros((count, m, 3, normal.shape[-1]))
     slack[:, :, 0] = np.where(attached[..., None], normal, -motion[:, 0::2])
     cone = mu[:, None] * normal
     slack[:, :, 1] = np.where(stick[..., None], cone - tangent,
                               sign[..., None] * motion[:, 1::2])
     slack[:, :, 2] = np.where(stick[..., None], cone + tangent, 0.0)
-    return (x, slack.reshape(count, 3 * m, 4),
-            _SLOT_VALID[labels + 1].reshape(count, 3 * m), cons, live,
-            3 + sticking, np.abs(preload).max(axis=1, initial=0.0))
+    return slack.reshape(count, 3 * m, -1)
 
 
 class PreparedStates:
@@ -414,7 +431,9 @@ class PreparedStates:
     its slacks s0 and slack_gain at x_p(w) in three slots per contact
     (zero on the padding), its consistency map and max|b_eq[3:]|, so
     ``candidates`` screens every state against a wrench in a few array
-    operations. Indexing slices one state out as a PreparedState, kept
+    operations; for a consistent state of nullity 1 it then builds the
+    line x_p(w) + n z from the same arrays and decides its screen LP
+    there. Indexing slices one state out as a PreparedState, kept
     for later queries, with its full StateSystem built from its labels.
     The batch also keeps every state's right singular vectors expanded
     to the full unknowns; slicing a singular state orthonormalises those
@@ -437,6 +456,9 @@ class PreparedStates:
          self._b_max) = _condense(model, self._maps, self._labels)
         # a state is direct when its condensed block has full rank
         self.direct = self._live == self._size
+        # a singular state whose null space is a line
+        self._line = self._size - self._live == 1
+        self._mu = np.array([c.mu for c in model.contacts])
         self._s0, self._slack_gain = self._slack[..., 0], self._slack[..., 1:]
         self._cons0, self._cons_gain = cons[..., 0], cons[..., 1:]
         self._prepared: dict[int, PreparedState] = {}
@@ -473,14 +495,48 @@ class PreparedStates:
         """Positions, in order, of the states that may hold under w.
 
         A direct state is kept when its slacks at x_p(w) pass, which
-        makes it feasible; a singular one when its equalities pass the
-        consistency test of ``solve_state``, which still decides it.
+        makes it feasible. A singular one is kept when its equalities
+        pass the consistency test of ``solve_state`` and, where its null
+        space is a line, when it passes its screen too
+        (``_line_screen``): a kept state of nullity 1 holds, and only one
+        of nullity 2 or more is still to be decided.
         """
         slack = self._s0 + self._slack_gain @ w
         keep = np.where(self.direct,
                         ~(np.min(slack, axis=1) < -INEQ_SLACK),
                         self._consistent(w))
+        line = np.flatnonzero(keep & self._line)
+        if len(line):
+            keep[line] = self._line_screen(line, w)
         return np.flatnonzero(keep)
+
+    def _line_screen(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Whether each state at the positions p, all singular of nullity
+        1, passes ``PreparedState.passes_screen``'s LP under w.
+
+        Over x = x_p(w) + n z, n the unit null vector, the LP has one
+        variable and the rows [a_in n; n; -n] z >= h of ``_box_program``,
+        decided by ``_line_holds``. Its line data, x_p(w), n and the
+        slots at both, is built here from the batch's arrays, only for
+        the states asked about.
+        """
+        unknowns = 3 + 2 * self.model.m
+        v = self._x[p, :, 4 + self._live[p]]
+        null = v / np.linalg.norm(v, axis=1, keepdims=True)
+        # x_p moved to the least-norm point, and n as a fifth column
+        x = self._x[p, :, :4]
+        x = np.concatenate([x - null[..., None] * (null[:, None] @ x),
+                            null[..., None]], axis=2)
+        slots = _slots(self._labels[p], self._mu, x[:, 3::2], x[:, 4::2],
+                       self._maps.motion.T @ x[:, :3])
+        x_p = x[..., 0] + x[..., 1:4] @ w
+        slack = slots[..., 0] + slots[..., 1:4] @ w
+        g = np.concatenate([slots[..., 4], null, -null], axis=1)
+        h = np.concatenate([-(slack + INEQ_SLACK), -X_MAX - x_p,
+                            -X_MAX + x_p], axis=1)
+        rows = np.concatenate(
+            [self._valid[p], np.ones((len(p), 2 * unknowns), bool)], axis=1)
+        return _line_holds(g, h, rows, 2.0 * np.sqrt(unknowns) * X_MAX)
 
     def _consistent(self, w: np.ndarray) -> np.ndarray:
         """Whether each state's equalities pass the consistency test of
@@ -540,7 +596,9 @@ def solve_state(model: GraspModel, w, state: tuple | PreparedState
     produce the point (``PreparedState.ladder_point``). Both tests reject
     only what those boxes would, so the point is the one they alone
     return. A PreparedState is used as it is; a label vector is
-    prepared first.
+    prepared first. This is the one-state path: a query decides its
+    singular states of nullity 1 in the batch
+    (``PreparedStates.candidates``) and calls this only for the others.
     """
     if isinstance(state, PreparedState):
         prep = state
@@ -552,6 +610,31 @@ def solve_state(model: GraspModel, w, state: tuple | PreparedState
             return None
         return prep.solution_at(w)
     return prep.ladder_point(w) if prep.passes_screen(w) else None
+
+
+def _line_holds(g: np.ndarray, h: np.ndarray, rows: np.ndarray,
+                bound: float) -> np.ndarray:
+    """Whether each of a stack of LPs in one variable z has a point: the
+    rows g z >= h (S, R) where rows (S, R) is set, and |z| <= bound.
+
+    Each is decided as ``nullspace_lp.small_lp`` decides it, in its
+    one-variable case: a row flat in z (|g| <= LP_REL) fails where its
+    unscaled h exceeds LP_REL (1 + |h|); each other row, scaled to unit
+    norm, bounds z from one side; and an interval [low, high] empty by
+    no more than LP_REL (1 + |low| + |high|) still holds its midpoint.
+    """
+    norm = np.sqrt(g * g)
+    live = rows & (norm > LP_REL)
+    flat_fails = np.any(rows & ~live & (h > LP_REL * (1.0 + np.abs(h))),
+                        axis=1)
+    # each live row, scaled to unit norm, is z >= its end or z <= it
+    unit = np.where(live, norm, 1.0)
+    a = g / unit
+    end = h / unit / np.where(live, a, 1.0)
+    low = np.max(np.where(live & (a > LP_REL), end, -bound), axis=1)
+    high = np.min(np.where(live & (a < -LP_REL), end, bound), axis=1)
+    return ~flat_fails & ~(low - high > LP_REL * (1.0 + np.abs(low)
+                                                   + np.abs(high)))
 
 
 def _eq_tol(w: np.ndarray, b_max):

@@ -10,7 +10,10 @@ grasps (m <= 5) it is at most 3. ``equilibrium`` poses each of them, and
 every dimension. Its expected cost grows about as k!, so on a grasp of
 many contacts the origin state's screen costs steeply. The engine knows
 nothing of slip states: it takes rows, a right-hand side, objectives
-and a box.
+and a box. A screen with k = 1 does not reach it from a query:
+``equilibrium._line_holds`` decides every such screen of a grasp's batch
+in one array pass, by this engine's one-variable rules (``_interval``
+and the flat-row test of ``small_lp``), which the two must keep alike.
 
 An LP of a few unknowns takes 2-3 eliminations, so numpy's cost per call
 would exceed its arithmetic: ``small_lp`` scales the rows once in numpy

@@ -15,7 +15,7 @@ from graspstab import (Contact, GraspModel, PreparedStates,
 from graspstab.arrangement import DETACHED
 from graspstab.equilibrium import EquilibriumSolution
 from graspstab.generate import random_grasp
-from graspstab.params import INEQ_SLACK, RANK_EPS, SINGULAR_REL, X_MAX
+from graspstab.params import INEQ_SLACK, LP_REL, RANK_EPS, SINGULAR_REL, X_MAX
 
 from conftest import four_contact, three_contact
 from test_arrangement import degenerate_grasps
@@ -190,6 +190,108 @@ def test_null_space_screen_rejects_before_the_ladder(make, preloaded, w,
     calls = _count_calls(monkeypatch)
     assert solve_state(model, w, labels) is None
     assert calls == {"solve_lp": 0, "small_lp": 1, "linear_feasibility": 0}
+
+
+def _line_corpus():
+    """(batch, loads): the 4 fixtures under the 45-load grid and 40 random
+    grasps under 12 loads each, every one in both detachment modes."""
+    grid = list(itertools.product(range(-2, 3), (-2, 0, 2), (-1, 0, 1)))
+    rng = np.random.default_rng(2323)
+    cases = [(make(preloaded), grid) for make in (three_contact, four_contact)
+             for preloaded in (False, True)]
+    cases += [(random_grasp(2 + k % 4, rng=rng,
+                            preload="auto" if k // 4 % 2 else "none"),
+               rng.normal(size=(12, 3)) * [2.0, 2.0, 1.5]) for k in range(40)]
+    for model, loads in cases:
+        for detachment in (False, True):
+            yield (enumerate_slip_states(model, detachment=detachment).prepared,
+                   np.asarray(loads, dtype=float))
+
+
+def test_the_batch_decides_a_state_of_nullity_1_as_its_screen_does():
+    # every consistent state whose null space is a line is kept by
+    # candidates exactly when its own screen LP passes
+    outcomes = {True: 0, False: 0}
+    for batch, loads in _line_corpus():
+        for w in loads:
+            kept = set(batch.candidates(w).tolist())
+            for p in np.flatnonzero(~batch.direct
+                                    & batch._consistent(w)).tolist():
+                prep = batch[p]
+                if prep.null.shape[1] != 1:
+                    continue
+                holds = prep.passes_screen(w)
+                assert (p in kept) == holds, (prep.system.labels, w)
+                outcomes[holds] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_the_batch_keeps_a_state_of_nullity_1_to_the_ends_of_its_span():
+    # along a ray a state holds on [least, largest] (_singular_span), and
+    # at each end its screen's best least slack is -INEQ_SLACK: 1e-10
+    # inside it still passes on a negative slack, 1e-10 outside it fails
+    from graspstab.equilibrium import _singular_span
+
+    cap, ends = 10.0, 0
+    for batch, _loads in _line_corpus():
+        for k in range(8):
+            angle = 2.0 * math.pi * (k + 0.5) / 8
+            u = np.array([math.cos(angle), math.sin(angle), 0.0])
+            whole = batch._line & batch._consistent(np.zeros(3)) \
+                & batch._consistent(cap * u)
+            for p in np.flatnonzero(whole).tolist():
+                span = _singular_span(batch[p], u, cap)
+                for end, out in zip(span or (), (-1.0, 1.0)):
+                    if not 1e-3 < end < cap * (1.0 - 1e-6):
+                        continue
+                    for step, holds in ((-1e-10, True), (1e-10, False)):
+                        w = (end + out * step) * u
+                        assert batch[p].passes_screen(w) == holds
+                        assert (p in batch.candidates(w)) == holds, \
+                            (batch[p].system.labels, w)
+                    ends += 1
+    assert ends >= 100
+
+
+# one-variable LPs g z >= h in the z box +-10 at the edges of the
+# decision: T is the largest h a flat row may have, LP_REL / (1 -
+# LP_REL), and [1 + gap, 1] an interval empty by gap, within LP_REL (1 +
+# |low| + |high|) = 3.0e-12 or beyond it
+_T = LP_REL / (1.0 - LP_REL)
+LINE_EDGES = [
+    pytest.param([0.5 * LP_REL, 1.0], [_T * (1 - 1e-6), -1.0], True,
+                 id="flat-row-just-below-its-tolerance"),
+    pytest.param([0.5 * LP_REL, 1.0], [_T * (1 + 1e-6), -1.0], False,
+                 id="flat-row-just-above-its-tolerance"),
+    pytest.param([LP_REL * (1 - 1e-6)], [2.0 * LP_REL], False,
+                 id="row-just-flat"),
+    pytest.param([LP_REL * (1 + 1e-6)], [2.0 * LP_REL], True,
+                 id="row-just-not-flat"),
+    pytest.param([1.0, -1.0], [1.0 + 2.5e-12, -1.0], True,
+                 id="empty-by-just-less-than-the-tolerance"),
+    pytest.param([1.0, -1.0], [1.0 + 3.5e-12, -1.0], False,
+                 id="empty-by-just-more-than-the-tolerance"),
+    pytest.param([1.0, 2.0], [10.0, -30.0], True, id="point-at-the-upper-bound"),
+    pytest.param([-1.0, -3.0], [10.0, -30.0], True,
+                 id="point-at-the-lower-bound"),
+    pytest.param([1.0], [10.0 * (1 + 1e-9)], False,
+                 id="beyond-the-upper-bound"),
+    pytest.param([-1.0], [10.0 * (1 + 1e-9)], False,
+                 id="beyond-the-lower-bound"),
+]
+
+
+@pytest.mark.parametrize("g, h, holds", LINE_EDGES)
+def test_the_batch_decides_a_line_lp_as_small_lp_does(g, h, holds):
+    from graspstab.equilibrium import _line_holds
+    from graspstab.nullspace_lp import small_lp
+
+    g, h = np.array(g), np.array(h)
+    # a row masked out, flat and far beyond its tolerance, is not read
+    got = _line_holds(np.append(g, 0.0)[None], np.append(h, 1.0)[None],
+                      np.append(np.ones(len(g), bool), False)[None], 10.0)
+    lp = small_lp(g[:, None], h, [0.0], [-10.0], [10.0])
+    assert got.tolist() == [holds] and (lp is not None) == holds
 
 
 def _spy_rows(monkeypatch):

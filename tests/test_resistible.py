@@ -159,9 +159,8 @@ def _whole_ray_singular(states, u) -> int:
     """Singular states that pass the consistency test at both ray ends."""
     u = np.array([u[0], u[1], 0.0])
     batch = states.prepared
-    both = np.intersect1d(batch.candidates(np.zeros(3)),
-                          batch.candidates(CAP * u))
-    return int(np.count_nonzero(~batch.direct[both]))
+    both = batch._consistent(np.zeros(3)) & batch._consistent(CAP * u)
+    return int(np.count_nonzero(~batch.direct & both))
 
 
 def test_sweeps_run_no_query_and_two_lps_per_whole_ray_state(monkeypatch):

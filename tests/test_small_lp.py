@@ -5,11 +5,13 @@ rows, single-point and empty feasible sets, and optima on the box. An
 infeasible system of such rows misses by far more than either solver's
 tolerance, so the two must agree on feasibility. The LPs the queries
 themselves pose, 22-34 rows each, some repeated, are recorded from
-the paper's tables and the fixtures' sweeps and replayed.
+the paper's tables, in both detachment modes under both witness
+policies, and the fixtures' sweeps and replayed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -194,8 +196,9 @@ SWEEPS = [("three_contact", 6, 0.0), ("three_contact_preload", 4, 0.0),
 
 
 def _recorded_lps(monkeypatch):
-    """(g, h, c, lo, hi) of every small_lp call the paper's queries and
-    the fixtures' max_resistible sweeps make."""
+    """(g, h, c, lo, hi) of every small_lp call the paper's queries, in
+    both detachment modes under both witness policies, and the fixtures'
+    max_resistible sweeps make."""
     calls = []
     solve = nullspace_lp.small_lp
 
@@ -206,8 +209,10 @@ def _recorded_lps(monkeypatch):
     monkeypatch.setattr(nullspace_lp, "small_lp", record)
     models = {path.stem: load_grasp_file(str(path))[0]
               for path in FIXTURES.glob("*.grasp")}
-    for name, w, detachment in PAPER_QUERIES:
-        check_stability(models[name], w, detachment=detachment)
+    for (name, w, detachment), flip, policy in itertools.product(
+            PAPER_QUERIES, (False, True), ("canonical", "first")):
+        check_stability(models[name], w, detachment=detachment != flip,
+                        witness_policy=policy)
     for name, count, first in SWEEPS:
         states = enumerate_slip_states(models[name])
         for k in range(count):

@@ -1,0 +1,205 @@
+"""Compare graspstab's outputs with those of another checkout, bit for bit.
+
+Usage:
+
+    python3 tools/compare_outputs.py PARENT_CHECKOUT
+
+Runs one fixed corpus of 11,368 calls with this checkout's ``src/`` and
+then with ``PARENT_CHECKOUT/src``, each in a child process, and compares
+the records with == on the raw floats. It prints, per field, the count
+of records that differ, and exits 1 when any record differs.
+
+The corpus:
+
+- the 4 fixtures x 80 loads (the grid {-2..2} x {-2, 0, 2} x {-1.5, -1,
+  0, 1, 1.5} and 5 more Table I/III loads) x both detachment modes x both
+  witness policies, with and without a shared SlipStateSet (2,560), and
+  brute_force_verdict on each load and mode (640);
+- 40 random_grasp models (m = 2-5, seeds 1000-1039, preload "auto" and
+  "none" alternating) x 12 loads x both modes x both policies, shared and
+  fresh (3,840), and brute_force_verdict where m <= 4 (720);
+- max_resistible along 16 directions per grasp and mode, on a shared
+  SlipStateSet: fixtures (128) and random models (1,280);
+- criterion 4's 200 queries (tests/test_acceptance.py) under both
+  policies (400) and brute_force_verdict on each (200);
+- the stored oracle_mix selections of seeds 1-10 (stabbench/verdicts)
+  under both policies (1,600).
+
+A verdict's fields are stable, states_tried, first_feasible and
+separating_direction, and its witness's d, forces, labels, state_index,
+max_eq_residual and min_ineq_slack; a max_resistible result's are
+magnitude, bracket and stable_intervals. The oracle_mix inputs are built
+by this checkout's ``stabbench/workloads.py`` on both sides.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+REPO = HERE.parent
+
+FIXTURE_LOADS = [*itertools.product(range(-2, 3), (-2, 0, 2),
+                                    (-1.5, -1, 0, 1, 1.5)),
+                 (0, -1, 0), (0, 1, 0), (0, 1.1, 0), (0, 0, 3), (0, 0, -3)]
+POLICIES = ("first", "canonical")
+DIRECTIONS = 16
+WRENCH_SCALE = (2.0, 2.0, 1.5)
+
+
+def _floats(a):
+    return None if a is None else [float(v) for v in a]
+
+
+def _verdict(v) -> dict:
+    rec = {"stable": v.stable, "states_tried": v.states_tried,
+           "first_feasible": v.first_feasible,
+           "separating_direction": _floats(v.separating_direction)}
+    wit = v.witness
+    rec.update({f"witness.{name}": None for name in
+                ("d", "forces", "labels", "state_index", "max_eq_residual",
+                 "min_ineq_slack")} if wit is None else {
+        "witness.d": _floats(wit.d),
+        "witness.forces": _floats(wit.forces.ravel()),
+        "witness.labels": [int(l) for l in wit.labels],
+        "witness.state_index": wit.state_index,
+        "witness.max_eq_residual": float(wit.max_eq_residual),
+        "witness.min_ineq_slack": float(wit.min_ineq_slack)})
+    return rec
+
+
+def _sweep(r) -> dict:
+    return {"magnitude": float(r.magnitude),
+            "bracket": _floats(r.bracket),
+            "stable_intervals": [_floats(s) for s in r.stable_intervals]}
+
+
+def _grasp_records(gs, tag, model, loads, brute):
+    """The query, brute-force and sweep records of one grasp."""
+    out = {}
+    for det in (False, True):
+        shared = gs.enumerate_slip_states(model, detachment=det)
+        for j, w in enumerate(loads):
+            for pol, (kind, states) in itertools.product(
+                    POLICIES, (("shared", shared), ("fresh", None))):
+                out[f"{tag}/det{det:d}/w{j}/{pol}/{kind}"] = _verdict(
+                    gs.check_stability(model, w, detachment=det,
+                                       witness_policy=pol, states=states))
+            if brute:
+                out[f"{tag}/det{det:d}/w{j}/brute"] = _verdict(
+                    gs.brute_force_verdict(model, w, detachment=det))
+        for k in range(DIRECTIONS):
+            ang = 2.0 * math.pi * k / DIRECTIONS
+            out[f"{tag}/det{det:d}/dir{k}"] = _sweep(gs.max_resistible(
+                model, (math.cos(ang), math.sin(ang)), states=shared))
+    return out
+
+
+def dump() -> dict:
+    """Every record of the corpus, by key, under the graspstab on the
+    path."""
+    import numpy as np
+
+    import graspstab as gs
+    from graspstab.generate import random_grasp
+    from graspstab.grasp_io import load_grasp_file
+
+    out = {}
+    for path in sorted((REPO / "fixtures").glob("*.grasp")):
+        model = load_grasp_file(str(path))[0]
+        loads = [np.array(w, dtype=float) for w in FIXTURE_LOADS]
+        out.update(_grasp_records(gs, path.stem, model, loads, True))
+    for i in range(40):
+        m, seed = 2 + i % 4, 1000 + i
+        model = random_grasp(m, rng=seed,
+                             preload="auto" if (i // 4) % 2 else "none")
+        loads = np.random.default_rng([seed, 1]).normal(size=(12, 3)) \
+            * WRENCH_SCALE
+        out.update(_grasp_records(gs, f"random{seed}", model, loads, m <= 4))
+
+    # criterion 4's stream, drawn as tests/test_acceptance.py draws it
+    rng = np.random.default_rng(27182)
+    for run in range(200):
+        m = int(rng.integers(2, 6))
+        model = random_grasp(m, rng=rng,
+                             preload="auto" if rng.random() < 0.5 else "none",
+                             detachment=True)
+        w = rng.normal(size=3) * np.array(WRENCH_SCALE)
+        for pol in POLICIES:
+            out[f"criterion4/{run}/{pol}"] = _verdict(
+                gs.check_stability(model, w, witness_policy=pol))
+        out[f"criterion4/{run}/brute"] = _verdict(
+            gs.brute_force_verdict(model, w))
+
+    sys.path.insert(0, str(REPO / "stabbench"))
+    import workloads
+
+    for seed in range(1, 11):
+        _doc, queries = workloads.load_selection(gs, seed)
+        if queries is None:
+            raise RuntimeError(f"no stored oracle_mix selection of seed {seed}")
+        for i, q in enumerate(queries):
+            for pol in POLICIES:
+                out[f"oracle_mix{seed}/{i}/{pol}"] = _verdict(
+                    gs.check_stability(q.model, q.w, witness_policy=pol))
+    return out
+
+
+def _run(checkout: Path, path: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                    "--dump", str(path)], env=env, check=True)
+    return json.loads(path.read_text())
+
+
+def compare(parent: dict, change: dict) -> Counter:
+    """Per field, the count of records that differ; "missing" counts the
+    keys that only one side has."""
+    differ = Counter()
+    differ["missing"] = len(parent.keys() ^ change.keys())
+    for key in parent.keys() & change.keys():
+        a, b = parent[key], change[key]
+        for field in a.keys() | b.keys():
+            if a.get(field) != b.get(field):
+                differ[field] += 1
+    return differ
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", nargs="?", type=Path,
+                    help="checkout to compare this one with")
+    ap.add_argument("--dump", type=Path,
+                    help="write the records of the graspstab on the path "
+                         "to this JSON file and exit")
+    args = ap.parse_args(argv)
+    if args.dump is not None:
+        args.dump.write_text(json.dumps(dump()))
+        return 0
+    if args.parent is None:
+        ap.error("give PARENT_CHECKOUT or --dump")
+    with tempfile.TemporaryDirectory() as tmp:
+        change = _run(REPO, Path(tmp) / "change.json")
+        parent = _run(args.parent.resolve(), Path(tmp) / "parent.json")
+    differ = compare(parent, change)
+    fields = sorted({f for rec in change.values() for f in rec})
+    print(f"{len(change)} records here, {len(parent)} in the parent")
+    for field in ["missing", *fields]:
+        print(f"{field:28s} {differ[field]} differ")
+    records = sum(1 for key in parent.keys() & change.keys()
+                  if parent[key] != change[key]) + differ["missing"]
+    print(f"records that differ: {records}")
+    return 1 if records else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
