@@ -534,9 +534,9 @@ class PreparedStates:
         g = np.concatenate([slots[..., 4], null, -null], axis=1)
         h = np.concatenate([-(slack + INEQ_SLACK), -X_MAX - x_p,
                             -X_MAX + x_p], axis=1)
-        rows = np.concatenate(
+        valid = np.concatenate(
             [self._valid[p], np.ones((len(p), 2 * unknowns), bool)], axis=1)
-        return _line_holds(g, h, rows, 2.0 * np.sqrt(unknowns) * X_MAX)
+        return _line_holds(g, h, valid, 2.0 * np.sqrt(unknowns) * X_MAX)
 
     def _consistent(self, w: np.ndarray) -> np.ndarray:
         """Whether each state's equalities pass the consistency test of
@@ -612,10 +612,10 @@ def solve_state(model: GraspModel, w, state: tuple | PreparedState
     return prep.ladder_point(w) if prep.passes_screen(w) else None
 
 
-def _line_holds(g: np.ndarray, h: np.ndarray, rows: np.ndarray,
+def _line_holds(g: np.ndarray, h: np.ndarray, valid: np.ndarray,
                 bound: float) -> np.ndarray:
     """Whether each of a stack of LPs in one variable z has a point: the
-    rows g z >= h (S, R) where rows (S, R) is set, and |z| <= bound.
+    rows g z >= h (S, R) where valid (S, R) is set, and |z| <= bound.
 
     Each is decided as ``nullspace_lp.small_lp`` decides it, in its
     one-variable case: a row flat in z (|g| <= LP_REL) fails where its
@@ -624,8 +624,8 @@ def _line_holds(g: np.ndarray, h: np.ndarray, rows: np.ndarray,
     no more than LP_REL (1 + |low| + |high|) still holds its midpoint.
     """
     norm = np.sqrt(g * g)
-    live = rows & (norm > LP_REL)
-    flat_fails = np.any(rows & ~live & (h > LP_REL * (1.0 + np.abs(h))),
+    live = valid & (norm > LP_REL)
+    flat_fails = np.any(valid & ~live & (h > LP_REL * (1.0 + np.abs(h))),
                         axis=1)
     # each live row, scaled to unit norm, is z >= its end or z <= it
     unit = np.where(live, norm, 1.0)
