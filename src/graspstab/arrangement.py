@@ -61,7 +61,6 @@ from .params import GEOM_MARGIN, ORDER_DIGITS, PLANE_COINCIDENT, ZERO_PRELOAD
 
 if TYPE_CHECKING:
     from .equilibrium import PreparedStates
-    from .stability import _ConePlanes
 
 __all__ = [
     "DETACHED",
@@ -472,15 +471,6 @@ class SlipStateSet:
         # imported here, not at the top: equilibrium imports this module
         from .equilibrium import PreparedStates
         return PreparedStates(self.model, self.labels, range(len(self)))
-
-    @cached_property
-    def cone_planes(self) -> _ConePlanes:
-        """The grasp's candidate planes of the friction-cone separation
-        test (``stability._cone_planes``), built the first time a query
-        asks for them; each later query only tests its load on them."""
-        # imported here, not at the top: stability imports this module
-        from .stability import _cone_planes
-        return _cone_planes(self.model)
 
     @property
     def cell_counts(self) -> dict[str, int]:

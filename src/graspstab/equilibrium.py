@@ -25,9 +25,9 @@ then X_MAX) and the canonical witness's LP. Each runs over x = x_p + N
 z, in the k null-space coordinates (m - 3 at the all-stick origin
 state), on the rows [a_in N; N; -N] that slicing stacks once per state
 (``_box_program``); one exact engine solves them all, Seidel's
-incremental algorithm (``nullspace_lp.small_lp``). The batch decides
-the screens of nullity 1 by that engine's one-variable rules
-(``_line_holds``).
+incremental algorithm (``nullspace_lp.small_lp``), and its batched
+one-variable twin decides the screens of nullity 1
+(``nullspace_lp.lines_hold``).
 """
 
 from __future__ import annotations
@@ -456,8 +456,9 @@ class PreparedStates:
          self._b_max) = _condense(model, self._maps, self._labels)
         # a state is direct when its condensed block has full rank
         self.direct = self._live == self._size
-        # a singular state whose null space is a line
-        self._line = self._size - self._live == 1
+        # the states whose screen candidates decides: the singular ones
+        # whose null space is a line
+        self.screened = self._size - self._live == 1
         self._mu = np.array([c.mu for c in model.contacts])
         self._s0, self._slack_gain = self._slack[..., 0], self._slack[..., 1:]
         self._cons0, self._cons_gain = cons[..., 0], cons[..., 1:]
@@ -498,14 +499,14 @@ class PreparedStates:
         makes it feasible. A singular one is kept when its equalities
         pass the consistency test of ``solve_state`` and, where its null
         space is a line, when it passes its screen too
-        (``_line_screen``): a kept state of nullity 1 holds, and only one
-        of nullity 2 or more is still to be decided.
+        (``_line_screen``): a kept state that ``screened`` marks holds,
+        and only a singular one it leaves unmarked is still to be decided.
         """
         slack = self._s0 + self._slack_gain @ w
         keep = np.where(self.direct,
                         ~(np.min(slack, axis=1) < -INEQ_SLACK),
                         self._consistent(w))
-        line = np.flatnonzero(keep & self._line)
+        line = np.flatnonzero(keep & self.screened)
         if len(line):
             keep[line] = self._line_screen(line, w)
         return np.flatnonzero(keep)
@@ -516,11 +517,10 @@ class PreparedStates:
 
         Over x = x_p(w) + n z, n the unit null vector, the LP has one
         variable and the rows [a_in n; n; -n] z >= h of ``_box_program``,
-        decided by ``_line_holds``. Its line data, x_p(w), n and the
-        slots at both, is built here from the batch's arrays, only for
-        the states asked about.
+        decided by ``nullspace_lp.lines_hold``. Its line data, x_p(w), n
+        and the slots at both, is built here from the batch's arrays,
+        only for the states asked about.
         """
-        unknowns = 3 + 2 * self.model.m
         v = self._x[p, :, 4 + self._live[p]]
         null = v / np.linalg.norm(v, axis=1, keepdims=True)
         # x_p moved to the least-norm point, and n as a fifth column
@@ -529,14 +529,14 @@ class PreparedStates:
                             null[..., None]], axis=2)
         slots = _slots(self._labels[p], self._mu, x[:, 3::2], x[:, 4::2],
                        self._maps.motion.T @ x[:, :3])
-        x_p = x[..., 0] + x[..., 1:4] @ w
-        slack = slots[..., 0] + slots[..., 1:4] @ w
-        g = np.concatenate([slots[..., 4], null, -null], axis=1)
-        h = np.concatenate([-(slack + INEQ_SLACK), -X_MAX - x_p,
-                            -X_MAX + x_p], axis=1)
+        g, h, bound = _box_program(
+            np.concatenate([slots[..., 4], null, -null], axis=1),
+            x[..., 0] + x[..., 1:4] @ w,
+            slots[..., 0] + slots[..., 1:4] @ w + INEQ_SLACK, X_MAX)
         valid = np.concatenate(
-            [self._valid[p], np.ones((len(p), 2 * unknowns), bool)], axis=1)
-        return _line_holds(g, h, valid, 2.0 * np.sqrt(unknowns) * X_MAX)
+            [self._valid[p], np.ones((len(p), 2 * null.shape[1]), bool)],
+            axis=1)
+        return nullspace_lp.lines_hold(g, h, valid, bound)
 
     def _consistent(self, w: np.ndarray) -> np.ndarray:
         """Whether each state's equalities pass the consistency test of
@@ -612,31 +612,6 @@ def solve_state(model: GraspModel, w, state: tuple | PreparedState
     return prep.ladder_point(w) if prep.passes_screen(w) else None
 
 
-def _line_holds(g: np.ndarray, h: np.ndarray, valid: np.ndarray,
-                bound: float) -> np.ndarray:
-    """Whether each of a stack of LPs in one variable z has a point: the
-    rows g z >= h (S, R) where valid (S, R) is set, and |z| <= bound.
-
-    Each is decided as ``nullspace_lp.small_lp`` decides it, in its
-    one-variable case: a row flat in z (|g| <= LP_REL) fails where its
-    unscaled h exceeds LP_REL (1 + |h|); each other row, scaled to unit
-    norm, bounds z from one side; and an interval [low, high] empty by
-    no more than LP_REL (1 + |low| + |high|) still holds its midpoint.
-    """
-    norm = np.sqrt(g * g)
-    live = valid & (norm > LP_REL)
-    flat_fails = np.any(valid & ~live & (h > LP_REL * (1.0 + np.abs(h))),
-                        axis=1)
-    # each live row, scaled to unit norm, is z >= its end or z <= it
-    unit = np.where(live, norm, 1.0)
-    a = g / unit
-    end = h / unit / np.where(live, a, 1.0)
-    low = np.max(np.where(live & (a > LP_REL), end, -bound), axis=1)
-    high = np.min(np.where(live & (a < -LP_REL), end, bound), axis=1)
-    return ~flat_fails & ~(low - high > LP_REL * (1.0 + np.abs(low)
-                                                   + np.abs(high)))
-
-
 def _eq_tol(w: np.ndarray, b_max):
     """(scale, eq_tol) under the wrench w: the data's magnitude max(1,
     |w|, b_max), b_max the largest |b_eq[3:]| of a state (or an array of
@@ -652,9 +627,11 @@ def _box_program(rows: np.ndarray, x_p: np.ndarray, slack: np.ndarray,
     and |x| <= box, and a bound on each z_i in that box. g is rows, a
     state's [a_in N; N; -N] with any extra columns; slack is a_in x_p
     plus any relaxation. z = N^T (x - x_p), x_p orthogonal to N, so |z_i|
-    <= |N_i|_1 box <= sqrt(n) box; twice that leaves the bound slack."""
-    return (rows, np.concatenate([-slack, -box - x_p, -box + x_p]),
-            2.0 * np.sqrt(len(x_p)) * box)
+    <= |N_i|_1 box <= sqrt(n) box; twice that leaves the bound slack.
+    x_p and slack may be stacks of states, (S, n) and (S, r), and h is
+    then (S, r + 2n)."""
+    return (rows, np.concatenate([-slack, -box - x_p, -box + x_p], axis=-1),
+            2.0 * np.sqrt(x_p.shape[-1]) * box)
 
 
 def _merged(spans) -> list[tuple[float, float]]:

@@ -11,9 +11,9 @@ every dimension. Its expected cost grows about as k!, so on a grasp of
 many contacts the origin state's screen costs steeply. The engine knows
 nothing of slip states: it takes rows, a right-hand side, objectives
 and a box. A screen with k = 1 does not reach it from a query:
-``equilibrium._line_holds`` decides every such screen of a grasp's batch
-in one array pass, by this engine's one-variable rules (``_interval``
-and the flat-row test of ``small_lp``), which the two must keep alike.
+``lines_hold`` decides every such screen of a grasp's batch in one array
+pass, by the rules of the engine's one-variable case, which both read
+from ``_flat_fails`` and ``_empty``.
 
 An LP of a few unknowns takes 2-3 eliminations, so numpy's cost per call
 would exceed its arithmetic: ``small_lp`` scales the rows once in numpy
@@ -28,7 +28,7 @@ import numpy as np
 
 from .params import LP_REL
 
-__all__ = ["small_lp"]
+__all__ = ["lines_hold", "small_lp"]
 
 
 def small_lp(g, h, c, lo, hi) -> np.ndarray | None:
@@ -69,8 +69,7 @@ def small_lp(g, h, c, lo, hi) -> np.ndarray | None:
     norm = np.sqrt(np.einsum("ij,ij->i", g, g))
     live = norm > LP_REL
     if not live.all():
-        flat = h[~live]
-        if np.any(flat > LP_REL * (1.0 + np.abs(flat))):
+        if np.any(_flat_fails(h[~live])):
             return None
         g, h, norm = g[live], h[live], norm[live]
     y = _seidel((g / norm[:, None]).tolist(), (h / norm).tolist(),
@@ -153,10 +152,10 @@ def _interval(a, b, c, lo, hi):
             low = max(low, bk / ak)
         elif ak < -LP_REL:
             high = min(high, bk / ak)
-        elif bk > LP_REL * (1.0 + abs(bk)):
+        elif _flat_fails(bk):
             return None
     if low > high:
-        if low - high > LP_REL * (1.0 + abs(low) + abs(high)):
+        if _empty(low, high):
             return None
         return [0.5 * (low + high)]
     for ck in c:
@@ -165,3 +164,39 @@ def _interval(a, b, c, lo, hi):
         if ck < -LP_REL:
             return [high]
     return [min(max(0.0, low), high)]
+
+
+def lines_hold(g: np.ndarray, h: np.ndarray, valid: np.ndarray,
+               bound: float) -> np.ndarray:
+    """Whether each of a stack of LPs in one variable z has a point: the
+    rows g z >= h (S, R) where valid (S, R) is set, and |z| <= bound.
+
+    Each is decided as ``small_lp`` decides it with lo = -bound and hi =
+    bound: a row flat in z fails where its unscaled h is too high
+    (``_flat_fails``); each other row, scaled to unit norm, bounds z from
+    one side; and an interval [low, high] empty by no more than its
+    tolerance (``_empty``) still holds its midpoint.
+    """
+    norm = np.sqrt(g * g)
+    live = valid & (norm > LP_REL)
+    flat_fails = np.any(valid & ~live & _flat_fails(h), axis=1)
+    # each live row, scaled to unit norm, is z >= its end or z <= it
+    unit = np.where(live, norm, 1.0)
+    a = g / unit
+    end = h / unit / np.where(live, a, 1.0)
+    low = np.max(np.where(live & (a > LP_REL), end, -bound), axis=1)
+    high = np.min(np.where(live & (a < -LP_REL), end, bound), axis=1)
+    return ~flat_fails & ~_empty(low, high)
+
+
+def _flat_fails(h):
+    """Whether a row flat in every variable, 0 >= h, fails: h above
+    LP_REL (1 + |h|), unscaled. h a float or an array."""
+    return h > LP_REL * (1.0 + abs(h))
+
+
+def _empty(low, high):
+    """Whether the interval [low, high] of one variable is empty beyond
+    rounding: low above high by more than LP_REL (1 + |low| + |high|).
+    low and high floats or arrays."""
+    return low - high > LP_REL * (1.0 + abs(low) + abs(high))

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -131,8 +130,7 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
     state by its screen and runs the LPs of its point only where the
     witness reads it; a state whose two boxes then give none does not
     hold, as under "first". ``states``, enumerated for this model object
-    (a ValueError otherwise), keeps its batch and the separation test's
-    planes (``SlipStateSet.cone_planes``) for the next query and sets
+    (a ValueError otherwise), keeps its batch for the next query and sets
     the detachment mode, which an explicit ``detachment`` must match (a
     ValueError otherwise); without it the states are enumerated here.
     """
@@ -147,8 +145,7 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
     elif detachment is None:
         detachment = model.options.detachment
 
-    y = _separating_direction(
-        model, w, None if states is None else states.cone_planes)
+    y = _separating_direction(model, w)
     if y is not None:
         return Verdict(stable=False, witness=None, states_tried=0,
                        detachment=detachment, separating_direction=y)
@@ -190,38 +187,27 @@ def _states_of(model: GraspModel, states: SlipStateSet | None,
     return states
 
 
-class _ConePlanes(NamedTuple):
-    """The grasp's side of the friction-cone separation test
-    (``_separating_direction``), built by ``_cone_planes``: the candidate
-    normals y (K, 3) and their lengths, in the frame centred on the
-    contacts' centroid (cx, cy) with lengths in units of unit, and the
-    load-free part of the test's force unit."""
-
-    normals: np.ndarray
-    lengths: np.ndarray
-    cx: float
-    cy: float
-    unit: float
-    floor: float
-
-
-def _cone_planes(model: GraspModel) -> _ConePlanes:
-    """The candidate normals of the separation test of the grasp.
+def _separating_direction(model: GraspModel, w: np.ndarray
+                          ) -> np.ndarray | None:
+    """A unit y with g . y >= 0 for every cone-edge wrench g of the grasp
+    and w . y above the margin, or None where the test finds none.
 
     Under every slip state each contact force lies in its friction cone,
     so equilibrium needs -w in the cone K spanned by the wrenches of the
-    contact forces (1, +-mu) (``model.cone_edges``); a y with g . y >= 0
-    for every generator g and w . y > 0 puts -w outside it. The
-    candidates are the normals of the planes through two generators that
-    have every generator on one side. Where one such plane has every
-    generator on both sides, K is flat, and the normals of the planes
-    through its normal and one generator that have every generator on
-    one side join them, so a load in the plane of K is decided too. The
-    test works in a frame centred on the contacts' centroid, with lengths
-    in units of their largest distance from it. A plane is dropped when
-    rounding puts a generator that is not a copy of its two across it.
-    They depend on the grasp alone: a SlipStateSet keeps them
-    (``SlipStateSet.cone_planes``).
+    contact forces (1, +-mu) (``model.cone_edges``); such a y puts -w
+    outside it. The candidates are the normals of the planes through
+    two generators that have every generator on one side. Where one
+    such plane has every generator on both sides, K is flat, and the
+    normals of the planes through its normal and one generator that
+    have every generator on one side join them, so a load in the plane
+    of K is decided too. The test
+    works in a frame centred on the contacts' centroid, with lengths in
+    units of their largest distance from it, where it fires when the
+    deepest candidate has w . y > SEPARATION_REL * F (see params.py); y
+    is returned in the caller's frame. It is sound, not
+    complete: a plane is dropped when rounding puts a generator that is
+    not a copy of its two across it, and a separable w that the test
+    misses goes on to the slip states.
     """
     xs, ys = zip(*(c.position.tolist() for c in model.contacts))
     cx, cy = sum(xs) / len(xs), sum(ys) / len(ys)
@@ -231,6 +217,8 @@ def _cone_planes(model: GraspModel) -> _ConePlanes:
     # a frictionless contact's two edges are one generator, held twice
     gen = cone_edges(model)
     gen[:, 2] = (gen[:, 2] - cx * gen[:, 1] + cy * gen[:, 0]) / unit
+    wx, wy, wz = w.tolist()
+    wrench = np.array([wx, wy, (wz - cx * wy + cy * wx) / unit])
 
     # the normal g_i x g_j of every ordered pair, in explicit products
     # (np.cross costs more than the arithmetic); g_j x g_i is its negative
@@ -256,33 +244,13 @@ def _cone_planes(model: GraspModel) -> _ConePlanes:
         inner = np.concatenate([inner, -inner])
         on_side = (inner @ gen.T >= 0.0) | np.concatenate([same, same])
         cands = np.concatenate([cands, inner[on_side.all(axis=1)]])
-    return _ConePlanes(cands, np.sqrt((cands * cands).sum(axis=1)), cx, cy,
-                       unit, max(float(model.preload[:, 0].max()),
-                                 float(model.stiffness.max()) * unit))
-
-
-def _separating_direction(model: GraspModel, w: np.ndarray,
-                          planes: _ConePlanes | None = None
-                          ) -> np.ndarray | None:
-    """A unit y with g . y >= 0 for every cone-edge wrench g of the grasp
-    and w . y above the margin, or None where the test finds none.
-
-    y is the deepest of the grasp's candidate normals (``_cone_planes``,
-    built here unless planes gives them): the test fires where, in their
-    frame, it has w . y > SEPARATION_REL * F (see params.py), and y is
-    returned in the caller's frame. It is sound, not complete: a
-    separable w that the test misses goes on to the slip states.
-    """
-    if planes is None:
-        planes = _cone_planes(model)
-    cands, lengths, cx, cy, unit, floor = planes
     if not len(cands):
         return None
-    wx, wy, wz = w.tolist()
-    wrench = np.array([wx, wy, (wz - cx * wy + cy * wx) / unit])
-    depth = (cands @ wrench) / lengths
+    depth = (cands @ wrench) / np.sqrt((cands * cands).sum(axis=1))
     best = int(depth.argmax())
-    force_unit = max(math.sqrt(wrench @ wrench), floor)
+    force_unit = max(math.sqrt(wrench @ wrench),
+                     float(model.preload[:, 0].max()),
+                     float(model.stiffness.max()) * unit)
     if not depth[best] > SEPARATION_REL * force_unit:
         return None
     # the same functional in the caller's frame: w . y = wrench . cands
@@ -296,28 +264,27 @@ def _feasible_states(model: GraspModel, states: PreparedStates, w,
     """(states tried, [(state, solution)]) of the feasible states in order.
 
     Only the candidates of ``states.candidates`` are walked and sliced: a
-    direct one is feasible outright, and a singular one of nullity 1 has
-    passed its screen in the batch. With first, the walk ends at the
-    first feasible state, and so does the count of states tried: a
-    candidate of nullity 1 runs only the LPs of its point
+    direct one is feasible outright, and one that ``states.screened``
+    marks has passed its screen in the batch. With first, the walk ends
+    at the first feasible state, and so does the count of states tried:
+    a marked candidate runs only the LPs of its point
     (``PreparedState.ladder_point``), any other singular one
-    ``solve_state``. Without it, a singular candidate of nullity 2 or
-    more is decided by its screen (``PreparedState.passes_screen``), and
-    every singular one's solution is None: the LPs of its point have not
-    run.
+    ``solve_state``. Without it, a singular candidate left unmarked is
+    decided by its screen (``PreparedState.passes_screen``), and every
+    singular one's solution is None: the LPs of its point have not run.
     """
     feasible: list[tuple[PreparedState, EquilibriumSolution | None]] = []
     for p in states.candidates(w).tolist():
         prep = states[p]
-        # the batch has screened a candidate whose null space is a line
-        line = prep.null.shape[1] == 1
+        screened = states.screened[p]
         if prep.direct:
             sol = prep.solution_at(w)
         elif first:
-            sol = prep.ladder_point(w) if line else solve_state(model, w, prep)
+            sol = prep.ladder_point(w) if screened \
+                else solve_state(model, w, prep)
             if sol is None:
                 continue
-        elif line or prep.passes_screen(w):
+        elif screened or prep.passes_screen(w):
             sol = None
         else:
             continue

@@ -84,7 +84,8 @@ def test_tolerances_are_gone():
 def test_state_numbers_live_in_the_prepared_state():
     # a state's factor, right-hand sides and LP rows are kept once, in
     # its PreparedState; the point's LPs start from it, and the LP engine
-    # knows nothing of the state layer and exports only itself
+    # knows nothing of the state layer and exports only itself and its
+    # batched one-variable case
     fields = {f.name for f in dataclasses.fields(StateSystem)}
     for name in ("factor", "b_in", "slip_count", "m"):
         assert name not in fields and not hasattr(StateSystem, name), name
@@ -97,7 +98,7 @@ def test_state_numbers_live_in_the_prepared_state():
                  if isinstance(node, (ast.Import, ast.ImportFrom))
                  for alias in node.names]
     assert not any("equilibrium" in name for name in imported), imported
-    assert nullspace_lp.__all__ == ["small_lp"]
+    assert nullspace_lp.__all__ == ["lines_hold", "small_lp"]
 
 
 def test_single_state_handle_and_fixed_knobs():

@@ -209,8 +209,9 @@ def _line_corpus():
 
 
 def test_the_batch_decides_a_state_of_nullity_1_as_its_screen_does():
-    # every consistent state whose null space is a line is kept by
-    # candidates exactly when its own screen LP passes
+    # the batch marks as screened exactly the states whose null space is
+    # a line, and a consistent one is kept by candidates exactly when its
+    # own screen LP passes
     outcomes = {True: 0, False: 0}
     for batch, loads in _line_corpus():
         for w in loads:
@@ -218,7 +219,8 @@ def test_the_batch_decides_a_state_of_nullity_1_as_its_screen_does():
             for p in np.flatnonzero(~batch.direct
                                     & batch._consistent(w)).tolist():
                 prep = batch[p]
-                if prep.null.shape[1] != 1:
+                assert batch.screened[p] == (prep.null.shape[1] == 1)
+                if not batch.screened[p]:
                     continue
                 holds = prep.passes_screen(w)
                 assert (p in kept) == holds, (prep.system.labels, w)
@@ -237,7 +239,7 @@ def test_the_batch_keeps_a_state_of_nullity_1_to_the_ends_of_its_span():
         for k in range(8):
             angle = 2.0 * math.pi * (k + 0.5) / 8
             u = np.array([math.cos(angle), math.sin(angle), 0.0])
-            whole = batch._line & batch._consistent(np.zeros(3)) \
+            whole = batch.screened & batch._consistent(np.zeros(3)) \
                 & batch._consistent(cap * u)
             for p in np.flatnonzero(whole).tolist():
                 span = _singular_span(batch[p], u, cap)
@@ -283,13 +285,12 @@ LINE_EDGES = [
 
 @pytest.mark.parametrize("g, h, holds", LINE_EDGES)
 def test_the_batch_decides_a_line_lp_as_small_lp_does(g, h, holds):
-    from graspstab.equilibrium import _line_holds
-    from graspstab.nullspace_lp import small_lp
+    from graspstab.nullspace_lp import lines_hold, small_lp
 
     g, h = np.array(g), np.array(h)
     # a row masked out, flat and far beyond its tolerance, is not read
-    got = _line_holds(np.append(g, 0.0)[None], np.append(h, 1.0)[None],
-                      np.append(np.ones(len(g), bool), False)[None], 10.0)
+    got = lines_hold(np.append(g, 0.0)[None], np.append(h, 1.0)[None],
+                     np.append(np.ones(len(g), bool), False)[None], 10.0)
     lp = small_lp(g[:, None], h, [0.0], [-10.0], [10.0])
     assert got.tolist() == [holds] and (lp is not None) == holds
 

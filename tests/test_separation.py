@@ -285,29 +285,6 @@ def test_verdict_carries_the_test_in_both_modes(detachment):
                 assert np.array_equal(v.separating_direction, y)
 
 
-def test_a_shared_state_set_builds_the_cone_planes_once(monkeypatch):
-    # the queries given one SlipStateSet test their loads on the planes it
-    # keeps, and find the directions a query without it finds, bit for bit
-    build, built = graspstab.stability._cone_planes, []
-
-    def counted(model):
-        built.append(model)
-        return build(model)
-
-    monkeypatch.setattr(graspstab.stability, "_cone_planes", counted)
-    for model in CORPUS:
-        fresh = _directions(model, GRID_WRENCHES)
-        states = enumerate_slip_states(model)
-        built.clear()
-        for w, y in zip(GRID_WRENCHES, fresh):
-            v = check_stability(model, w, states=states,
-                                witness_policy="first")
-            assert (v.separating_direction is None) == (y is None)
-            assert y is None or \
-                v.separating_direction.tobytes() == y.tobytes()
-        assert built == [model]
-
-
 def test_rigid_frame_change_moves_the_direction():
     for model in CORPUS:
         before = _directions(model, GRID_WRENCHES)
