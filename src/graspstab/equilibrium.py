@@ -433,7 +433,7 @@ class PreparedStates:
     ``candidates`` screens every state against a wrench in a few array
     operations; for a consistent state of nullity 1 it then builds the
     line x_p(w) + n z from the same arrays and decides its screen LP
-    there. Indexing slices one state out as a PreparedState, kept
+    there, and ``screened`` marks those states. Indexing slices one state out as a PreparedState, kept
     for later queries, with its full StateSystem built from its labels.
     The batch also keeps every state's right singular vectors expanded
     to the full unknowns; slicing a singular state orthonormalises those
