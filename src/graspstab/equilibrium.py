@@ -15,25 +15,31 @@ unknowns, as affine maps of the wrench w. A direct state (N empty) is
 decided by its slacks at x_p(w), all of a grasp's at once. So is a
 singular state of nullity 1, whose screen LP in its one null-space
 coordinate is an interval of it (``PreparedStates.candidates``); any
-other state is decided in its null space, one at a time. Along a ray of
-loads w = t u the maps are affine in t, so each state holds on an
-interval of t, found without probing
-(``PreparedStates.stable_intervals``). This module poses every LP over
-a singular state: the screen that decides it, the ends of its span
-along a ray, the two boxes of its point (the first sized from x_p(w),
-then X_MAX) and the canonical witness's LP. Each runs over x = x_p + N
-z, in the k null-space coordinates (m - 3 at the all-stick origin
-state), on the rows [a_in N; N; -N] that slicing stacks once per state
-(``_box_program``); one exact engine solves them all, Seidel's
-incremental algorithm (``nullspace_lp.small_lp``), and its batched
-one-variable twin decides the screens of nullity 1
-(``nullspace_lp.lines_hold``).
+other state is decided in its null space, one at a time. The canonical
+witness's slip speeds of both kinds come from the same arrays
+(``PreparedStates.slip_speeds``): a direct state's at x_p(w), and one
+of nullity 1 at the end of its interval that the witness's objectives
+pick, the one-variable case of its LP. Along a ray of loads w = t u the
+maps are affine in t, so each state holds on an interval of t, found
+without probing (``PreparedStates.stable_intervals``). This module
+poses every LP over a singular state: the screen that decides it, the
+ends of its span along a ray, the two boxes of its point (the first
+sized from x_p(w), then X_MAX) and the canonical witness's LP, run
+only where the batch cannot read a point or the point is returned.
+Each runs over x = x_p + N z, in the k null-space coordinates (m - 3 at
+the all-stick origin state), on the rows [a_in N; N; -N] that slicing
+stacks once per state (``_box_program``); one exact engine solves them
+all, Seidel's incremental algorithm (``nullspace_lp.small_lp``), and
+its batched one-variable twins decide the screens of nullity 1 and
+place the witness's points on their lines (``nullspace_lp.lines_hold``
+and ``lines_point``).
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +47,9 @@ from . import nullspace_lp
 from .arrangement import DETACHED, LABEL_NAMES
 from .model import (GraspMaps, GraspModel, as_wrench, build_maps, cross2,
                     tangent_of)
-from .params import (BOX_HIT, EQ_RESIDUAL, INEQ_SLACK, LADDER_START,
-                     LP_REL, MARGIN_CAP, PROJECTION_SKIP, RANK_EPS,
-                     SINGULAR_REL, X_MAX)
+from .params import (BOX_HIT, EQ_RESIDUAL, FLAT_REL, INEQ_SLACK,
+                     LADDER_START, LP_REL, MARGIN_CAP, PROJECTION_SKIP,
+                     RANK_EPS, SINGULAR_REL, X_MAX)
 
 __all__ = [
     "StateSystem",
@@ -420,6 +426,22 @@ def _slots(labels: np.ndarray, mu: np.ndarray, normal: np.ndarray,
     return slack.reshape(count, 3 * m, -1)
 
 
+class _Lines(NamedTuple):
+    """The lines x_p(w) + n z of singular states of nullity 1 under one
+    load w: their positions p (S,), least-norm points x_p(w) and unit
+    null vectors n (S, n), their inequality slots at x_p(w) (S, 3m),
+    zero on the padding, and the rows [a_in n; n; -n] (S, 3m + 2n) of
+    their LPs in z, of which valid (S, 3m + 2n) marks the real ones: the
+    slots along n, which are not padding, and the box."""
+
+    p: np.ndarray
+    x_p: np.ndarray
+    null: np.ndarray
+    slack: np.ndarray
+    rows: np.ndarray
+    valid: np.ndarray
+
+
 class PreparedStates:
     """A grasp's slip states, prepared as one batch.
 
@@ -431,18 +453,21 @@ class PreparedStates:
     its slacks s0 and slack_gain at x_p(w) in three slots per contact
     (zero on the padding), its consistency map and max|b_eq[3:]|, so
     ``candidates`` screens every state against a wrench in a few array
-    operations; for a consistent state of nullity 1 it then builds the
-    line x_p(w) + n z from the same arrays and decides its screen LP
-    there, and ``screened`` marks those states. Indexing slices one state out as a PreparedState, kept
-    for later queries, with its full StateSystem built from its labels.
-    The batch also keeps every state's right singular vectors expanded
-    to the full unknowns; slicing a singular state orthonormalises those
-    that span its null space and moves x_p to the least-norm point.
+    operations. For a consistent state of nullity 1 it then builds the
+    line x_p(w) + n z from the same arrays, once per wrench, and decides
+    its screen LP there; ``screened`` marks those states.
+    ``slip_speeds`` reads the canonical witness's slip speeds of the
+    direct states and of those lines from the same slots. Indexing
+    slices one state out as a PreparedState, kept for later queries,
+    with its full StateSystem built from its labels. The batch also
+    keeps every state's right singular vectors expanded to the full
+    unknowns; slicing a singular state orthonormalises those that span
+    its null space and moves x_p to the least-norm point.
 
     The systems depend on the grasp alone, so one instance serves any
     number of wrenches. labels holds one label vector per state, (S, m)
-    or a sequence of them, and index each state's canonical index (-1
-    for each when not given). A SlipStateSet builds the batch of its
+    or a sequence of them, and ``index`` each state's canonical index
+    (-1 for each when not given). A SlipStateSet builds the batch of its
     states once, as its ``prepared``; the exhaustive search and
     ``solve_state`` build their own from label vectors.
     """
@@ -451,7 +476,7 @@ class PreparedStates:
         self.model = model
         self._maps = build_maps(model)
         self._labels = np.asarray(labels, dtype=np.int8).reshape(-1, model.m)
-        self._index = [-1] * len(self._labels) if index is None else index
+        self.index = [-1] * len(self._labels) if index is None else index
         (self._x, self._slack, self._valid, cons, self._live, self._size,
          self._b_max) = _condense(model, self._maps, self._labels)
         # a state is direct when its condensed block has full rank
@@ -486,7 +511,7 @@ class PreparedStates:
                 slack = sys.a_in @ x
                 rows = np.vstack([sys.a_in @ null, null, -null])
             prep = self._prepared[p] = PreparedState(
-                sys, self._index[p], x0=x[:, 0], gain=x[:, 1:],
+                sys, self.index[p], x0=x[:, 0], gain=x[:, 1:],
                 s0=slack[:, 0], slack_gain=slack[:, 1:], null=null,
                 rows=rows, cons0=self._cons0[p], cons_gain=self._cons_gain[p],
                 b_max=float(self._b_max[p]))
@@ -502,25 +527,28 @@ class PreparedStates:
         (``_line_screen``): a kept state that ``screened`` marks holds,
         and only a singular one it leaves unmarked is still to be decided.
         """
+        return np.flatnonzero(self._decide(w)[0])
+
+    def _decide(self, w: np.ndarray):
+        """(keep, slack, lines): whether each state is a candidate under
+        w, the slacks (S, 3m) of every state at x_p(w), and the lines
+        that screened the consistent states ``screened`` marks, or None
+        where there are none."""
         slack = self._s0 + self._slack_gain @ w
         keep = np.where(self.direct,
                         ~(np.min(slack, axis=1) < -INEQ_SLACK),
                         self._consistent(w))
+        lines = None
         line = np.flatnonzero(keep & self.screened)
         if len(line):
-            keep[line] = self._line_screen(line, w)
-        return np.flatnonzero(keep)
+            lines = self._lines(line, w)
+            keep[line] = self._line_screen(lines)
+        return keep, slack, lines
 
-    def _line_screen(self, p: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Whether each state at the positions p, all singular of nullity
-        1, passes ``PreparedState.passes_screen``'s LP under w.
-
-        Over x = x_p(w) + n z, n the unit null vector, the LP has one
-        variable and the rows [a_in n; n; -n] z >= h of ``_box_program``,
-        decided by ``nullspace_lp.lines_hold``. Its line data, x_p(w), n
-        and the slots at both, is built here from the batch's arrays,
-        only for the states asked about.
-        """
+    def _lines(self, p: np.ndarray, w: np.ndarray) -> _Lines:
+        """The lines x_p(w) + n z of the states at the positions p, all
+        singular of nullity 1, built from the batch's arrays: n the unit
+        null vector, x_p(w) moved to the least-norm point."""
         v = self._x[p, :, 4 + self._live[p]]
         null = v / np.linalg.norm(v, axis=1, keepdims=True)
         # x_p moved to the least-norm point, and n as a fifth column
@@ -529,14 +557,131 @@ class PreparedStates:
                             null[..., None]], axis=2)
         slots = _slots(self._labels[p], self._mu, x[:, 3::2], x[:, 4::2],
                        self._maps.motion.T @ x[:, :3])
-        g, h, bound = _box_program(
-            np.concatenate([slots[..., 4], null, -null], axis=1),
-            x[..., 0] + x[..., 1:4] @ w,
-            slots[..., 0] + slots[..., 1:4] @ w + INEQ_SLACK, X_MAX)
         valid = np.concatenate(
             [self._valid[p], np.ones((len(p), 2 * null.shape[1]), bool)],
             axis=1)
-        return nullspace_lp.lines_hold(g, h, valid, bound)
+        return _Lines(p, x[..., 0] + x[..., 1:4] @ w, null,
+                      slots[..., 0] + slots[..., 1:4] @ w,
+                      np.concatenate([slots[..., 4], null, -null], axis=1),
+                      valid)
+
+    def _line_screen(self, lines: _Lines) -> np.ndarray:
+        """Whether each state of lines passes
+        ``PreparedState.passes_screen``'s LP.
+
+        Over x = x_p(w) + n z the LP has one variable and the rows
+        lines.rows z >= h of ``_box_program``, decided by
+        ``nullspace_lp.lines_hold``.
+        """
+        g, h, bound = _box_program(lines.rows, lines.x_p,
+                                   lines.slack + INEQ_SLACK, X_MAX)
+        return nullspace_lp.lines_hold(g, h, lines.valid, bound)
+
+    def slip_speeds(self, w: np.ndarray):
+        """(positions, speeds, read) of the canonical witness under w.
+
+        positions are those of ``candidates``, and speeds (P, m) each
+        one's slip speeds at its point of the canonical witness, zero
+        for a contact that does not slip, where read (P,) is set. The
+        speed of a slipping contact is its slip-sign slot, so they come
+        from the slots that screen the states:
+        - a direct state's point is x_p(w);
+        - a state that ``screened`` marks lies on the line x_p(w) + n z
+          that screened it. Where no slip speed moves along it by more
+          than FLAT_REL of the slip row's norm (flat), they are read at
+          x_p(w). Otherwise its point is the end of its z interval,
+          under its rows held with margin 0 within the first box of
+          ``linear_feasibility``, that the first of the witness's
+          objectives not flat in z prefers: the least total slip speed,
+          then each slipping contact's speed maximized in contact order
+          (``nullspace_lp.lines_point``).
+
+        A marked state is left unread where its own LP may give another
+        point: where that point would need the second box (no interval
+        in the first, or an end at its edge), breaks a row by more than
+        INEQ_SLACK, has an equality residual that ``linear_feasibility``
+        would project away (PROJECTION_SKIP), or where an objective
+        before the one that picks the end is not zero but within
+        FLAT_REL of it, so that the LP's rounding picks. Every other
+        candidate is left unread too: its own LP decides it.
+        """
+        keep, slack, lines = self._decide(w)
+        kept = np.flatnonzero(keep)
+        labels = self._labels[kept]
+        m = self.model.m
+        slipping = (labels != 0) & (labels != DETACHED)
+        speeds = np.where(slipping, slack[kept].reshape(-1, m, 3)[..., 1],
+                          0.0)
+        read = self.direct[kept]
+        if lines is not None and keep[lines.p].any():
+            lines = _Lines._make(a[keep[lines.p]] for a in lines)
+            at = np.searchsorted(kept, lines.p)
+            speeds[at], read[at] = self._line_speeds(lines, w)
+        return kept, speeds, read
+
+    def _line_speeds(self, lines: _Lines, w: np.ndarray):
+        """(speeds, read) of ``slip_speeds`` for the states of lines."""
+        m = self.model.m
+        labels = self._labels[lines.p]
+        slipping = (labels != 0) & (labels != DETACHED)
+        along = lines.rows[:, :3 * m]
+        # each contact's slip row is label * its tangential motion column
+        norm = np.linalg.norm(self._maps.motion[:, 1::2], axis=0)
+        at_xp = np.where(slipping, lines.slack.reshape(-1, m, 3)[..., 1], 0.0)
+        move = np.where(slipping, along.reshape(-1, m, 3)[..., 1], 0.0)
+        flat = np.all(np.abs(move) <= FLAT_REL * norm, axis=1)
+        # the objectives' coefficients in z and the norms of their rows:
+        # the total slip row, then minus each slipping contact's
+        dirs = (labels * slipping)[..., None] * self._maps.motion[:, 1::2].T
+        total = dirs.sum(axis=1)
+        c = np.concatenate([np.einsum("ij,ij->i", total,
+                                      lines.null[:, :3])[:, None], -move],
+                           axis=1)
+        clear = np.abs(c) > FLAT_REL * np.concatenate(
+            [np.linalg.norm(total, axis=1)[:, None],
+             np.broadcast_to(norm, move.shape)], axis=1)
+        # an objective within FLAT_REL of flat but not zero ahead of the
+        # first clear one: the LP's rounding picks the end
+        ahead = np.cumsum(clear, axis=1) == 0
+        noisy = np.any(ahead & (c != 0.0), axis=1)
+
+        # linear_feasibility's first box
+        scale = _eq_tol(w, self._b_max[lines.p])[0]
+        box = np.minimum(
+            LADDER_START * np.maximum(scale, np.abs(lines.x_p).max(axis=1)),
+            X_MAX)[:, None]
+        g, h, bound = _box_program(lines.rows, lines.x_p, lines.slack, box)
+        z = nullspace_lp.lines_point(g, h, lines.valid, bound,
+                                     np.where(clear, c, 0.0))
+        z = np.where(flat, 0.0, z)
+        x = lines.x_p + z[:, None] * lines.null
+        speeds = at_xp + z[:, None] * move
+        # the padding's slots are zero, and so are its slacks
+        slack = lines.slack + z[:, None] * along
+        # the tests linear_feasibility makes of its point: a point that
+        # hits the first box takes the second, and one off the
+        # equalities is projected onto them
+        read = flat | (~noisy & (slack.min(axis=1) >= -INEQ_SLACK)
+                       & ((box[:, 0] >= X_MAX)
+                          | (np.abs(x).max(axis=1) <= BOX_HIT * box[:, 0])))
+        return speeds, read & (self._residual(labels, x, w)
+                               < PROJECTION_SKIP)
+
+    def _residual(self, labels: np.ndarray, x: np.ndarray,
+                  w: np.ndarray) -> np.ndarray:
+        """The largest |a_eq x - b_eq| of each state of the label vectors
+        labels (S, m) at its point x (S, n) under w, from the rows of
+        ``_system``."""
+        attached, stick = labels != DETACHED, labels == 0
+        sign = labels * (attached & ~stick)
+        motion = x[:, :3] @ self._maps.motion
+        cn, ct = x[:, 3::2], x[:, 4::2]
+        normal = np.where(attached, cn - self.model.stiffness
+                          * motion[:, 0::2] - self.model.preload[:, 0], cn)
+        tangent = np.where(stick, motion[:, 1::2], ct + self._mu * sign * cn)
+        return np.abs(np.concatenate(
+            [x[:, 3:] @ self._maps.wrench.T + w, normal, tangent],
+            axis=1)).max(axis=1)
 
     def _consistent(self, w: np.ndarray) -> np.ndarray:
         """Whether each state's equalities pass the consistency test of

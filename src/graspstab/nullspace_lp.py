@@ -13,7 +13,9 @@ nothing of slip states: it takes rows, a right-hand side, objectives
 and a box. A screen with k = 1 does not reach it from a query:
 ``lines_hold`` decides every such screen of a grasp's batch in one array
 pass, by the rules of the engine's one-variable case, which both read
-from ``_flat_fails`` and ``_empty``.
+from ``_flat_fails`` and ``_empty``. ``lines_point`` gives the points of
+such LPs under a stack of objectives by that case's rule for the end of
+an interval, ``_end``, which ``small_lp`` reads too.
 
 An LP of a few unknowns takes 2-3 eliminations, so numpy's cost per call
 would exceed its arithmetic: ``small_lp`` scales the rows once in numpy
@@ -28,7 +30,7 @@ import numpy as np
 
 from .params import LP_REL
 
-__all__ = ["lines_hold", "small_lp"]
+__all__ = ["lines_hold", "lines_point", "small_lp"]
 
 
 def small_lp(g, h, c, lo, hi) -> np.ndarray | None:
@@ -158,18 +160,27 @@ def _interval(a, b, c, lo, hi):
         if _empty(low, high):
             return None
         return [0.5 * (low + high)]
+    return [_end(low, high, c)]
+
+
+def _end(low, high, c):
+    """The end of the interval [low, high] of one variable that the first
+    objective of c (K floats) not flat in it prefers: low where it is
+    above LP_REL, high where it is below -LP_REL; where every one is
+    flat, the value of the interval nearest 0."""
     for ck in c:
         if ck > LP_REL:
-            return [low]
+            return low
         if ck < -LP_REL:
-            return [high]
-    return [min(max(0.0, low), high)]
+            return high
+    return min(max(0.0, low), high)
 
 
 def lines_hold(g: np.ndarray, h: np.ndarray, valid: np.ndarray,
-               bound: float) -> np.ndarray:
+               bound) -> np.ndarray:
     """Whether each of a stack of LPs in one variable z has a point: the
-    rows g z >= h (S, R) where valid (S, R) is set, and |z| <= bound.
+    rows g z >= h (S, R) where valid (S, R) is set, and |z| <= bound (a
+    float, or one per LP as (S, 1)).
 
     Each is decided as ``small_lp`` decides it with lo = -bound and hi =
     bound: a row flat in z fails where its unscaled h is too high
@@ -177,16 +188,46 @@ def lines_hold(g: np.ndarray, h: np.ndarray, valid: np.ndarray,
     one side; and an interval [low, high] empty by no more than its
     tolerance (``_empty``) still holds its midpoint.
     """
+    low, high, fails = _line_intervals(g, h, valid, bound)
+    return ~fails & ~_empty(low, high)
+
+
+def lines_point(g: np.ndarray, h: np.ndarray, valid: np.ndarray, bound,
+                c: np.ndarray) -> np.ndarray:
+    """The point z (S,) of each of a stack of ``lines_hold``'s LPs under
+    the objectives c (S, K), minimized lexicographically, or NaN where
+    its interval [low, high] is empty, even within tolerance.
+
+    The point is the one ``small_lp`` gives a one-variable LP whose
+    interval is not empty: the end that the first objective not flat in
+    z prefers (``_end``), each objective scaled as ``small_lp`` scales
+    it, to a largest coefficient of 1, so that only its sign is read.
+    Where the interval is empty within tolerance ``small_lp`` would take
+    its midpoint; this gives NaN there, and the caller solves that LP
+    on its own.
+    """
+    low, high, fails = _line_intervals(g, h, valid, bound)
+    z = np.full(len(low), np.nan)
+    sign = np.sign(c).tolist()
+    for s in np.flatnonzero(~fails & (low <= high)).tolist():
+        z[s] = _end(float(low[s]), float(high[s]), sign[s])
+    return z
+
+
+def _line_intervals(g, h, valid, bound):
+    """(low, high, fails) of each LP of ``lines_hold``: the interval of z
+    that its live rows, scaled to unit norm, and the bound leave (S,),
+    and whether one of its rows flat in z fails (``_flat_fails``)."""
     norm = np.sqrt(g * g)
     live = valid & (norm > LP_REL)
-    flat_fails = np.any(valid & ~live & _flat_fails(h), axis=1)
+    fails = np.any(valid & ~live & _flat_fails(h), axis=1)
     # each live row, scaled to unit norm, is z >= its end or z <= it
     unit = np.where(live, norm, 1.0)
     a = g / unit
     end = h / unit / np.where(live, a, 1.0)
     low = np.max(np.where(live & (a > LP_REL), end, -bound), axis=1)
     high = np.min(np.where(live & (a < -LP_REL), end, bound), axis=1)
-    return ~flat_fails & ~_empty(low, high)
+    return low, high, fails
 
 
 def _flat_fails(h):

@@ -13,10 +13,13 @@ verdict is order-independent; the reported witness is not, because
 neighbouring states can share solution families. The canonical witness
 therefore minimizes the total slip speed over all feasible states and
 breaks remaining ties by concentrating slip on the lowest-indexed
-contacts: one lexicographic LP per state, whose last objective centres
-the forces by the largest least slack of the state's rows, then one tie
-rule across states. Under it a singular state is decided by its screen,
-and the LPs of its point (at most two boxes) run only where it is read.
+contacts: each state's lexicographic optimum, whose last objective
+centres the forces by the largest least slack of the state's rows, then
+one tie rule across states. The rule reads only slip speeds, and the
+batch reads those of the direct states and the states of nullity 1 at
+their optima from its arrays (``PreparedStates.slip_speeds``). A
+state's own LP runs only where the batch cannot read its optimum, and
+for the winner and the first feasible state, whose points are returned.
 The same input always gives the same witness, but it is not unique:
 where the winner's lexicographic optimum is a face rather than a point,
 the LP engine's fixed row order and its nearest-to-zero rule pick one
@@ -127,12 +130,14 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
     and every other singular state's consistency screened, in a few array
     operations. The states left are walked in canonical order, "first"
     stopping at the first feasible state. "canonical" decides a singular
-    state by its screen and runs the LPs of its point only where the
-    witness reads it; a state whose two boxes then give none does not
-    hold, as under "first". ``states``, enumerated for this model object
-    (a ValueError otherwise), keeps its batch for the next query and sets
-    the detachment mode, which an explicit ``detachment`` must match (a
-    ValueError otherwise); without it the states are enumerated here.
+    state by its screen, ranks the states on the slip speeds the batch
+    reads, and runs a state's own LPs only where the batch read none or
+    where its point is returned; a state whose two boxes then give no
+    point does not hold, as under "first". ``states``, enumerated for
+    this model object (a ValueError otherwise), keeps its batch for the
+    next query and sets the detachment mode, which an explicit
+    ``detachment`` must match (a ValueError otherwise); without it the
+    states are enumerated here.
     """
     if witness_policy not in ("first", "canonical"):
         raise ValueError(f"witness_policy must be 'first' or 'canonical', "
@@ -156,8 +161,8 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
     tried, feasible = _feasible_states(model, states.prepared, w, first)
     found = None
     if feasible:
-        found = (feasible[0][0].index, feasible[0][1]) if first else \
-            _canonical_witness(w, feasible)
+        found = (feasible[0][1].state_index, feasible[0][1]) if first else \
+            _canonical_witness(w, states.prepared, feasible)
     if found is None:
         return Verdict(stable=False, witness=None, states_tried=tried,
                        detachment=detachment)
@@ -261,92 +266,133 @@ def _separating_direction(model: GraspModel, w: np.ndarray
 
 def _feasible_states(model: GraspModel, states: PreparedStates, w,
                      first: bool):
-    """(states tried, [(state, solution)]) of the feasible states in order.
+    """(states tried, [(position, value)]) of the feasible states in order.
 
-    Only the candidates of ``states.candidates`` are walked and sliced: a
-    direct one is feasible outright, and one that ``states.screened``
-    marks has passed its screen in the batch. With first, the walk ends
-    at the first feasible state, and so does the count of states tried:
-    a marked candidate runs only the LPs of its point
-    (``PreparedState.ladder_point``), any other singular one
-    ``solve_state``. Without it, a singular candidate left unmarked is
-    decided by its screen (``PreparedState.passes_screen``), and every
-    singular one's solution is None: the LPs of its point have not run.
+    Only the candidates of ``states.candidates`` are walked: a direct one
+    is feasible outright, and one that ``states.screened`` marks has
+    passed its screen in the batch. With first, the walk ends at the
+    first feasible state, and so does the count of states tried; value
+    is its solution: a marked candidate's from the LPs of its point
+    (``PreparedState.ladder_point``), any other singular one's from
+    ``solve_state``. Without it, value is the slip speeds that the batch
+    reads at the state's point of the canonical witness
+    (``PreparedStates.slip_speeds``), or None where its own LP is to
+    give them, and a singular candidate left unmarked is decided by its
+    screen (``PreparedState.passes_screen``): it is the only one sliced.
     """
-    feasible: list[tuple[PreparedState, EquilibriumSolution | None]] = []
+    if not first:
+        positions, speeds, read = states.slip_speeds(w)
+        return len(states), [
+            (p, v if r else None)
+            for p, v, r in zip(positions.tolist(), speeds, read.tolist())
+            if states.direct[p] or states.screened[p]
+            or states[p].passes_screen(w)]
     for p in states.candidates(w).tolist():
         prep = states[p]
-        screened = states.screened[p]
         if prep.direct:
             sol = prep.solution_at(w)
-        elif first:
-            sol = prep.ladder_point(w) if screened \
+        else:
+            sol = prep.ladder_point(w) if states.screened[p] \
                 else solve_state(model, w, prep)
             if sol is None:
                 continue
-        elif screened or prep.passes_screen(w):
-            sol = None
-        else:
-            continue
-        feasible.append((prep, sol))
-        if first:
-            return p + 1, feasible
-    return len(states), feasible
+        return p + 1, [(p, sol)]
+    return len(states), []
 
 
-def _canonical_witness(w, feasible
+def _canonical_witness(w, states: PreparedStates, feasible
                        ) -> tuple[int, EquilibriumSolution] | None:
     """(index of the first feasible state, the canonical witness), or None.
 
-    Each state's point is its lexicographic optimum: least total slip
-    speed, then each slipping contact's speed maximized in contact
-    order, then the largest least slack of its own rows, which are held
-    hard. One LP (``linear_feasibility`` with the objective stack) gives
-    it. Across states, those whose total is within WITNESS_TIE * (1 +
-    |t*|) of the least total t* tie, and of these the one whose speeds,
-    rounded to WITNESS_DIGITS decimals and compared in contact order, are
-    largest wins, the first in canonical order on equal speeds.
+    feasible is ``_feasible_states``'s list without first. Each state's
+    point is its lexicographic optimum: least total slip speed, then each
+    slipping contact's speed maximized in contact order, then the largest
+    least slack of its own rows, which are held hard. Across states,
+    those whose total is within WITNESS_TIE * (1 + |t*|) of the least
+    total t* tie, and of these the one whose speeds, rounded to
+    WITNESS_DIGITS decimals and compared in contact order, are largest
+    wins, the first in canonical order on equal speeds.
 
-    Slip speeds depend on the motion alone, x_p(w)[:3] + N[:3] z. A
-    state is flat when no slip row r moves with N (|r N[:3]| <=
-    FLAT_REL |r|), as a direct state or one without slip is: it runs no
-    LP, and its point is its own solution, as is that of a state whose
-    LP fails. A singular state's own solution, None in feasible, is the
-    point of its two boxes (``PreparedState.ladder_point``), computed only
-    here, where it is read; a state for which they give none holds
-    nowhere and drops out.
+    The states are ranked on the speeds the batch read where it read
+    them. Only three kinds of state run their own code (``_own_point``):
+    those the batch left unread, then the winner and the first state,
+    until both have. A state whose own code gives no point holds nowhere
+    and drops out, and the states are ranked again, as they are when a
+    state's own speeds move the ranking. A direct first state cannot
+    drop out, so it runs nothing unless it wins.
     """
+    # [position, speeds, solution]: the solution is None until the
+    # state's own code has run
     entries = []
-    for st, sol in feasible:
-        sys = st.system
-        slipping = sorted(sys.slip_dirs)
-        dirs = np.array([sys.slip_dirs[i] for i in slipping]).reshape(-1, 3)
-        flat = np.all(np.linalg.norm(dirs @ st.null[:3], axis=1)
-                      <= FLAT_REL * np.linalg.norm(dirs, axis=1))
-        if not flat:
-            # the least total slip speed, then each speed maximized
-            rows = np.zeros((1 + len(dirs), sys.n))
-            rows[0, :3], rows[1:, :3] = dirs.sum(axis=0), -dirs
-            lex = linear_feasibility(st, w, objective=rows)
-            if lex is not None:
-                sol = lex
-        if sol is None:
-            sol = st.ladder_point(w)
-        if sol is None:
-            continue
-        speeds = np.zeros(len(sys.labels))
-        speeds[slipping] = dirs @ sol.d
-        entries.append((float(speeds.sum()),
-                        tuple(np.round(speeds, WITNESS_DIGITS)), sol))
-    if not entries:
-        return None
+    for p, speeds in feasible:
+        sol = None
+        if speeds is None:
+            own = _own_point(states[p], w)
+            if own is None:
+                continue
+            speeds, sol = own
+        entries.append([p, speeds, sol])
+    while entries:
+        head, best = entries[0], _winner(entries)
+        pending = [e for e in ([head] if head is best else [head, best])
+                   if e[2] is None and (e is best or not states.direct[e[0]])]
+        if not pending:
+            return states.index[head[0]], best[2]
+        for e in pending:
+            own = _own_point(states[e[0]], w)
+            if own is None:
+                entries.remove(e)
+            else:
+                e[1], e[2] = own
+    return None
 
-    t_star = min(total for total, _key, _sol in entries)
+
+def _winner(entries: list) -> list:
+    """The entry of ``_canonical_witness`` whose speeds win."""
+    speeds = np.array([e[1] for e in entries])
+    totals = speeds.sum(axis=1).tolist()
+    keys = np.round(speeds, WITNESS_DIGITS).tolist()
+    t_star = min(totals)
     cap = t_star + WITNESS_TIE * (1.0 + abs(t_star))
     # max keeps the first of equal keys
-    _key, witness = max(((key, sol) for total, key, sol in entries
-                         if total <= cap), key=lambda e: e[0])
-    return entries[0][2].state_index, witness
+    return entries[max((k for k, total in enumerate(totals) if total <= cap),
+                       key=keys.__getitem__)]
+
+
+def _own_point(st: PreparedState, w
+               ) -> tuple[np.ndarray, EquilibriumSolution] | None:
+    """(slip speeds (m,), solution) at the state's lexicographic optimum,
+    from its own system, or None where it holds nowhere.
+
+    Slip speeds depend on the motion alone, x_p(w)[:3] + N[:3] z. A
+    state is flat when no slip row r moves with N (|r N[:3]| <= FLAT_REL
+    |r|), as a direct state or one without slip is: it runs no LP, and
+    its point is its own solution, as is that of a state whose LP
+    fails. One LP (``linear_feasibility`` with the objective stack)
+    gives any other state's point. A singular state's own solution is
+    the point of its two boxes (``PreparedState.ladder_point``); a state
+    for which they give none holds nowhere.
+    """
+    sys = st.system
+    slipping = sorted(sys.slip_dirs)
+    dirs = np.array([sys.slip_dirs[i] for i in slipping]).reshape(-1, 3)
+    sol = st.solution_at(w) if st.direct else None
+    flat = np.all(np.linalg.norm(dirs @ st.null[:3], axis=1)
+                  <= FLAT_REL * np.linalg.norm(dirs, axis=1))
+    if not flat:
+        # the least total slip speed, then each speed maximized
+        rows = np.zeros((1 + len(dirs), sys.n))
+        rows[0, :3], rows[1:, :3] = dirs.sum(axis=0), -dirs
+        lex = linear_feasibility(st, w, objective=rows)
+        if lex is not None:
+            sol = lex
+    if sol is None:
+        sol = st.ladder_point(w)
+    if sol is None:
+        return None
+    speeds = np.zeros(len(sys.labels))
+    speeds[slipping] = dirs @ sol.d
+    return speeds, sol
 
 
 def max_resistible(model: GraspModel, direction, tol: float = 1e-3,

@@ -98,7 +98,7 @@ def test_state_numbers_live_in_the_prepared_state():
                  if isinstance(node, (ast.Import, ast.ImportFrom))
                  for alias in node.names]
     assert not any("equilibrium" in name for name in imported), imported
-    assert nullspace_lp.__all__ == ["lines_hold", "small_lp"]
+    assert nullspace_lp.__all__ == ["lines_hold", "lines_point", "small_lp"]
 
 
 def test_single_state_handle_and_fixed_knobs():

@@ -16,6 +16,7 @@ from graspstab.arrangement import DETACHED
 from graspstab.equilibrium import EquilibriumSolution
 from graspstab.generate import random_grasp
 from graspstab.params import INEQ_SLACK, LP_REL, RANK_EPS, SINGULAR_REL, X_MAX
+from graspstab.stability import _feasible_states, _own_point
 
 from conftest import four_contact, three_contact
 from test_arrangement import degenerate_grasps
@@ -344,10 +345,13 @@ def test_every_lp_of_a_state_starts_from_its_stored_rows(monkeypatch):
     assert linear_feasibility(prep, w, objective=objective) is not None
     assert len(seen) > screen_and_span + 1
     assert all(g[:, :k].tobytes() == prep.rows.tobytes() for g in seen)
-    # every LP of a canonical query, witness LPs included, starts from the
-    # rows stored on a sliced state
+    # every LP of a canonical query, and of each feasible state's own
+    # point (witness LPs included), starts from the rows stored on a
+    # sliced state
     seen.clear()
     assert check_stability(model, w, states=states).stable
+    for q, _speeds in _feasible_states(model, batch, w, False)[1]:
+        _own_point(batch[q], w)
     stored = {q.rows.tobytes() for q in batch._prepared.values()
               if q.rows is not None}
     assert any(g.shape[1] == k + 1 for g in seen)  # the witness LPs
@@ -422,10 +426,16 @@ def test_a_soft_grasp_finds_its_point_in_the_first_box(make, preloaded, soft,
     model = make(preloaded)
     model.stiffness = model.stiffness * soft
     runs = _lps_per_point(monkeypatch)
+    w = np.asarray(w, dtype=float)
     for detachment in (False, True):
         states = enumerate_slip_states(model, detachment=detachment)
         for policy in ("first", "canonical"):
             check_stability(model, w, states=states, witness_policy=policy)
+        # the canonical query reads most points in the batch: each
+        # feasible state's own point runs its LPs
+        batch = states.prepared
+        for p, _speeds in _feasible_states(model, batch, w, False)[1]:
+            _own_point(batch[p], w)
     assert runs and runs == [1] * len(runs)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from scipy.optimize import linprog
 from graspstab import (check_stability, enumerate_slip_states,
                        load_grasp_file, max_resistible, nullspace_lp)
 from graspstab.nullspace_lp import small_lp
+from graspstab.params import LP_REL
+from graspstab.stability import _feasible_states, _own_point
 
 from conftest import FIXTURES
 
@@ -197,8 +200,9 @@ SWEEPS = [("three_contact", 6, 0.0), ("three_contact_preload", 4, 0.0),
 
 def _recorded_lps(monkeypatch):
     """(g, h, c, lo, hi) of every small_lp call the paper's queries, in
-    both detachment modes under both witness policies, and the fixtures'
-    max_resistible sweeps make."""
+    both detachment modes under both witness policies, the witness LPs
+    of each of their feasible states, and the fixtures' max_resistible
+    sweeps make."""
     calls = []
     solve = nullspace_lp.small_lp
 
@@ -213,6 +217,14 @@ def _recorded_lps(monkeypatch):
             PAPER_QUERIES, (False, True), ("canonical", "first")):
         check_stability(models[name], w, detachment=detachment != flip,
                         witness_policy=policy)
+    # a canonical query reads most states' points in the batch and runs
+    # the LPs of a few: each feasible state's own point runs them all
+    for name, w, detachment in PAPER_QUERIES:
+        batch = enumerate_slip_states(models[name],
+                                      detachment=detachment).prepared
+        w = np.asarray(w, dtype=float)
+        for p, _speeds in _feasible_states(models[name], batch, w, False)[1]:
+            _own_point(batch[p], w)
     for name, count, first in SWEEPS:
         states = enumerate_slip_states(models[name])
         for k in range(count):
@@ -314,3 +326,63 @@ def test_small_lp_with_a_row_flat_two_levels_down(monkeypatch, p, q, h, stack):
     assert np.all(g @ y - h >= -1e-9) and np.all(np.abs(y) <= 3.0 + 1e-9)
     for c, best in zip(stack, optima):
         assert abs(c @ y - best) <= 1e-8 * (1.0 + abs(best)), (c, best)
+
+
+def _line_lp(rng, kind):
+    """One LP in one variable: (g (R,), h (R,), c (K,), midpoint), with
+    rows and objectives of the kind asked for; midpoint marks an interval
+    empty by less than small_lp's tolerance, whose midpoint it takes."""
+    rows = int(rng.integers(1, 6))
+    g, h = rng.normal(size=rows), rng.normal(size=rows) * 3.0
+    c = rng.normal(size=int(rng.integers(1, 5)))
+    midpoint = False
+    if kind == "flat rows":
+        # rows of norm zero or at most LP_REL, whose h passes or fails
+        flat = rng.random(rows) < 0.5
+        g[flat] = rng.choice([0.0, 0.5 * LP_REL, -0.9 * LP_REL], flat.sum())
+        h[flat] = rng.choice([-1.0, 0.0, 0.5 * LP_REL, 1e-6], flat.sum())
+    elif kind == "nearly empty":
+        # z >= a and z <= a - gap, gap within LP_REL (1 + 2 |a|) or beyond
+        a = float(rng.normal())
+        tol = LP_REL * (1.0 + 2.0 * abs(a))
+        midpoint = bool(rng.random() < 0.5)
+        gap = tol * (0.4 if midpoint else 3.0)
+        g, h = np.array([1.0, -1.0]), np.array([a, gap - a])
+    elif kind == "zero objectives first":
+        c[:int(rng.integers(1, len(c) + 1))] = 0.0
+    elif kind == "tiny objectives":
+        # far below LP_REL, yet one variable's objective is scaled to 1
+        c *= rng.choice([1e-14, 1e-20, 0.0], len(c))
+    return g, h, c, midpoint
+
+
+@pytest.mark.parametrize("kind", ["random", "flat rows", "nearly empty",
+                                  "zero objectives first", "tiny objectives"])
+def test_the_batch_takes_a_line_lps_end_as_small_lp_does(kind):
+    from graspstab.nullspace_lp import lines_point
+
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    lps = [_line_lp(rng, kind) for _ in range(400)]
+    rows = max(len(g) for g, *_ in lps)
+    objectives = max(len(c) for _g, _h, c, _m in lps)
+    # padded rows, flat and failing, and padded objectives are not read
+    g, h = np.zeros((len(lps), rows)), np.ones((len(lps), rows))
+    valid = np.zeros((len(lps), rows), bool)
+    c = np.zeros((len(lps), objectives))
+    for s, (gs, hs, cs, _m) in enumerate(lps):
+        g[s, :len(gs)], h[s, :len(hs)], valid[s, :len(gs)] = gs, hs, True
+        c[s, :len(cs)] = cs
+    got = lines_point(g, h, valid, 10.0, c)
+    seen = Counter()
+    for z, (gs, hs, cs, midpoint) in zip(got.tolist(), lps):
+        y = small_lp(gs[:, None], hs, cs[:, None], [-10.0], [10.0])
+        if y is None or midpoint:
+            # no point, or small_lp's midpoint of a nearly empty interval
+            assert math.isnan(z) and (y is None) != midpoint
+            seen["midpoint" if midpoint else "none"] += 1
+        else:
+            assert z == y[0], (gs, hs, cs)
+            seen["point"] += 1
+    wanted = ("midpoint", "none") if kind == "nearly empty" else \
+        ("point", "none")
+    assert all(seen[k] >= 100 for k in wanted), seen

@@ -17,7 +17,7 @@ from graspstab.arrangement import DETACHED
 from graspstab.equilibrium import PreparedStates
 from graspstab.generate import balanced_preload, random_grasp
 from graspstab.grasp_io import load_grasp_file
-from graspstab.params import FLAT_REL, WITNESS_TIE
+from graspstab.params import FLAT_REL, WITNESS_DIGITS, WITNESS_TIE
 from graspstab.stability import _feasible_states, _separating_direction
 
 from conftest import FIXTURES, REPO, four_contact, three_contact
@@ -195,36 +195,185 @@ def _flat(prep) -> bool:
 
 
 def test_canonical_query_runs_one_lp_per_non_flat_feasible_state(monkeypatch):
-    # Table III: a canonical query runs one witness LP for each feasible
-    # state whose slip speeds vary, and the objective-free point LPs only
-    # for the feasible singular states whose speeds do not (flat) and for
-    # those whose witness LP failed; every other state is decided by its
-    # screen alone
+    # Table III: a canonical query ranks the feasible states on the slip
+    # speeds the batch reads (PreparedStates.slip_speeds), so its witness
+    # and point LPs run only for three groups: the winner, the first
+    # feasible state when it is singular, and the states whose own LPs
+    # give their speeds, those of nullity 2 or more and any the batch
+    # left unread. Each of these runs one witness LP where its slip
+    # speeds vary, and the point LPs where they do not (flat) or where
+    # its witness LP failed
     from test_acceptance import TABLE_III
 
-    lps = 0
+    lps = skipped = 0
     for w, preloaded, *_ in TABLE_III:
         model = four_contact(preloaded)
         states = enumerate_slip_states(model, detachment=True)
         batch = states.prepared
-        feasible = [batch[p] for p in range(len(batch))
+        w = np.asarray(w, dtype=float)
+        feasible = [p for p in range(len(batch))
                     if solve_state(model, w, batch[p]) is not None]
+        positions, _speeds, read = batch.slip_speeds(w)
+        unread = set(positions[~read].tolist())
         ladders, witness = _count_witness_lps(monkeypatch)
-        assert check_stability(model, w, states=states).stable == \
-            bool(feasible)
-        assert [labels for labels, _ok in witness] == \
-            [p.system.labels for p in feasible if not _flat(p)], w
-        failed = {labels for labels, ok in witness if not ok}
-        assert ladders == [p.system.labels for p in feasible
-                           if not p.direct and (_flat(p) or
-                                                p.system.labels in failed)], w
-        lps += len(witness)
+        v = check_stability(model, w, states=states)
         monkeypatch.undo()
-    assert lps > 0
+        assert v.stable == bool(feasible), w
+        own = unread.intersection(feasible)
+        if v.stable:
+            own.add(v.witness.state_index)
+            if not batch.direct[v.first_feasible]:
+                own.add(v.first_feasible)
+        ran = [batch[p] for p in sorted(own)]
+        assert sorted(labels for labels, _ok in witness) == \
+            sorted(p.system.labels for p in ran if not _flat(p)), w
+        failed = {labels for labels, ok in witness if not ok}
+        assert sorted(ladders) == sorted(
+            p.system.labels for p in ran
+            if not p.direct and (_flat(p) or p.system.labels in failed)), w
+        lps += len(witness) + len(ladders)
+        skipped += sum(not _flat(batch[p]) for p in feasible if p not in own)
+    # the non-flat feasible states whose witness LP no longer runs
+    assert 0 < lps < skipped
 
 
 GRID_WRENCHES = [(fx, fy, tz) for fx in (-2, -1, 0, 1, 2) for fy in (-2, 0, 2)
                  for tz in (-1, 0, 1)]
+
+
+def _per_state_witness(states, w, dropped=()):
+    """(first_feasible, witness) of the canonical query, or None, found one
+    state at a time: every candidate is sliced, and each feasible one
+    runs its own witness LP (or its point's LPs) before one ranking. The
+    states at the positions dropped hold nowhere."""
+    batch = states.prepared
+    entries = []
+    for p in batch.candidates(w).tolist():
+        st = batch[p]
+        if p in dropped or not (st.direct or batch.screened[p]
+                                or st.passes_screen(w)):
+            continue
+        sol = st.solution_at(w) if st.direct else None
+        sys = st.system
+        slipping = sorted(sys.slip_dirs)
+        dirs = np.array([sys.slip_dirs[i] for i in slipping]).reshape(-1, 3)
+        flat = np.all(np.linalg.norm(dirs @ st.null[:3], axis=1)
+                      <= FLAT_REL * np.linalg.norm(dirs, axis=1))
+        if not flat:
+            rows = np.zeros((1 + len(dirs), sys.n))
+            rows[0, :3], rows[1:, :3] = dirs.sum(axis=0), -dirs
+            lex = linear_feasibility(st, w, objective=rows)
+            if lex is not None:
+                sol = lex
+        if sol is None:
+            sol = st.ladder_point(w)
+        if sol is None:
+            continue
+        speeds = np.zeros(len(sys.labels))
+        speeds[slipping] = dirs @ sol.d
+        entries.append((float(speeds.sum()),
+                        tuple(np.round(speeds, WITNESS_DIGITS)), sol))
+    if not entries:
+        return None
+    t_star = min(total for total, _key, _sol in entries)
+    cap = t_star + WITNESS_TIE * (1.0 + abs(t_star))
+    _key, witness = max(((key, sol) for total, key, sol in entries
+                         if total <= cap), key=lambda e: e[0])
+    return entries[0][2].state_index, witness
+
+
+def _assert_witness_matches_per_state(model, detachment, wrenches) -> int:
+    """The canonical verdict equals ``_per_state_witness``'s, bit for bit,
+    on each wrench; returns how many of the feasible states ranked on
+    the batch's speeds ran no LP of their own."""
+    states = enumerate_slip_states(model, detachment=detachment)
+    alone = enumerate_slip_states(model, detachment=detachment)
+    read = 0
+    for w in np.asarray(wrenches, dtype=float):
+        v = check_stability(model, w, states=states)
+        ref = _per_state_witness(alone, w)
+        if v.separating_direction is not None:
+            assert ref is None, w
+            continue
+        assert v.stable == (ref is not None), w
+        if ref is None:
+            continue
+        first, witness = ref
+        assert v.first_feasible == first, w
+        assert v.witness.labels == witness.labels, w
+        assert v.witness.state_index == witness.state_index, w
+        assert np.array_equal(v.witness.d, witness.d), w
+        assert np.array_equal(v.witness.forces, witness.forces), w
+        positions, _speeds, batch_read = states.prepared.slip_speeds(w)
+        read += int(np.count_nonzero(batch_read & ~states.prepared.direct[
+            positions]))
+    return read
+
+
+@pytest.mark.parametrize("detachment", [False, True])
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.grasp")),
+                         ids=lambda p: p.stem)
+def test_batch_ranked_witness_matches_per_state_fixtures(path, detachment):
+    model = load_grasp_file(path)[0]
+    assert _assert_witness_matches_per_state(model, detachment,
+                                             GRID_WRENCHES) > 0
+
+
+def test_batch_ranked_witness_matches_per_state_random():
+    rng = np.random.default_rng(2424)
+    for k in range(40):
+        model = random_grasp(2 + k % 4, rng=rng,
+                             preload="auto" if k // 4 % 2 else "none")
+        loads = rng.normal(size=(12, 3)) * [2.0, 2.0, 1.5]
+        for detachment in (False, True):
+            _assert_witness_matches_per_state(model, detachment, loads)
+
+
+def test_a_state_whose_own_lps_fail_drops_out_of_the_ranking(monkeypatch):
+    # where the winner's or the first state's own code finds no point,
+    # that state drops out and the rest are ranked again, as the
+    # per-state walk ranks the states without it (a direct first state
+    # runs no code of its own unless it wins: it cannot drop out)
+    from graspstab import stability
+
+    own_point = stability._own_point
+    cases = 0
+    for preloaded in (False, True):
+        model = four_contact(preloaded)
+        batch = enumerate_slip_states(model, detachment=True).prepared
+        for w in np.asarray(GRID_WRENCHES, dtype=float):
+            v = check_stability(model, w, detachment=True)
+            if not v.stable:
+                continue
+            gone_ones = {v.witness.state_index}
+            if not batch.direct[v.first_feasible]:
+                gone_ones.add(v.first_feasible)
+            for gone in gone_ones:
+                monkeypatch.setattr(
+                    stability, "_own_point", lambda st, w, gone=gone:
+                    None if st.index == gone else own_point(st, w))
+                dv = check_stability(model, w, detachment=True)
+                monkeypatch.undo()
+                ref = _per_state_witness(
+                    enumerate_slip_states(model, detachment=True), w, {gone})
+                assert dv.stable == (ref is not None), w
+                if ref is not None:
+                    assert dv.first_feasible == ref[0], w
+                    assert dv.witness.state_index == ref[1].state_index, w
+                    assert np.array_equal(dv.witness.d, ref[1].d), w
+                    assert np.array_equal(dv.witness.forces,
+                                          ref[1].forces), w
+                cases += 1
+    assert cases >= 40
+
+
+@settings(max_examples=30, deadline=None)
+@given(degenerate_grasps())
+def test_batch_ranked_witness_matches_per_state_degenerate(case):
+    model, detachment = case
+    _assert_witness_matches_per_state(model, detachment, [
+        (0, -1, 0), (0, 1, 0), (0.5, 0, 0), (-1, 0.5, 0.5), (0, 0, 1),
+        (0, 0, 0), (0.3, -0.7, -0.2)])
 
 
 def _assert_screened_states_have_points(model, detachment, wrenches):
@@ -433,7 +582,7 @@ def _assert_batch_matches_loop(model, detachment, wrenches):
         _tried, feasible = _feasible_states(model, batch, w, False)
         ref = [p for p, prep in enumerate(loop)
                if solve_state(model, w, prep) is not None]
-        assert [prep.index for prep, _sol in feasible] == ref, w
+        assert [p for p, _speeds in feasible] == ref, w
         first = check_stability(model, w, states=states,
                                 witness_policy="first")
         canon = check_stability(model, w, states=states)
@@ -570,12 +719,12 @@ def _untied_direct_winner(model, w) -> bool:
     """Whether every feasible state under w is direct and one has a total
     slip speed below every other's by more than the witness tie."""
     batch = enumerate_slip_states(model).prepared
-    _tried, feasible = _feasible_states(model, batch, np.asarray(w, float),
-                                        False)
-    if not feasible or not all(prep.direct for prep, _sol in feasible):
+    w = np.asarray(w, dtype=float)
+    _tried, feasible = _feasible_states(model, batch, w, False)
+    if not feasible or not all(batch.direct[p] for p, _speeds in feasible):
         return False
-    totals = sorted(sum(prep.system.slip_dirs.values(), np.zeros(3)) @ sol.d
-                    for prep, sol in feasible)
+    totals = sorted(sum(batch[p].system.slip_dirs.values(), np.zeros(3))
+                    @ batch[p].solution_at(w).d for p, _speeds in feasible)
     return len(totals) == 1 or totals[1] - totals[0] > \
         WITNESS_TIE * (1.0 + abs(totals[0]))
 
@@ -650,3 +799,27 @@ def test_rigid_frame_change_keeps_verdict_and_forces(make, preloaded):
             mr = max_resistible(rotated, rot @ np.array(u, dtype=float),
                                 tol=1e-2)
             assert r.magnitude == mr.magnitude, (angle, u)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.grasp")),
+                         ids=lambda p: p.stem)
+def test_length_scaling_keeps_verdict_and_states_tried(path, scale):
+    # contact positions scaled by k and the torque with them: the motion
+    # (x, y, r / k) gives the same contact motions and forces, so the
+    # same states hold, in the same canonical order
+    model = load_grasp_file(path)[0]
+    scaled = GraspModel([Contact(c.position * scale, c.normal, c.mu)
+                         for c in model.contacts], stiffness=model.stiffness,
+                        preload=model.preload, options=model.options)
+    for detachment in (False, True):
+        for policy in ("first", "canonical"):
+            for fx, fy, tz in GRID_WRENCHES:
+                v = check_stability(model, (fx, fy, tz), detachment=detachment,
+                                    witness_policy=policy)
+                sv = check_stability(scaled, (fx, fy, scale * tz),
+                                     detachment=detachment,
+                                     witness_policy=policy)
+                assert (sv.stable, sv.states_tried) == \
+                    (v.stable, v.states_tried), (detachment, policy, fx, fy,
+                                                 tz)

@@ -7,7 +7,9 @@ Usage:
 Runs one fixed corpus of 11,368 calls with this checkout's ``src/`` and
 then with ``PARENT_CHECKOUT/src``, each in a child process, and compares
 the records with == on the raw floats. It prints, per field, the count
-of records that differ, and exits 1 when any record differs.
+of records that differ and up to five of their keys, with the largest
+absolute change of a float field, and exits 1 when any record
+differs.
 
 The corpus:
 
@@ -42,7 +44,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -54,6 +55,8 @@ FIXTURE_LOADS = [*itertools.product(range(-2, 3), (-2, 0, 2),
 POLICIES = ("first", "canonical")
 DIRECTIONS = 16
 WRENCH_SCALE = (2.0, 2.0, 1.5)
+# the keys of records that differ shown per field
+SHOWN = 5
 
 
 def _floats(a):
@@ -161,17 +164,54 @@ def _run(checkout: Path, path: Path) -> dict:
     return json.loads(path.read_text())
 
 
-def compare(parent: dict, change: dict) -> Counter:
-    """Per field, the count of records that differ; "missing" counts the
-    keys that only one side has."""
-    differ = Counter()
-    differ["missing"] = len(parent.keys() ^ change.keys())
-    for key in parent.keys() & change.keys():
+def compare(parent: dict, change: dict) -> dict:
+    """Per field, the records that differ: {field: (count, up to five of
+    their keys, the largest absolute change or None)}. The change is
+    read where both values are floats or equal-length lists of them,
+    and is None where no differing record has such values; "missing"
+    counts the keys that only one side has."""
+    keys = {"missing": sorted(parent.keys() ^ change.keys())}
+    largest: dict[str, float] = {}
+    for key in sorted(parent.keys() & change.keys()):
         a, b = parent[key], change[key]
         for field in a.keys() | b.keys():
             if a.get(field) != b.get(field):
-                differ[field] += 1
-    return differ
+                keys.setdefault(field, []).append(key)
+                moved = _change(a.get(field), b.get(field))
+                if moved is not None:
+                    largest[field] = max(largest.get(field, 0.0), moved)
+    return {field: (len(ks), ks[:SHOWN], largest.get(field))
+            for field, ks in keys.items() if ks}
+
+
+def _leaves(value) -> list:
+    return [leaf for v in value for leaf in _leaves(v)] \
+        if isinstance(value, list) else [value]
+
+
+def _change(a, b) -> float | None:
+    """max |a - b| over the floats of two values of one shape, else None."""
+    a, b = _leaves(a), _leaves(b)
+    if len(a) != len(b) or not all(type(v) is float for v in a + b):
+        return None
+    return max((abs(x - y) if x != y else 0.0 for x, y in zip(a, b)),
+               default=0.0)
+
+
+def report(differ: dict, fields) -> list[str]:
+    """One line per field of ``compare``'s result: its count of records
+    that differ and, where some do, the largest change and their keys."""
+    lines = []
+    for field in ["missing", *fields]:
+        count, keys, moved = differ.get(field, (0, [], None))
+        line = f"{field:28s} {count} differ"
+        if moved is not None:
+            line += f", largest change {moved:.3g}"
+        if keys:
+            line += ": " + ", ".join(keys) + (", ..." if count > len(keys)
+                                              else "")
+        lines.append(line)
+    return lines
 
 
 def main(argv=None) -> int:
@@ -193,10 +233,10 @@ def main(argv=None) -> int:
     differ = compare(parent, change)
     fields = sorted({f for rec in change.values() for f in rec})
     print(f"{len(change)} records here, {len(parent)} in the parent")
-    for field in ["missing", *fields]:
-        print(f"{field:28s} {differ[field]} differ")
+    print("\n".join(report(differ, fields)))
     records = sum(1 for key in parent.keys() & change.keys()
-                  if parent[key] != change[key]) + differ["missing"]
+                  if parent[key] != change[key]) + \
+        len(parent.keys() ^ change.keys())
     print(f"records that differ: {records}")
     return 1 if records else 0
 
