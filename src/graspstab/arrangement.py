@@ -34,11 +34,15 @@ int array for its tangent plane and one for its separation plane. Each
 class of cells (``Cells``) is an int8 sign row and a witness per cell.
 Every cell's per-contact labels come from its signs in two gathers;
 with detachment, cells whose labels repeat are dropped, the first
-occurrence in the order lines, facets, regions kept; and one
-``np.lexsort`` puts the states in canonical order (origin first, then by
-dimension, labels, signs and witness rounded to ORDER_DIGITS). A
-SlipStateSet keeps those arrays and builds SlipState objects only when
-they are first asked for, so a stability query builds none.
+occurrence in the order lines, facets, regions kept. The canonical order
+is origin first, then by dimension, labels, signs and witness rounded to
+ORDER_DIGITS (SlipState.sort_key), but the rank and labels decide it: a
+stable sort on the labels, then on the rank. Without detachment every
+plane is a tangent plane, so the labels fix the signs, and only the two
+rays of a line that every plane contains tie; only there is the rounded
+witness read. With detachment the labels do not repeat. A SlipStateSet
+keeps those arrays and builds SlipState objects only when they are
+first asked for, so a stability query builds none.
 
 minimum_cycle_basis is not part of the construction. Each face of the
 dual graph encircles one ray, so the graph's Horton minimum cycle basis
@@ -51,7 +55,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -88,7 +92,7 @@ _DIMS = ("origin", "line", "facet", "region")
 _DIM_RANK = {dim: rank for rank, dim in enumerate(_DIMS)}
 
 # the components that follow and precede each one, for cross products
-_NEXT, _PREV = [1, 2, 0], [2, 0, 1]
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 class ArrangementError(RuntimeError):
@@ -124,16 +128,20 @@ def _plane_arrangement(model: GraspModel,
     free = np.flatnonzero(model.preload[:, 0] <= ZERO_PRELOAD) \
         if detachment else np.zeros(0, int)
     raws = np.concatenate([rows[1::2], rows[2 * free]])
-    # np.linalg.norm's arithmetic, row by row
-    units = raws / np.array([math.sqrt(r.dot(r)) for r in raws])[:, None]
+    # np.linalg.norm's arithmetic, row by row: a stack of vector-vector
+    # products is one BLAS dot each
+    units = raws / np.sqrt(np.matmul(raws[:, None], raws[:, :, None]))[:, 0]
+    dots = units @ units.T
+    near = np.abs(dots) > PLANE_COINCIDENT
     cols, refs = [], []  # each plane's row; each row's (plane, orientation)
-    for k, dot in enumerate((units @ units.T).tolist()):
-        idx = next((idx for idx, col in enumerate(cols)
-                    if abs(dot[col]) > PLANE_COINCIDENT), None)
+    # the first row each row coincides with: itself when no earlier one
+    for k, j in enumerate(near.argmax(axis=1).tolist()):
+        idx = next((idx for idx, col in enumerate(cols) if near[k, col]),
+                   None) if j < k else None
         if idx is None:
             idx = len(cols)
             cols.append(k)
-        refs.append((idx, 1 if dot[cols[idx]] > 0 else -1))
+        refs.append((idx, 1 if dots[k, cols[idx]] > 0 else -1))
     separation = [(-1, 0)] * m
     for i, ref in zip(free.tolist(), refs[m:]):
         separation[i] = ref
@@ -179,33 +187,52 @@ class DualGraph:
 
 
 def _packed(rows: np.ndarray) -> np.ndarray:
-    """Rows of entries in -1..2 as int64 words (words, rows).
+    """Rows of entries in -1..2 as float64 words (words, rows).
 
-    Base 4, 31 entries to a word, the first entry the most significant,
+    Base 4, 26 entries to a word, the first entry the most significant,
     so comparing the words in turn compares the rows lexicographically.
+    Each word is an integer below 2**52, so its BLAS product is exact.
     """
     width = rows.shape[1]
     return np.array([
-        (rows[:, lo:lo + 31] + 1).astype(np.int64)
-        @ 4 ** np.arange(min(31, width - lo) - 1, -1, -1)
-        for lo in range(0, max(width, 1), 31)])
+        rows[:, lo:lo + 26] @ 4.0 ** np.arange(min(26, width - lo) - 1, -1, -1)
+        for lo in range(0, max(width, 1), 26)])
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise a x b: np.cross's products and differences, without its
     per-call overhead."""
-    return a[:, _NEXT] * b[:, _PREV] - a[:, _PREV] * b[:, _NEXT]
+    return a.take(_NEXT, axis=1) * b.take(_PREV, axis=1) \
+        - a.take(_PREV, axis=1) * b.take(_NEXT, axis=1)
 
 
 def _first_rows(keys: np.ndarray) -> np.ndarray:
     """Ascending positions of the first occurrence of each distinct
     column of keys (words, N)."""
+    return np.sort(_grouped(keys)[0])
+
+
+def _grouped(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first position of each distinct column of keys (words, N), in
+    the columns' lexicographic order, and the positions in that order."""
     # a stable sort lists each run of equal keys by position
-    order = np.lexsort(keys)
-    ordered = keys[:, order]
+    order = np.lexsort(keys[::-1])
+    ordered = keys.take(order, axis=1)
     new = np.ones(len(order), bool)
-    new[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
-    return np.sort(order[new])
+    new[1:] = np.logical_or.reduce(ordered[:, 1:] != ordered[:, :-1])
+    return order[new], order
+
+
+@lru_cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j of n planes in np.triu_indices order, and the flat
+    positions of (k, i) and (k, j) for pair k in a (pairs, n) array."""
+    first, second = np.triu_indices(n, 1)
+    rows = n * np.arange(len(first))
+    out = first, second, np.concatenate([rows + first, rows + second])
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def line_states(arr: PlaneArrangement) -> Cells:
@@ -224,26 +251,32 @@ def line_states(arr: PlaneArrangement) -> Cells:
     if n < 2:
         return Cells(np.zeros((0, n), np.int8), np.zeros((0, 3)))
     normals = arr.normals
-    first, second = np.triu_indices(n, 1)
-    dirs = _cross(normals[first], normals[second])
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    first, second, own = _pairs(n)
+    dirs = _cross(normals.take(first, axis=0), normals.take(second, axis=0))
+    # np.linalg.norm's arithmetic
+    dirs /= np.sqrt(np.add.reduce(dirs * dirs, axis=1))[:, None]
     vals = dirs @ normals.T
-    zero = np.abs(vals) <= GEOM_MARGIN
-    pairs = np.arange(len(first))
-    zero[pairs, first] = zero[pairs, second] = True
-    signs = np.where(zero, 0, np.sign(vals)).astype(np.int8)
+    # sign(n . d), and 0 on Z
+    signs = (vals > GEOM_MARGIN).view(np.int8) \
+        - (vals < -GEOM_MARGIN).view(np.int8)
+    signs.reshape(-1)[own] = 0
 
     # only a Z of three or more planes holds a pair besides its own;
-    # cover[i, j] is the first pair that gave rays with i, j in its Z
-    cover = np.full((n, n), len(pairs))
-    for k in np.flatnonzero(np.count_nonzero(zero, axis=1) > 2).tolist():
-        if cover[first[k], second[k]] > k:
-            on = np.ix_(np.flatnonzero(zero[k]), np.flatnonzero(zero[k]))
-            cover[on] = np.minimum(cover[on], k)
-    keep = cover[first, second] >= pairs
-    dirs, signs = dirs[keep], signs[keep]
-    return Cells(np.stack([signs, -signs], axis=1).reshape(-1, n),
-                 np.stack([dirs, -dirs], axis=1).reshape(-1, 3))
+    # such a pair, if it gives rays, covers every later pair in its Z
+    keep = np.ones(len(first), bool)
+    if np.count_nonzero(signs) < signs.size - 2 * len(first):
+        zero = signs == 0
+        for k in np.flatnonzero(zero.sum(axis=1) > 2).tolist():
+            if keep[k]:
+                covered = zero[k, first] & zero[k, second]
+                covered[:k + 1] = False
+                keep[covered] = False
+    # the rays +d, -d of each line in turn
+    signs = np.repeat(signs.compress(keep, axis=0), 2, axis=0)
+    rays = np.repeat(dirs.compress(keep, axis=0), 2, axis=0)
+    signs[1::2] *= -1
+    rays[1::2] *= -1
+    return Cells(signs, rays)
 
 
 def facet_states(arr: PlaneArrangement, lines: Cells) -> Cells:
@@ -251,40 +284,51 @@ def facet_states(arr: PlaneArrangement, lines: Cells) -> Cells:
 
     The rays on plane i's circle are those with sign 0 at i. Sorted by
     angle in an orthonormal basis of the plane, each arc between
-    neighbours is one facet, witnessed by its midpoint. A circle that no
-    other plane crosses (a single plane) is one facet. Facets are listed
-    circle by circle, by angle within each.
+    neighbours is one facet, witnessed by its midpoint. Two planes meet
+    in a line, so with two or more planes every circle holds rays; a
+    single plane's circle is one facet. Facets are listed circle by
+    circle, by angle within each.
     """
     normals = arr.normals
     n = len(normals)
     e1 = _cross(normals, np.eye(3)[np.argmin(np.abs(normals), axis=1)])
-    for row in e1:
-        row /= math.sqrt(row.dot(row))  # np.linalg.norm's arithmetic
+    # np.linalg.norm's arithmetic, row by row
+    e1 /= np.sqrt(np.matmul(e1[:, None], e1[:, :, None]))[:, 0]
     e2 = _cross(normals, e1)
-    on_circle = lines.signs == 0
-    # one matrix-vector product per circle and basis vector: any other
-    # form of these dots moves the witnesses' last bits
-    x, y = [], []
-    for i in range(n):
-        mine = lines.witness[on_circle[:, i]]
-        x.append(mine @ e1[i])
-        y.append(mine @ e2[i])
-    counts = np.count_nonzero(on_circle, axis=0)
-    circle = np.repeat(np.arange(n), counts)
-    ang = np.arctan2(np.concatenate(y), np.concatenate(x))
-    ang = ang[np.lexsort((ang, circle))]
-    # each ray's arc runs to the next ray; the last one's wraps round
-    start = np.repeat(np.cumsum(counts) - counts, counts)
-    last = np.zeros(len(ang), bool)
-    last[np.cumsum(counts)[counts > 0] - 1] = True
-    mid = 0.5 * (ang + np.where(last, ang[start] + 2 * np.pi,
-                                np.roll(ang, -1)))
-
-    plane = np.repeat(np.arange(n), np.maximum(counts, 1))
-    mids = np.zeros(len(plane))  # a lone circle's facet sits at angle 0
-    mids[counts[plane] > 0] = mid
-    witness = np.cos(mids)[:, None] * e1[plane] \
-        + np.sin(mids)[:, None] * e2[plane]
+    if len(lines):
+        # each circle's rays, gathered once, circle by circle
+        plane, ray = np.nonzero(lines.signs.T == 0)
+        mine = lines.witness.take(ray, axis=0)
+        counts = np.bincount(plane, minlength=n)
+        ends = np.cumsum(counts)
+        # one matrix-vector product per circle and basis vector, both in
+        # one call: any other form of these dots moves the witnesses'
+        # last bits
+        basis = np.concatenate([e1, e2], axis=1).reshape(n, 2, 3, 1)
+        xy = np.empty((2, len(ray), 1))
+        lo = 0
+        for i, hi in enumerate(ends.tolist()):
+            np.matmul(mine[lo:hi], basis[i], out=xy[:, lo:hi])
+            lo = hi
+        x, y = xy[:, :, 0]
+        # numpy sorts complex numbers by real part, then imaginary part:
+        # by circle, then by angle
+        key = np.empty(len(ray), complex)
+        key.real = plane
+        key.imag = np.arctan2(y, x)
+        key.sort()
+        ang = key.imag
+        # each ray's arc runs to the next ray; the last one's wraps round
+        # to its circle's first
+        after = np.empty(len(ang))
+        after[:-1] = ang[1:]
+        after[ends - 1] = ang[ends - counts] + 2 * np.pi
+        mids = 0.5 * (ang + after)
+    else:
+        plane = np.arange(n)
+        mids = np.zeros(n)  # a lone circle's facet sits at angle 0
+    witness = np.cos(mids)[:, None] * e1.take(plane, axis=0) \
+        + np.sin(mids)[:, None] * e2.take(plane, axis=0)
     signs = np.sign(witness @ normals.T).astype(np.int8)
     signs[np.arange(len(plane)), plane] = 0
     return Cells(signs, witness)
@@ -300,17 +344,22 @@ def enumerate_regions(arr: PlaneArrangement, facets: Cells) -> Cells:
     """
     normals = arr.normals
     k = len(facets)
-    plane = np.argmax(facets.signs == 0, axis=1)
-    dist = np.abs(facets.witness @ normals.T)
-    dist[np.arange(k), plane] = np.inf
-    delta = 0.5 * np.min(dist, axis=1, initial=1.0)
-    side = np.tile([1, -1], k)
-    plane, signs = np.repeat(plane, 2), np.repeat(facets.signs, 2, axis=0)
-    signs[np.arange(2 * k), plane] = side
-    witness = np.repeat(facets.witness, 2, axis=0) \
-        + (side * np.repeat(delta, 2))[:, None] * normals[plane]
+    facet = np.arange(k)
+    plane = np.argmin(facets.signs != 0, axis=1)  # the first zero sign
+    # (planes, facets), so the minimum runs over contiguous rows
+    dist = np.abs(facets.witness @ normals.T).T.copy()
+    dist[plane, facet] = np.inf
+    step = (0.5 * dist.min(axis=0, initial=1.0))[:, None] \
+        * normals.take(plane, axis=0)
+    # the + side of each facet, then its - side
+    signs = np.repeat(facets.signs, 2, axis=0)
+    signs[2 * facet, plane] = 1
+    signs[2 * facet + 1, plane] = -1
+    witness = np.empty((2 * k, 3))
+    witness[0::2] = facets.witness + step
+    witness[1::2] = facets.witness - step
     first = _first_rows(_packed(signs))
-    return Cells(signs[first], witness[first])
+    return Cells(signs.take(first, axis=0), witness.take(first, axis=0))
 
 
 def build_dual_graph(regions: Cells, facets: Cells) -> DualGraph:
@@ -485,8 +534,14 @@ def _cell_labels(signs: np.ndarray, arr: PlaneArrangement) -> np.ndarray:
     """Per-contact slip labels (K, m), int8, of cells with plane signs
     (K, planes): each tangent sign, oriented, or DETACHED on the
     separating side of a separation plane."""
-    labels = (signs[:, arr.tangent[:, 0]] * arr.tangent[:, 1]).astype(np.int8)
-    labels[signs[:, arr.separation[:, 0]] * arr.separation[:, 1] < 0] = DETACHED
+    labels = signs.take(arr.tangent[:, 0], axis=1) \
+        * arr.tangent[:, 1].astype(np.int8)
+    plane, orient = arr.separation.T
+    if orient.any():
+        # orientation 0 marks a contact without a separation plane
+        away = (signs.take(plane, axis=1) * orient.astype(np.int8) < 0).view(
+            np.int8)
+        labels += away * (DETACHED - labels)
     return labels
 
 
@@ -499,10 +554,12 @@ def enumerate_slip_states(model: GraspModel, *,
     erased) and duplicate label vectors collapse to their first cell in
     the order lines, facets, regions; without it the states are exactly
     the arrangement's cells. The all-stick origin state is always
-    present and always first. The rest follow SlipState.sort_key. The
-    set records model, the one grasp its states may be solved for, and
-    condenses no system until a query asks for it. A model without
-    contacts or with a non-finite number is a ValueError (check_finite).
+    present and always first. The rest follow SlipState.sort_key, which
+    the rank and labels decide but for the two rays of a line that every
+    plane contains. The set records model, the one grasp its states may
+    be solved for, and condenses no system until a query asks for it. A
+    model without contacts or with a non-finite number is a ValueError
+    (check_finite).
     """
     check_finite(model)
     if detachment is None:
@@ -521,20 +578,30 @@ def enumerate_slip_states(model: GraspModel, *,
     rank = np.repeat(np.arange(4, dtype=np.int8),
                      [1, *(len(c) for c in kinds)])
     labels = _cell_labels(signs, arr)
-    label_keys = _packed(labels)
-    # with detachment, the origin's all-stick labels are seen first
-    keep = _first_rows(label_keys) if detachment else np.arange(len(labels))
-    # canonical order, SlipState.sort_key's: rank, labels, signs and
-    # witness rounded to ORDER_DIGITS; np.lexsort's last key is its
-    # first, and the origin's rank 0 puts it first
-    rounded = np.round(witness[keep], ORDER_DIGITS)
-    order = keep[np.lexsort([*rounded.T[::-1], *_packed(signs[keep])[::-1],
-                             *label_keys[::-1, keep], rank[keep]])]
+    # canonical order, SlipState.sort_key's: by labels, then stably by
+    # rank, so the origin's rank 0 puts it first. With detachment the
+    # first cell of each label vector is kept, and the order is decided.
+    # Without it every plane is a tangent plane, so the labels fix the
+    # signs. Only the all-zero labels repeat: on the origin, on a lone
+    # plane's facet and on the two rays of a line that every plane
+    # contains, which alone tie and are ordered by their witnesses
+    first, by_labels = _grouped(_packed(labels))
+    tie = [] if detachment or len(first) == len(by_labels) else \
+        np.flatnonzero(~lines.signs.any(axis=1)) + 1
+    if not detachment:
+        first = by_labels
+    order = first.take(np.argsort(rank.take(first), kind="stable"))
+    if len(tie):
+        # neighbours in order, by position; the rounded witness decides
+        a, b = np.round(witness[tie], ORDER_DIGITS).tolist()
+        if b < a:
+            at = np.flatnonzero(order == tie[0])[0]
+            order[at:at + 2] = tie[::-1]
 
     return SlipStateSet(
         model=model,
         labels=labels.take(order, axis=0),
-        dim_rank=rank[order],
+        dim_rank=rank.take(order),
         signs=signs.take(order, axis=0),
         witness=witness.take(order, axis=0),
         arrangement=arr,

@@ -145,6 +145,8 @@ def main(argv=None) -> int:
             parser.error("--contacts must be at least 1")
         if not (math.isfinite(args.mu) and args.mu >= 0):
             parser.error("--mu must be finite and non-negative")
+        if args.seed < 0:
+            parser.error("--seed must be non-negative")
         model = random_grasp(args.contacts, args.seed, mu=args.mu,
                              preload=args.preload, detachment=args.detach)
         print(format_grasp(model, name=f"random-{args.contacts}-seed{args.seed}"),

@@ -33,7 +33,8 @@ PLANE_COINCIDENT = 1 - 1e-9
 # a normal preload at most this is zero: the contact may detach
 ZERO_PRELOAD = 1e-12
 # the canonical order of slip states compares witnesses rounded to
-# this many decimals (SlipState.sort_key)
+# this many decimals (SlipState.sort_key); rank and labels decide it but
+# for the two rays of a line that every plane contains
 ORDER_DIGITS = 9
 # canonical witness: the states whose least slip totals lie within
 # WITNESS_TIE * (1 + |t*|) of the minimum t* tie, and their slip

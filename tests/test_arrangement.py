@@ -388,6 +388,24 @@ def _labels_of(signs, arr, m, detachment):
     (random_grasp(2, rng=301), False),
     (GraspModel([Contact([0, y], [0, -1], 0.5) for y in (-1, 0, 2)]), False)])
 def test_enumerated_order_is_canonical(model, detachment):
+    _assert_canonical_order(model, detachment)
+
+
+# enumerate_large's inputs: random_grasp(m, seed, detachment=det)
+LARGE = [(12, 0, False), (16, 0, False), (20, 1, False),
+         (6, 0, True), (8, 0, True), (9, 3, True)]
+
+
+@pytest.mark.parametrize("m,seed,detachment", LARGE)
+def test_large_enumerated_order_is_canonical(m, seed, detachment):
+    _assert_canonical_order(random_grasp(m, seed, detachment=detachment),
+                            detachment)
+
+
+def _assert_canonical_order(model, detachment):
+    """The states follow SlipState.sort_key and, with detachment, each
+    label vector is its first cell's in the order lines, facets,
+    regions."""
     states = enumerate_slip_states(model, detachment=detachment)
     rest = states.states[1:]
     assert rest == sorted(rest, key=SlipState.sort_key)
@@ -409,9 +427,9 @@ def test_enumerated_order_is_canonical(model, detachment):
         assert np.array_equal(st.witness, witness)
 
 
-@pytest.mark.parametrize("width", [1, 2, 31, 32, 65])
+@pytest.mark.parametrize("width", [1, 2, 26, 27, 31, 32, 65])
 def test_packed_rows_order_and_first_occurrences(width, rng):
-    # more than 31 entries take more than one word
+    # more than 26 entries take more than one word
     rows = rng.integers(-1, 3, size=(300, width)).astype(np.int8)
     rows[150:] = rows[rng.integers(0, 150, 150)]  # repeats
     keys = _packed(rows)
@@ -652,6 +670,20 @@ def test_cells_match_one_at_a_time_reference(m, detachment):
 @given(degenerate_grasps())
 def test_degenerate_cells_match_one_at_a_time_reference(case):
     _assert_cells_match_reference(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_grasps())
+def test_degenerate_enumerated_order_is_canonical(case):
+    model, _detachment = case
+    for detachment in (False, True):
+        _assert_canonical_order(model, detachment)
+
+
+@pytest.mark.parametrize("m,seed,detachment", LARGE)
+def test_large_cells_match_one_at_a_time_reference(m, seed, detachment):
+    _assert_cells_match_reference(
+        random_grasp(m, seed, detachment=detachment), detachment)
 
 
 # ---------------------------------------------------------------------------

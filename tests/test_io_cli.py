@@ -388,6 +388,7 @@ def test_cli_gen_detach_flag(tmp_path, capsys):
     (["--contacts", "3", "--mu", "-1"], "--mu must be finite and non-negative"),
     (["--contacts", "3", "--mu", "nan"], "--mu must be finite and non-negative"),
     (["--contacts", "3", "--mu", "inf"], "--mu must be finite and non-negative"),
+    (["--contacts", "3", "--seed", "-1"], "--seed must be non-negative"),
 ])
 def test_cli_gen_rejects_bad_input(capsys, argv, message):
     # a usage error, not a traceback or a grasp file that fails to load

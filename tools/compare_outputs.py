@@ -4,7 +4,7 @@ Usage:
 
     python3 tools/compare_outputs.py PARENT_CHECKOUT
 
-Runs one fixed corpus of 11,368 calls with this checkout's ``src/`` and
+Runs one fixed corpus of 11,462 calls with this checkout's ``src/`` and
 then with ``PARENT_CHECKOUT/src``, each in a child process, and compares
 the records with == on the raw floats. It prints, per field, the count
 of records that differ and up to five of their keys, with the largest
@@ -25,12 +25,17 @@ The corpus:
 - criterion 4's 200 queries (tests/test_acceptance.py) under both
   policies (400) and brute_force_verdict on each (200);
 - the stored oracle_mix selections of seeds 1-10 (stabbench/verdicts)
-  under both policies (1,600).
+  under both policies (1,600);
+- the enumeration of each fixture and random model in both modes (88),
+  and of the six enumerate_large grasps, random_grasp(m, seed,
+  detachment=det) for (m, seed, det) in LARGE_GRASPS (6).
 
 A verdict's fields are stable, states_tried, first_feasible and
 separating_direction, and its witness's d, forces, labels, state_index,
 max_eq_residual and min_ineq_slack; a max_resistible result's are
-magnitude, bracket and stable_intervals. The oracle_mix inputs are built
+magnitude, bracket and stable_intervals; an enumeration's are labels,
+dim_rank, signs and witness, and each cell class's signs and witness.
+The oracle_mix inputs are built
 by this checkout's ``stabbench/workloads.py`` on both sides.
 """
 
@@ -57,6 +62,10 @@ DIRECTIONS = 16
 WRENCH_SCALE = (2.0, 2.0, 1.5)
 # the keys of records that differ shown per field
 SHOWN = 5
+# (contacts, generator seed, detachment) of the benchmark's
+# enumerate_large grasps
+LARGE_GRASPS = [(12, 0, False), (6, 0, True), (16, 0, False),
+                (8, 0, True), (20, 1, False), (9, 3, True)]
 
 
 def _floats(a):
@@ -86,11 +95,22 @@ def _sweep(r) -> dict:
             "stable_intervals": [_floats(s) for s in r.stable_intervals]}
 
 
+def _enumeration(states) -> dict:
+    rec = {name: getattr(states, name).tolist()
+           for name in ("labels", "dim_rank", "signs", "witness")}
+    for kind, cells in states.cells.items():
+        rec.update({f"{kind}.signs": cells.signs.tolist(),
+                    f"{kind}.witness": cells.witness.tolist()})
+    return rec
+
+
 def _grasp_records(gs, tag, model, loads, brute):
-    """The query, brute-force and sweep records of one grasp."""
+    """The enumeration, query, brute-force and sweep records of one
+    grasp."""
     out = {}
     for det in (False, True):
         shared = gs.enumerate_slip_states(model, detachment=det)
+        out[f"{tag}/det{det:d}/enumerate"] = _enumeration(shared)
         for j, w in enumerate(loads):
             for pol, (kind, states) in itertools.product(
                     POLICIES, (("shared", shared), ("fresh", None))):
@@ -128,6 +148,11 @@ def dump() -> dict:
         loads = np.random.default_rng([seed, 1]).normal(size=(12, 3)) \
             * WRENCH_SCALE
         out.update(_grasp_records(gs, f"random{seed}", model, loads, m <= 4))
+
+    for m, seed, det in LARGE_GRASPS:
+        out[f"enumerate_large/m{m}-s{seed}-{'det' if det else 'nodet'}"] = \
+            _enumeration(gs.enumerate_slip_states(
+                random_grasp(m, seed, detachment=det), detachment=det))
 
     # criterion 4's stream, drawn as tests/test_acceptance.py draws it
     rng = np.random.default_rng(27182)
