@@ -586,9 +586,10 @@ def enumerate_slip_states(model: GraspModel, *,
     # plane's facet and on the two rays of a line that every plane
     # contains, which alone tie and are ordered by their witnesses
     first, by_labels = _grouped(_packed(labels))
-    tie = [] if detachment or len(first) == len(by_labels) else \
-        np.flatnonzero(~lines.signs.any(axis=1)) + 1
+    tie = []
     if not detachment:
+        if len(first) < len(by_labels):
+            tie = np.flatnonzero(~lines.signs.any(axis=1)) + 1
         first = by_labels
     order = first.take(np.argsort(rank.take(first), kind="stable"))
     if len(tie):
