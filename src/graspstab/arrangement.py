@@ -558,8 +558,8 @@ def enumerate_slip_states(model: GraspModel, *,
     the rank and labels decide but for the two rays of a line that every
     plane contains. The set records model, the one grasp its states may
     be solved for, and condenses no system until a query asks for it. A
-    model without contacts or with a non-finite number is a ValueError
-    (check_finite).
+    model without contacts, with a non-finite number or with a
+    zero-length normal is a ValueError (check_finite).
     """
     check_finite(model)
     if detachment is None:

@@ -27,12 +27,14 @@ ends of its span along a ray, the two boxes of its point (the first
 sized from x_p(w), then X_MAX) and the canonical witness's LP, run
 only where the batch cannot read a point or the point is returned.
 Each runs over x = x_p + N z, in the k null-space coordinates (m - 3 at
-the all-stick origin state), on the rows [a_in N; N; -N] that slicing
-stacks once per state (``_box_program``); one exact engine solves them
-all, Seidel's incremental algorithm (``nullspace_lp.small_lp``), and
-its batched one-variable twins decide the screens of nullity 1 and
-place the witness's points on their lines (``nullspace_lp.lines_hold``
-and ``lines_point``).
+the all-stick origin state), on the state's own inequality rows a_in N
+that slicing stores once per state, with each z_i boxed by its bounds;
+N is orthonormal and x_p orthogonal to it, so |z| is the distance of x
+from the least-norm point. One exact engine solves them all, Seidel's
+incremental algorithm (``nullspace_lp.small_lp``), and its batched
+one-variable twins decide the screens of nullity 1 and place the
+witness's points on their lines (``nullspace_lp.lines_hold`` and
+``lines_point``).
 """
 
 from __future__ import annotations
@@ -208,7 +210,8 @@ class PreparedState:
     of their left null space at the RANK_EPS cutoff (zero-padded to 3 + m
     rows), is small enough (``_eq_tol``, with b_max the largest
     |b_eq[3:]|). A direct state has an empty null basis and rows None; a
-    singular one's rows [a_in N; N; -N] start each of its LPs.
+    singular one's rows a_in N, its inequalities in the null-space
+    coordinates z, start each of its LPs, whose box bounds z alone.
     """
 
     system: StateSystem
@@ -236,9 +239,9 @@ class PreparedState:
         """Whether the singular state passes the tests that decide it under
         w: the consistency test of its equalities, then one feasibility
         LP over its whole null space, some x = x_p(w) + N z with a_in x >=
-        -INEQ_SLACK and |x| <= X_MAX. Both reject only what
-        ``linear_feasibility`` would, whose two boxes lie within X_MAX and
-        whose points need that slack."""
+        -INEQ_SLACK and each |z_i| <= X_MAX. Both reject only what
+        ``linear_feasibility`` would, whose two boxes on z lie within
+        X_MAX and whose points need that slack."""
         # a point is accepted only where its max-norm residual is at
         # most eq_tol, hence whose 2-norm residual is at most sqrt(rows) *
         # eq_tol, and no point has a smaller residual than the norm of
@@ -246,13 +249,10 @@ class PreparedState:
         if np.linalg.norm(self.cons0 + self.cons_gain @ w) > \
                 np.sqrt(self.system.n) * _eq_tol(w, self.b_max)[1]:
             return False
-        # w enters neither a_in nor the box
-        g, h, bound = _box_program(
-            self.rows, self.x0 + self.gain @ w,
-            self.s0 + self.slack_gain @ w + INEQ_SLACK, X_MAX)
         k = self.null.shape[1]
-        return nullspace_lp.small_lp(g, h, np.zeros(k), np.full(k, -bound),
-                                     np.full(k, bound)) is not None
+        return nullspace_lp.small_lp(
+            self.rows, -(self.s0 + self.slack_gain @ w + INEQ_SLACK),
+            np.zeros(k), np.full(k, -X_MAX), np.full(k, X_MAX)) is not None
 
     def ladder_point(self, w: np.ndarray) -> EquilibriumSolution | None:
         """The singular state's point under w, from the two boxes of
@@ -430,16 +430,14 @@ class _Lines(NamedTuple):
     """The lines x_p(w) + n z of singular states of nullity 1 under one
     load w: their positions p (S,), least-norm points x_p(w) and unit
     null vectors n (S, n), their inequality slots at x_p(w) (S, 3m),
-    zero on the padding, and the rows [a_in n; n; -n] (S, 3m + 2n) of
-    their LPs in z, of which valid (S, 3m + 2n) marks the real ones: the
-    slots along n, which are not padding, and the box."""
+    zero on the padding, and the rows of their LPs in z, the slots along
+    n, a_in n (S, 3m), zero on the padding too."""
 
     p: np.ndarray
     x_p: np.ndarray
     null: np.ndarray
     slack: np.ndarray
     rows: np.ndarray
-    valid: np.ndarray
 
 
 class PreparedStates:
@@ -509,7 +507,7 @@ class PreparedStates:
                     self._x[p, :, 4 + self._live[p]:4 + self._size[p]])
                 x = x - null @ (null.T @ x)
                 slack = sys.a_in @ x
-                rows = np.vstack([sys.a_in @ null, null, -null])
+                rows = sys.a_in @ null
             prep = self._prepared[p] = PreparedState(
                 sys, self.index[p], x0=x[:, 0], gain=x[:, 1:],
                 s0=slack[:, 0], slack_gain=slack[:, 1:], null=null,
@@ -557,25 +555,19 @@ class PreparedStates:
                             null[..., None]], axis=2)
         slots = _slots(self._labels[p], self._mu, x[:, 3::2], x[:, 4::2],
                        self._maps.motion.T @ x[:, :3])
-        valid = np.concatenate(
-            [self._valid[p], np.ones((len(p), 2 * null.shape[1]), bool)],
-            axis=1)
         return _Lines(p, x[..., 0] + x[..., 1:4] @ w, null,
-                      slots[..., 0] + slots[..., 1:4] @ w,
-                      np.concatenate([slots[..., 4], null, -null], axis=1),
-                      valid)
+                      slots[..., 0] + slots[..., 1:4] @ w, slots[..., 4])
 
     def _line_screen(self, lines: _Lines) -> np.ndarray:
         """Whether each state of lines passes
         ``PreparedState.passes_screen``'s LP.
 
-        Over x = x_p(w) + n z the LP has one variable and the rows
-        lines.rows z >= h of ``_box_program``, decided by
-        ``nullspace_lp.lines_hold``.
+        Over x = x_p(w) + n z the LP has one variable, the rows
+        lines.rows z >= -(slots + INEQ_SLACK) that are not padding and
+        |z| <= X_MAX, decided by ``nullspace_lp.lines_hold``.
         """
-        g, h, bound = _box_program(lines.rows, lines.x_p,
-                                   lines.slack + INEQ_SLACK, X_MAX)
-        return nullspace_lp.lines_hold(g, h, lines.valid, bound)
+        return nullspace_lp.lines_hold(lines.rows, -(lines.slack + INEQ_SLACK),
+                                       self._valid[lines.p], X_MAX)
 
     def slip_speeds(self, w: np.ndarray):
         """(positions, speeds, read) of the canonical witness under w.
@@ -624,11 +616,10 @@ class PreparedStates:
         m = self.model.m
         labels = self._labels[lines.p]
         slipping = (labels != 0) & (labels != DETACHED)
-        along = lines.rows[:, :3 * m]
         # each contact's slip row is label * its tangential motion column
         norm = np.linalg.norm(self._maps.motion[:, 1::2], axis=0)
         at_xp = np.where(slipping, lines.slack.reshape(-1, m, 3)[..., 1], 0.0)
-        move = np.where(slipping, along.reshape(-1, m, 3)[..., 1], 0.0)
+        move = np.where(slipping, lines.rows.reshape(-1, m, 3)[..., 1], 0.0)
         flat = np.all(np.abs(move) <= FLAT_REL * norm, axis=1)
         # the objectives' coefficients in z and the norms of their rows:
         # the total slip row, then minus each slipping contact's
@@ -645,25 +636,20 @@ class PreparedStates:
         ahead = np.cumsum(clear, axis=1) == 0
         noisy = np.any(ahead & (c != 0.0), axis=1)
 
-        # linear_feasibility's first box
-        scale = _eq_tol(w, self._b_max[lines.p])[0]
-        box = np.minimum(
-            LADDER_START * np.maximum(scale, np.abs(lines.x_p).max(axis=1)),
-            X_MAX)[:, None]
-        g, h, bound = _box_program(lines.rows, lines.x_p, lines.slack, box)
-        z = nullspace_lp.lines_point(g, h, lines.valid, bound,
+        box = _first_box(w, self._b_max[lines.p], lines.x_p)
+        z = nullspace_lp.lines_point(lines.rows, -lines.slack,
+                                     self._valid[lines.p], box[:, None],
                                      np.where(clear, c, 0.0))
         z = np.where(flat, 0.0, z)
         x = lines.x_p + z[:, None] * lines.null
         speeds = at_xp + z[:, None] * move
         # the padding's slots are zero, and so are its slacks
-        slack = lines.slack + z[:, None] * along
+        slack = lines.slack + z[:, None] * lines.rows
         # the tests linear_feasibility makes of its point: a point that
         # hits the first box takes the second, and one off the
         # equalities is projected onto them
         read = flat | (~noisy & (slack.min(axis=1) >= -INEQ_SLACK)
-                       & ((box[:, 0] >= X_MAX)
-                          | (np.abs(x).max(axis=1) <= BOX_HIT * box[:, 0])))
+                       & ((box >= X_MAX) | (np.abs(z) <= BOX_HIT * box)))
         return speeds, read & (self._residual(labels, x, w)
                                < PROJECTION_SKIP)
 
@@ -701,12 +687,13 @@ class PreparedStates:
         state's consistency map cons0 + t (cons_gain u) is affine in t
         too. Where it passes the consistency test at t = 0 and t = cap,
         it is consistent on the whole ray, and its interval is the least
-        and the largest t over (z, t) under the rows and the +-X_MAX box
-        of ``PreparedState.passes_screen``: two ``small_lp`` calls in k + 1
-        variables. Any other singular state is consistent only on a band
-        about EQ_RESIDUAL wide around one load, or nowhere; it is left
-        out. Intervals merge where one starts at or before the end of
-        the one before it, and once they cover [0, cap] no LP runs.
+        and the largest t over (z, t) under the rows a_in N and the
+        +-X_MAX box on z of ``PreparedState.passes_screen``: two
+        ``small_lp`` calls in k + 1 variables. Any other singular state
+        is consistent only on a band about EQ_RESIDUAL wide around one
+        load, or nowhere; it is left out. Intervals merge where one
+        starts at or before the end of the one before it, and once they
+        cover [0, cap] no LP runs.
         """
         u = as_wrench(u)
         direct = self.direct
@@ -766,17 +753,12 @@ def _eq_tol(w: np.ndarray, b_max):
     return scale, EQ_RESIDUAL * (1.0 + scale)
 
 
-def _box_program(rows: np.ndarray, x_p: np.ndarray, slack: np.ndarray,
-                 box: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(g, h, bound): rows g z >= h over x = x_p + N z, a_in N z >= -slack
-    and |x| <= box, and a bound on each z_i in that box. g is rows, a
-    state's [a_in N; N; -N] with any extra columns; slack is a_in x_p
-    plus any relaxation. z = N^T (x - x_p), x_p orthogonal to N, so |z_i|
-    <= |N_i|_1 box <= sqrt(n) box; twice that leaves the bound slack.
-    x_p and slack may be stacks of states, (S, n) and (S, r), and h is
-    then (S, r + 2n)."""
-    return (rows, np.concatenate([-slack, -box - x_p, -box + x_p], axis=-1),
-            2.0 * np.sqrt(x_p.shape[-1]) * box)
+def _first_box(w: np.ndarray, b_max, x_p: np.ndarray):
+    """The first box of ``linear_feasibility``: LADDER_START times the
+    larger of the data's magnitude and |x_p(w)|, within X_MAX. b_max and
+    x_p may be stacks of states, (S,) and (S, n)."""
+    return np.minimum(LADDER_START * np.maximum(
+        _eq_tol(w, b_max)[0], np.abs(x_p).max(axis=-1)), X_MAX)
 
 
 def _merged(spans) -> list[tuple[float, float]]:
@@ -795,17 +777,15 @@ def _singular_span(prep: PreparedState, u: np.ndarray, cap: float
     """(least, largest) t in [0, cap] at which the singular state holds
     w = t u, by the LP of ``PreparedState.passes_screen``; None if at none.
 
-    Under t u, x_p and its slack move by t (gain u) and t (slack_gain u),
-    so the screen's rows g z >= h(t) become rows over (z, t).
+    Under t u the slack of x_p moves by t (slack_gain u), so the screen's
+    rows a_in N z >= -(s0 + INEQ_SLACK) gain a column in t; the box
+    bounds z, whatever x_p is.
     """
     k = prep.null.shape[1]
-    g, h, bound = _box_program(prep.rows, prep.x0, prep.s0 + INEQ_SLACK,
-                               X_MAX)
-    move = prep.gain @ u
-    g = np.column_stack([g, np.concatenate([prep.slack_gain @ u, move,
-                                            -move])])
-    lo = np.append(np.full(k, -bound), 0.0)
-    hi = np.append(np.full(k, bound), cap)
+    g = np.column_stack([prep.rows, prep.slack_gain @ u])
+    h = -(prep.s0 + INEQ_SLACK)
+    lo = np.append(np.full(k, -X_MAX), 0.0)
+    hi = np.append(np.full(k, X_MAX), cap)
     c = np.zeros(k + 1)
     c[-1] = 1.0
     least = nullspace_lp.small_lp(g, h, c, lo, hi)
@@ -825,15 +805,15 @@ def linear_feasibility(prep: PreparedState, w: np.ndarray, *,
     """The singular state's checked point under the wrench w, or None.
 
     Maximizes the minimum inequality slack subject to the equalities and
-    a box bound on the unknowns, in at most two exact LPs over x =
-    x_p(w) + N z and the margin s <= MARGIN_CAP of the rows a_in x >= 0.
-    The first box is LADDER_START times the larger of the data's
-    magnitude and |x_p(w)|, within X_MAX, so that a solution of the
-    state's own magnitude is found at that scale. The second, X_MAX, runs
-    only when the first gives no accepted point or its point hits the
-    box. ``solve_state`` rejects infeasible states before these LPs run,
-    by tests that reject only what the X_MAX box would, so they alone
-    return the same points.
+    a box bound on the null-space coordinates z, in at most two exact
+    LPs over x = x_p(w) + N z and the margin s <= MARGIN_CAP of the rows
+    a_in x >= 0. The first box is LADDER_START times the larger of the
+    data's magnitude and |x_p(w)| (``_first_box``), within X_MAX, so that
+    a solution of the state's own magnitude is found at that scale. The
+    second, X_MAX, runs only when the first gives no accepted point or
+    its point has a z_i beyond BOX_HIT of the box. ``solve_state``
+    rejects infeasible states before these LPs run, by tests that reject
+    only what the X_MAX box would, so they alone return the same points.
 
     With ``objective``, a stack of rows over x, the rows hold hard and
     each LP first minimizes the objectives lexicographically, in order,
@@ -843,10 +823,8 @@ def linear_feasibility(prep: PreparedState, w: np.ndarray, *,
     x_p = prep.x0 + prep.gain @ w
     slack = sys.a_in @ x_p
     k = prep.null.shape[1]
-    # the margin enters the state's own rows, g z - s >= h
-    margin = np.zeros((len(prep.rows), 1))
-    margin[:len(slack), 0] = 1.0
-    rows = np.hstack([prep.rows, -margin])
+    # the margin enters every row, a_in N z - s >= -slack
+    g = np.hstack([prep.rows, -np.ones((len(slack), 1))])
     c = np.zeros(k + 1)
     c[-1] = -1.0
     if objective is None:
@@ -855,16 +833,15 @@ def linear_feasibility(prep: PreparedState, w: np.ndarray, *,
         s_lo = 0.0
         obj = np.atleast_2d(objective) @ prep.null
         c = np.vstack([np.hstack([obj, np.zeros((len(obj), 1))]), c])
-    scale, eq_tol = _eq_tol(w, prep.b_max)
-    first = min(LADDER_START * max(scale, float(np.max(np.abs(x_p)))), X_MAX)
+    eq_tol = _eq_tol(w, prep.b_max)[1]
+    first = float(_first_box(w, prep.b_max, x_p))
     for box in (first, X_MAX) if first < X_MAX else (X_MAX,):
-        g, h, bound = _box_program(rows, x_p, slack, box)
         if objective is None:
             # every point of the z box has slack above s_lo
-            s_lo = -1.0 - (np.abs(h) + reach * bound).max()
+            s_lo = -1.0 - (np.abs(slack) + reach * box).max()
         y = nullspace_lp.small_lp(
-            g, h, c, np.append(np.full(k, -bound), s_lo),
-            np.append(np.full(k, bound), MARGIN_CAP))
+            g, -slack, c, np.append(np.full(k, -box), s_lo),
+            np.append(np.full(k, box), MARGIN_CAP))
         if y is not None and y[-1] >= -INEQ_SLACK:
             # the program's verdict is advisory: accept only a point that
             # verifiably satisfies the system at the working tolerances
@@ -873,7 +850,7 @@ def linear_feasibility(prep: PreparedState, w: np.ndarray, *,
             sol = _solution_from_x(sys, x, prep.index)
             if sol.max_eq_residual <= eq_tol and \
                     sol.min_ineq_slack >= -INEQ_SLACK and \
-                    (box >= X_MAX or np.max(np.abs(x)) <= BOX_HIT * box):
+                    (box >= X_MAX or np.max(np.abs(y[:k])) <= BOX_HIT * box):
                 return sol
     return None
 

@@ -198,17 +198,23 @@ def preload_wrench(model: GraspModel) -> np.ndarray:
 
 
 def _non_finite(model: GraspModel) -> list[str]:
-    """The violations of a model without contacts or with a non-finite
-    number, the ones no computation can run past."""
+    """The violations of a model without contacts, with a non-finite
+    number or with a contact normal of zero length, the ones no
+    computation can run past: each query divides by a normal's length."""
     if model.m < 1:
         return ["model has no contacts"]
     # one pass over Python floats, much cheaper than the per-contact
     # numpy tests that name the culprits
     numbers = model.stiffness.tolist() + model.preload.ravel().tolist()
-    for c in model.contacts:
-        numbers += c.position.tolist() + c.normal.tolist() + [c.mu]
+    zero = []
+    for i, c in enumerate(model.contacts):
+        normal = c.normal.tolist()
+        numbers += c.position.tolist() + normal + [c.mu]
+        if normal == [0.0, 0.0]:
+            zero.append(i)
     if all(map(math.isfinite, numbers)):
-        return []
+        return [f"contact {i}: normal is not unit length (|n|=0.0)"
+                for i in zero]
     errors = []
     for i, c in enumerate(model.contacts):
         for what, value in (("position", c.position), ("normal", c.normal),
@@ -222,8 +228,8 @@ def _non_finite(model: GraspModel) -> list[str]:
 
 def check_finite(model: GraspModel) -> None:
     """A ValueError carrying validate_model's message when the model has
-    no contacts or a non-finite number; the entry points run this, not
-    the whole validate_model."""
+    no contacts, a non-finite number or a zero-length normal; the entry
+    points run this, not the whole validate_model."""
     errors = _non_finite(model)
     if errors:
         raise ValueError("; ".join(errors))

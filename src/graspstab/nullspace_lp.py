@@ -2,10 +2,12 @@
 
 Every LP over a slip state has x = x_p + N z, so it runs in the k
 coordinates z of the state's null space, plus at most one more variable
-(the load along a ray, or a max-min-slack margin). k is m - 3 at the
+(the load along a ray, or a max-min-slack margin), on the state's own
+inequality rows with each z_i boxed by its bounds. k is m - 3 at the
 all-stick origin state, whose m sticking tangential forces meet only the
 3 equilibrium rows, so it grows with the grasp; on the benchmark's
-grasps (m <= 5) it is at most 3. ``equilibrium`` poses each of them, and
+grasps (m <= 5) k is at most 2, and an LP has at most 3 unknowns with
+its margin or load. ``equilibrium`` poses each of them, and
 ``small_lp`` solves it exactly with Seidel's incremental algorithm, at
 every dimension. Its expected cost grows about as k!, so on a grasp of
 many contacts the origin state's screen costs steeply. The engine knows

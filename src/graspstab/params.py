@@ -56,12 +56,14 @@ WITNESS_DIGITS = 9
 # margin keeps the test's decisions under a common scaling of forces
 # and stiffness.
 SEPARATION_REL = 100 * (INEQ_SLACK + EQ_RESIDUAL)
-# box bound on unknowns in the feasibility program
+# box bound on each null-space coordinate z_i of a singular state's
+# LPs over x = x_p(w) + N z; N is orthonormal and x_p(w) orthogonal to
+# it, so this bounds the distance from the least-norm solution, not x
 X_MAX = 1e6
-# a singular state's point takes at most two boxes: the first is
+# a singular state's point takes at most two boxes on z: the first is
 # LADDER_START times the larger of the data's magnitude and the state's
-# least-norm solution |x_p(w)|, within X_MAX; a point with an entry
-# beyond BOX_HIT times it hits it, so the second, X_MAX, runs. The
+# least-norm solution |x_p(w)|, within X_MAX; a point with a z_i beyond
+# BOX_HIT times it hits it, so the second, X_MAX, runs. The
 # max-min-slack margin is capped at MARGIN_CAP
 LADDER_START = 100.0
 MARGIN_CAP = 1e3

@@ -114,8 +114,9 @@ def check_stability(model: GraspModel, w, *, detachment: bool | None = None,
       "first"     - witness from the first feasible state (fastest);
       "canonical" - deterministic minimal-slip witness (see module doc).
     The verdict itself is identical under either policy; any other
-    policy is a ValueError, as is a model without contacts or with a
-    non-finite number (``model.check_finite``).
+    policy is a ValueError, as is a model without contacts, with a
+    non-finite number or with a zero-length normal
+    (``model.check_finite``).
 
     Once the input is checked, and before any state is enumerated, one
     friction-cone separation test (``_separating_direction``) runs: where

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from graspstab import Contact, GraspModel
+from graspstab.generate import balanced_preload, random_grasp
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
@@ -29,6 +30,28 @@ def four_contact(preloaded: bool = False) -> GraspModel:
     normals = [(-1, 0), (-1, 0), (1, 0), (1, 0)]
     contacts = [Contact(p, n, 0.5) for p, n in zip(positions, normals)]
     return GraspModel(contacts, preload=FOUR_PRELOAD if preloaded else None)
+
+
+def off_centre_grasp(m: int, rng, *, preload: bool = False,
+                     detachment: bool = False) -> GraspModel:
+    """random_grasp(m, rng) with contact i moved along its tangent, to
+    rho_i n_i + tau_i t_i with tau_i ~ U(-0.8, 0.8), and a balanced
+    preload when preload is set.
+
+    random_grasp's normals all meet at the origin, so a pure rotation
+    moves no contact along its normal and every region state is
+    singular; here they need not meet, and region states are direct.
+    The slip planes stay random_grasp's, since t_i x t_i = 0. rng is a
+    numpy Generator, drawn from in that order.
+    """
+    base = random_grasp(m, rng=rng, detachment=detachment)
+    tau = rng.uniform(-0.8, 0.8, m)
+    model = GraspModel([Contact(c.position + t * c.tangent, c.normal, c.mu)
+                        for c, t in zip(base.contacts, tau)],
+                       options=base.options)
+    if preload:
+        model.preload = balanced_preload(model)
+    return model
 
 
 def cell_euler(states) -> tuple[int, int]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import types
 
 from conftest import REPO
 
@@ -54,3 +55,17 @@ def test_report_names_each_field():
     # seven differ: five keys are shown, and no change for an int field
     assert lines[2].endswith("7 differ: q0, q1, q2, q3, q4, ...")
     assert lines[3].endswith("1 differ, largest change 0.25: q1")
+
+
+def test_off_centre_records_are_the_counted_ones(monkeypatch):
+    # every graspstab call stubbed: only the keys are counted
+    for name in ("_enumeration", "_verdict", "_sweep"):
+        monkeypatch.setattr(compare_outputs, name, lambda value: None)
+    stub = types.SimpleNamespace(**{
+        name: lambda *args, **kwargs: None for name in (
+            "enumerate_slip_states", "check_stability",
+            "brute_force_verdict", "max_resistible")})
+    records = compare_outputs.off_centre_records(stub)
+    assert len(records) == 2960
+    assert "2,960 in all" in compare_outputs.__doc__
+    assert "corpus of 14,422 calls" in compare_outputs.__doc__

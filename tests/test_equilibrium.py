@@ -332,8 +332,8 @@ def test_every_lp_of_a_state_starts_from_its_stored_rows(monkeypatch):
     prep = batch[p]
     assert not prep.direct and batch[p] is prep
     k = prep.null.shape[1]
-    assert np.array_equal(prep.rows, np.vstack(
-        [prep.system.a_in @ prep.null, prep.null, -prep.null]))
+    # the state's own inequality rows in z, and no box rows beside them
+    assert np.array_equal(prep.rows, prep.system.a_in @ prep.null)
     seen = _spy_rows(monkeypatch)
     assert prep.passes_screen(w)
     assert _singular_span(prep, w, 10.0) is not None
@@ -361,8 +361,9 @@ def test_every_lp_of_a_state_starts_from_its_stored_rows(monkeypatch):
 
 
 def test_a_point_that_hits_the_first_box_takes_the_second(monkeypatch):
-    # with BOX_HIT 0 every point hits its box, so the X_MAX box runs next;
-    # at 1e-2 the first box, 100 |x_p| = 1e4, lies within X_MAX
+    # the hit test reads |z|, and this point is x_p itself, z = 0: with
+    # BOX_HIT below 0 every point hits its box, so the X_MAX box runs
+    # next; at 1e-2 the first box, 100 |x_p| = 1e4, lies within X_MAX
     from graspstab import equilibrium, nullspace_lp
 
     model, w, states, p = _soft_state(1e-2)
@@ -375,11 +376,10 @@ def test_a_point_that_hits_the_first_box_takes_the_second(monkeypatch):
         return solve(g, h, c, lo, hi)
 
     monkeypatch.setattr(nullspace_lp, "small_lp", spy)
-    monkeypatch.setattr(equilibrium, "BOX_HIT", 0.0)
+    monkeypatch.setattr(equilibrium, "BOX_HIT", -1.0)
     sol = linear_feasibility(prep, w)
-    # the z bound of a box B is 2 sqrt(n) B (_box_program)
-    at_x_max = 2.0 * np.sqrt(prep.system.n) * X_MAX
-    assert len(bounds) == 2 and bounds[0] < at_x_max and bounds[1] == at_x_max
+    # the box bounds z itself: the second is X_MAX
+    assert len(bounds) == 2 and bounds[0] < X_MAX and bounds[1] == X_MAX
     assert sol is not None
     eq_tol = equilibrium._eq_tol(w, prep.b_max)[1]
     assert check_solution(model, w, sol)["max_violation"] <= \

@@ -167,8 +167,9 @@ def _with(model, i, **changes):
 
 
 def _bad_models():
-    """Models no computation can run past: no contacts, or a non-finite
-    position, normal, mu, stiffness or preload."""
+    """Models no computation can run past: no contacts, a non-finite
+    position, normal, mu, stiffness or preload, or a normal of zero
+    length."""
     stiffness = np.ones(3)
     stiffness[2] = math.inf
     preload = np.array(THREE_PRELOAD)
@@ -178,7 +179,8 @@ def _bad_models():
             _with(three_contact(), 0, normal=(math.nan, 0.0)),
             _with(three_contact(), 0, mu=math.nan),
             GraspModel(three_contact().contacts, stiffness=stiffness),
-            GraspModel(three_contact().contacts, preload=preload)]
+            GraspModel(three_contact().contacts, preload=preload),
+            _with(three_contact(), 2, normal=(0.0, 0.0))]
 
 
 ENTRY_POINTS = {

@@ -24,7 +24,7 @@ from scipy.optimize import linprog
 from graspstab import (check_stability, enumerate_slip_states,
                        load_grasp_file, max_resistible, nullspace_lp)
 from graspstab.nullspace_lp import small_lp
-from graspstab.params import LP_REL
+from graspstab.params import LP_REL, MARGIN_CAP, X_MAX
 from graspstab.stability import _feasible_states, _own_point
 
 from conftest import FIXTURES
@@ -238,10 +238,20 @@ def _recorded_lps(monkeypatch):
 def test_small_lp_replays_the_queries_lps_as_highs_solves_them(monkeypatch):
     calls = _recorded_lps(monkeypatch)
     assert len(calls) > 200
-    sizes = [len(h) for _g, h, *_ in calls]
-    assert min(sizes) >= 22 and max(sizes) >= 34
-    # every one repeats some row
-    assert all(len(np.unique(g, axis=0)) < len(g) for g, *_ in calls)
+    # each LP's rows are one state's inequalities a_in N alone, at most
+    # three a contact: 12 at m = 4, fewer than any block of N's 9 or 11
+    # rows stacked beside them would leave
+    assert max(len(h) for _g, h, *_ in calls) <= 12
+    for g, h, c, lo, hi in calls:
+        # z is boxed through its bounds, symmetric and within X_MAX; a
+        # screen's box is X_MAX itself
+        assert lo[0] == -hi[0] and hi[0] <= X_MAX
+        if not np.any(c):
+            assert np.all(lo == -X_MAX) and np.all(hi == X_MAX)
+        elif np.ndim(c) == 2 or lo[-1] < 0.0:
+            # a point's LP, the witness's or one of max-min slack: its
+            # margin, the last variable, enters every row
+            assert np.all(g[:, -1] == -1.0) and hi[-1] == MARGIN_CAP
     feasible = 0
     for g, h, c, lo, hi in calls:
         y = small_lp(g, h, c, lo, hi)

@@ -20,7 +20,8 @@ from graspstab.grasp_io import load_grasp_file
 from graspstab.params import FLAT_REL, WITNESS_DIGITS, WITNESS_TIE
 from graspstab.stability import _feasible_states, _separating_direction
 
-from conftest import FIXTURES, REPO, four_contact, three_contact
+from conftest import (FIXTURES, REPO, four_contact, off_centre_grasp,
+                      three_contact)
 from test_arrangement import degenerate_grasps
 
 
@@ -687,6 +688,28 @@ def test_degenerate_verdicts_match_independent_oracle(case):
             oracle.oracle_verdict(model, w, detachment), w
 
 
+def test_off_centre_verdicts_match_independent_oracle():
+    # 100 off-centre grasps of m = 2-5, a balanced preload in every other
+    # pair and the detachment mode alternating, each under one load drawn
+    # as criterion 4 draws it: their region states are direct, which no
+    # random_grasp's are
+    rng = np.random.default_rng(18)
+    direct = regions = 0
+    for q in range(100):
+        detachment = bool(q % 2)
+        model = off_centre_grasp(2 + q % 4, rng, preload=(q // 4) % 2 == 1,
+                                 detachment=detachment)
+        w = rng.normal(size=3) * np.array([2.0, 2.0, 1.5])
+        states = enumerate_slip_states(model, detachment=detachment)
+        assert check_stability(model, w, witness_policy="first",
+                               states=states).stable == \
+            oracle.oracle_verdict(model, w, detachment), (q, w)
+        region = states.prepared.direct[states.dim_rank == 3]
+        direct, regions = direct + int(region.sum()), regions + len(region)
+    # 618 of 740
+    assert 2 * direct > regions
+
+
 # ---------------------------------------------------------------------------
 # metamorphic: contact relabelling
 # ---------------------------------------------------------------------------
@@ -823,3 +846,30 @@ def test_length_scaling_keeps_verdict_and_states_tried(path, scale):
                 assert (sv.stable, sv.states_tried) == \
                     (v.stable, v.states_tried), (detachment, policy, fx, fy,
                                                  tz)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e3, 1e6])
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.grasp")),
+                         ids=lambda p: p.stem)
+def test_force_scaling_keeps_verdict(path, scale):
+    # stiffness, preload and wrench scaled together by k: the same motion
+    # with every force times k solves the same states. Under "first",
+    # verdicts and states tried hold from k = 1e-6 to 1e3, and verdicts
+    # at 1e6, since singular states' LPs box their null-space
+    # coordinates, not the forces. The tolerances are still absolute:
+    # at 1e6 states_tried moves on 30 of the 180 queries with
+    # detachment, and on preloaded m = 5 random grasps verdicts still
+    # flip, mostly at the all-stick origin state
+    model = load_grasp_file(path)[0]
+    scaled = GraspModel(model.contacts, stiffness=model.stiffness * scale,
+                        preload=model.preload * scale, options=model.options)
+    for detachment in (False, True):
+        for w in GRID_WRENCHES:
+            v = check_stability(model, w, detachment=detachment,
+                                witness_policy="first")
+            sv = check_stability(scaled, scale * np.array(w, dtype=float),
+                                 detachment=detachment,
+                                 witness_policy="first")
+            assert sv.stable == v.stable, (detachment, w)
+            if scale < 1e6:
+                assert sv.states_tried == v.states_tried, (detachment, w)

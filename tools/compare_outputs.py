@@ -4,7 +4,7 @@ Usage:
 
     python3 tools/compare_outputs.py PARENT_CHECKOUT
 
-Runs one fixed corpus of 11,462 calls with this checkout's ``src/`` and
+Runs one fixed corpus of 14,422 calls with this checkout's ``src/`` and
 then with ``PARENT_CHECKOUT/src``, each in a child process, and compares
 the records with == on the raw floats. It prints, per field, the count
 of records that differ and up to five of their keys, with the largest
@@ -20,6 +20,10 @@ The corpus:
 - 40 random_grasp models (m = 2-5, seeds 1000-1039, preload "auto" and
   "none" alternating) x 12 loads x both modes x both policies, shared and
   fresh (3,840), and brute_force_verdict where m <= 4 (720);
+- 20 off-centre grasps (tests/conftest.py's off_centre_grasp, whose
+  normals need not meet in one point), drawn and queried as the random
+  models: 1,920 queries, 360 brute_force_verdict records, 640 sweeps and
+  40 enumerations (2,960 in all);
 - max_resistible along 16 directions per grasp and mode, on a shared
   SlipStateSet: fixtures (128) and random models (1,280);
 - criterion 4's 200 queries (tests/test_acceptance.py) under both
@@ -36,7 +40,8 @@ max_eq_residual and min_ineq_slack; a max_resistible result's are
 magnitude, bracket and stable_intervals; an enumeration's are labels,
 dim_rank, signs and witness, and each cell class's signs and witness.
 The oracle_mix inputs are built
-by this checkout's ``stabbench/workloads.py`` on both sides.
+by this checkout's ``stabbench/workloads.py``, and the off-centre grasps by
+its ``tests/conftest.py``, on both sides.
 """
 
 from __future__ import annotations
@@ -62,6 +67,8 @@ DIRECTIONS = 16
 WRENCH_SCALE = (2.0, 2.0, 1.5)
 # the keys of records that differ shown per field
 SHOWN = 5
+# off-centre grasps in the corpus
+OFF_CENTRE = 20
 # (contacts, generator seed, detachment) of the benchmark's
 # enumerate_large grasps
 LARGE_GRASPS = [(12, 0, False), (6, 0, True), (16, 0, False),
@@ -127,6 +134,28 @@ def _grasp_records(gs, tag, model, loads, brute):
     return out
 
 
+def off_centre_records(gs) -> dict:
+    """The records of OFF_CENTRE grasps from tests/conftest.py's
+    off_centre_grasp (m = 2-5, seeds 2000-2019, balanced preload and none
+    alternating in fours), each under 12 loads drawn as the random
+    models' are."""
+    import numpy as np
+
+    sys.path.insert(0, str(REPO / "tests"))
+    from conftest import off_centre_grasp
+
+    out = {}
+    for i in range(OFF_CENTRE):
+        m, seed = 2 + i % 4, 2000 + i
+        model = off_centre_grasp(m, np.random.default_rng(seed),
+                                 preload=(i // 4) % 2 == 1)
+        loads = np.random.default_rng([seed, 1]).normal(size=(12, 3)) \
+            * WRENCH_SCALE
+        out.update(_grasp_records(gs, f"offcentre{seed}", model, loads,
+                                  m <= 4))
+    return out
+
+
 def dump() -> dict:
     """Every record of the corpus, by key, under the graspstab on the
     path."""
@@ -148,6 +177,7 @@ def dump() -> dict:
         loads = np.random.default_rng([seed, 1]).normal(size=(12, 3)) \
             * WRENCH_SCALE
         out.update(_grasp_records(gs, f"random{seed}", model, loads, m <= 4))
+    out.update(off_centre_records(gs))
 
     for m, seed, det in LARGE_GRASPS:
         out[f"enumerate_large/m{m}-s{seed}-{'det' if det else 'nodet'}"] = \
