@@ -20,7 +20,7 @@ from .arrangement import DETACHED
 from .equilibrium import EquilibriumSolution, PreparedStates
 from .model import (GraspModel, as_wrench, build_maps, check_finite,
                     cone_edges, cross2)
-from .params import (INEQ_SLACK, SINGULAR_REL, SLICE_DIGITS, SLICE_EDGE,
+from .params import (INEQ_SLACK, RANK_EPS, SLICE_DIGITS, SLICE_EDGE,
                      SLICE_PLANE, STICK_MOTION, ZERO_PRELOAD)
 from .stability import Verdict, _feasible_states
 
@@ -208,7 +208,7 @@ def linear_compliance_verdict(model: GraspModel, w,
         stiffness += k_t[i] * np.outer(tcol, tcol)
 
     sv = np.linalg.svd(stiffness, compute_uv=False)
-    if sv[-1] <= SINGULAR_REL * max(sv[0], 1.0):
+    if sv[-1] <= RANK_EPS * 3 * sv[0]:
         return Verdict(stable=False, witness=None, states_tried=1,
                        detachment=False)
     d = np.linalg.solve(stiffness, w)

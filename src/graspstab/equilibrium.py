@@ -51,7 +51,7 @@ from .model import (GraspMaps, GraspModel, as_wrench, build_maps, cross2,
                     tangent_of)
 from .params import (BOX_HIT, EQ_RESIDUAL, FLAT_REL, INEQ_SLACK,
                      LADDER_START, LP_REL, MARGIN_CAP, PROJECTION_SKIP,
-                     RANK_EPS, SINGULAR_REL, X_MAX)
+                     RANK_EPS, X_MAX)
 
 __all__ = [
     "StateSystem",
@@ -201,17 +201,19 @@ def _solution_from_x(sys: StateSystem, x: np.ndarray,
 class PreparedState:
     """One slip state's system at zero load and its solution family.
 
-    The load w enters only b_eq, so all of these are affine in w. The
-    equalities' solutions are x_p(w) + null @ z, with x_p(w) = x0 + gain @ w
-    their least-norm solution, from the pseudo-inverse of the condensed
-    system at the SINGULAR_REL cutoff, and its inequality slacks a_in
-    x_p(w) = s0 + slack_gain @ w. The equalities are consistent when
-    cons0 + cons_gain @ w, their right-hand side in an orthonormal basis
-    of their left null space at the RANK_EPS cutoff (zero-padded to 3 + m
-    rows), is small enough (``_eq_tol``, with b_max the largest
-    |b_eq[3:]|). A direct state has an empty null basis and rows None; a
-    singular one's rows a_in N, its inequalities in the null-space
-    coordinates z, start each of its LPs, whose box bounds z alone.
+    The load w enters only b_eq, so all of these are affine in w. One
+    numerical rank, the condensed block's singular values above RANK_EPS
+    (3 + s) s_max, decides all of them. The equalities' solutions are
+    x_p(w) + null @ z, with x_p(w) = x0 + gain @ w their least-norm
+    solution, from the pseudo-inverse of the condensed system at that
+    rank, and its inequality slacks a_in x_p(w) = s0 + slack_gain @ w.
+    The equalities are consistent when cons0 + cons_gain @ w, their
+    right-hand side in an orthonormal basis of their left null space at
+    the same rank (zero-padded to 3 + m rows), is small enough
+    (``_eq_tol``, with b_max the largest |b_eq[3:]|). A direct state has
+    an empty null basis and rows None; a singular one's rows a_in N, its
+    inequalities in the null-space coordinates z, start each of its LPs,
+    whose box bounds z alone.
     """
 
     system: StateSystem
@@ -253,11 +255,6 @@ class PreparedState:
         return nullspace_lp.small_lp(
             self.rows, -(self.s0 + self.slack_gain @ w + INEQ_SLACK),
             np.zeros(k), np.full(k, -X_MAX), np.full(k, X_MAX)) is not None
-
-    def ladder_point(self, w: np.ndarray) -> EquilibriumSolution | None:
-        """The singular state's point under w, from the two boxes of
-        ``linear_feasibility``; None where neither gives one."""
-        return linear_feasibility(self, w)
 
 
 def _inverse_cholesky(a: np.ndarray) -> np.ndarray:
@@ -315,15 +312,19 @@ def _condense(model: GraspModel, maps: GraspMaps, labels: np.ndarray):
     right-hand side in its left null space, the consistency test of
     ``solve_state``.
 
+    A block's singular values live above RANK_EPS (3 + s) s_max, numpy
+    lstsq's cutoff, and that one mask gives its rank to the pseudo-inverse
+    solution, the null space and the consistency map alike.
+
     Returns x (S, n, 4 + 3 + m): each state's x_p(w) in the full
     unknowns, with x0 and gain as its first four columns, expanded from
-    the pseudo-inverse solution at the SINGULAR_REL cutoff (not yet the
-    least-norm point of a singular state), then its right singular
-    vectors expanded, E V, whose columns live to 3 + s span the null
-    space; slack (S, 3m, 4), the inequality slots at x_p, and their
-    validity (S, 3m); cons (S, 3 + m, 4), the consistency map; live (S,),
-    the count of singular values above the SINGULAR_REL cutoff; the
-    size 3 + s of each condensed block (S,); and max|b_eq[3:]| (S,).
+    the pseudo-inverse solution (not yet the least-norm point of a
+    singular state), then its right singular vectors expanded, E V,
+    whose columns live to 3 + s span the null space; slack (S, 3m, 4),
+    the inequality slots at x_p, and their validity (S, 3m); cons (S,
+    3 + m, 4), the consistency map; live (S,), the count of live
+    singular values; the size 3 + s of each condensed block (S,); and
+    max|b_eq[3:]| (S,).
     """
     count, m = labels.shape
     width = 3 + m
@@ -377,17 +378,16 @@ def _condense(model: GraspModel, maps: GraspMaps, labels: np.ndarray):
     back = np.empty_like(by_s)
     back[by_s] = np.arange(count)
     u3, sv, v = u3[back], sv[back], v[back]
-    keep = sv > SINGULAR_REL * sv[:, :1]
-    live = keep.sum(axis=1)
-    rank = (sv > RANK_EPS * (3 + sticking[:, None]) * sv[:, :1]).sum(axis=1)
+    # the one numerical rank of each block: the singular values that live
+    live = sv > RANK_EPS * (3 + sticking[:, None]) * sv[:, :1]
     # b_c in the left singular vectors: only its equilibrium rows are not
     # zero
     ub = u3.transpose(0, 2, 1) @ b
-    y = v @ (np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)[..., None]
+    y = v @ (np.divide(1.0, sv, out=np.zeros_like(sv), where=live)[..., None]
              * ub)
     # in the weighted rows the left null basis of C beyond the rank is an
     # orthonormal basis of the full system's left null space
-    cons = ub * (np.arange(width) >= rank[:, None])[..., None]
+    cons = ub * ~live[..., None]
 
     # x_p and every right singular vector, expanded to the full unknowns
     yv = np.concatenate([y, v], axis=2)
@@ -403,7 +403,8 @@ def _condense(model: GraspModel, maps: GraspMaps, labels: np.ndarray):
     slack = _slots(labels, mu, normal[..., :4], tangent[..., :4],
                    motion[..., :4])
     return (x, slack, _SLOT_VALID[labels + 1].reshape(count, 3 * m), cons,
-            live, 3 + sticking, np.abs(preload).max(axis=1, initial=0.0))
+            live.sum(axis=1), 3 + sticking,
+            np.abs(preload).max(axis=1, initial=0.0))
 
 
 def _slots(labels: np.ndarray, mu: np.ndarray, normal: np.ndarray,
@@ -521,9 +522,9 @@ class PreparedStates:
         A direct state is kept when its slacks at x_p(w) pass, which
         makes it feasible. A singular one is kept when its equalities
         pass the consistency test of ``solve_state`` and, where its null
-        space is a line, when it passes its screen too
-        (``_line_screen``): a kept state that ``screened`` marks holds,
-        and only a singular one it leaves unmarked is still to be decided.
+        space is a line, when it passes its screen too: a kept state that
+        ``screened`` marks holds, and only a singular one it leaves
+        unmarked is still to be decided.
         """
         return np.flatnonzero(self._decide(w)[0])
 
@@ -539,8 +540,13 @@ class PreparedStates:
         lines = None
         line = np.flatnonzero(keep & self.screened)
         if len(line):
+            # the screen LP of ``PreparedState.passes_screen`` in its one
+            # variable z: the rows a_in n z >= -(slots + INEQ_SLACK) that
+            # are not padding, and |z| <= X_MAX
             lines = self._lines(line, w)
-            keep[line] = self._line_screen(lines)
+            keep[line] = nullspace_lp.lines_hold(
+                lines.rows, -(lines.slack + INEQ_SLACK), self._valid[line],
+                X_MAX)
         return keep, slack, lines
 
     def _lines(self, p: np.ndarray, w: np.ndarray) -> _Lines:
@@ -557,17 +563,6 @@ class PreparedStates:
                        self._maps.motion.T @ x[:, :3])
         return _Lines(p, x[..., 0] + x[..., 1:4] @ w, null,
                       slots[..., 0] + slots[..., 1:4] @ w, slots[..., 4])
-
-    def _line_screen(self, lines: _Lines) -> np.ndarray:
-        """Whether each state of lines passes
-        ``PreparedState.passes_screen``'s LP.
-
-        Over x = x_p(w) + n z the LP has one variable, the rows
-        lines.rows z >= -(slots + INEQ_SLACK) that are not padding and
-        |z| <= X_MAX, decided by ``nullspace_lp.lines_hold``.
-        """
-        return nullspace_lp.lines_hold(lines.rows, -(lines.slack + INEQ_SLACK),
-                                       self._valid[lines.p], X_MAX)
 
     def slip_speeds(self, w: np.ndarray):
         """(positions, speeds, read) of the canonical witness under w.
@@ -725,11 +720,10 @@ def solve_state(model: GraspModel, w, state: tuple | PreparedState
     other state is decided in its null space (``PreparedState.passes_screen``):
     the consistency test, then one feasibility LP over the whole null
     space; the two boxes of ``linear_feasibility`` then run only to
-    produce the point (``PreparedState.ladder_point``). Both tests reject
-    only what those boxes would, so the point is the one they alone
-    return. A PreparedState is used as it is; a label vector is
-    prepared first. This is the one-state path: a query decides its
-    singular states of nullity 1 in the batch
+    produce the point. Both tests reject only what those boxes would, so
+    the point is the one they alone return. A PreparedState is used as
+    it is; a label vector is prepared first. This is the one-state path:
+    a query decides its singular states of nullity 1 in the batch
     (``PreparedStates.candidates``) and calls this only for the others.
     """
     if isinstance(state, PreparedState):
@@ -741,7 +735,7 @@ def solve_state(model: GraspModel, w, state: tuple | PreparedState
         if np.min(prep.s0 + prep.slack_gain @ w, initial=np.inf) < -INEQ_SLACK:
             return None
         return prep.solution_at(w)
-    return prep.ladder_point(w) if prep.passes_screen(w) else None
+    return linear_feasibility(prep, w) if prep.passes_screen(w) else None
 
 
 def _eq_tol(w: np.ndarray, b_max):

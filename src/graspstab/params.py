@@ -9,15 +9,12 @@ where it is used; none is a parameter of any function.
 EQ_RESIDUAL = 1e-9
 # inequality slack accepted on a solution (>= -INEQ_SLACK passes)
 INEQ_SLACK = 1e-8
-# relative singular-value cutoff below which a square system is
-# handed to the feasibility program instead of a direct solve; the
-# right singular vectors below it span the null space that the
-# feasibility screen searches
-SINGULAR_REL = 1e-10
-# rank cutoff of the consistency test, per row or column of the
-# equality block: singular values at most
-# RANK_EPS * max(rows, cols) * s_max count as zero (numpy lstsq's
-# default), and their left singular vectors must annihilate b_eq
+# numerical rank of a square system, per row of it: singular values at
+# most RANK_EPS * rows * s_max count as zero (numpy lstsq's default).
+# One rank decides a slip state: a system of full rank is solved
+# directly; otherwise the right singular vectors beyond it span the
+# null space that the feasibility program searches, and the left ones
+# must annihilate b_eq (the consistency test)
 RANK_EPS = 2.220446049250313e-16
 # a state is flat for the canonical witness when each of its slip
 # rows has norm in the null-space coordinates at most FLAT_REL times

@@ -34,7 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import equilibrium
 from .arrangement import SlipStateSet, enumerate_slip_states
+# a singular state's point is called as equilibrium.linear_feasibility and
+# the canonical witness's LP by this module's name, so that a trace
+# (stabbench/tracing.py) tells the two apart
 from .equilibrium import (EquilibriumSolution, PreparedState, PreparedStates,
                           linear_feasibility, solve_state)
 # unused here; the benchmark's traced run wraps it under this module's
@@ -274,7 +278,7 @@ def _feasible_states(model: GraspModel, states: PreparedStates, w,
     passed its screen in the batch. With first, the walk ends at the
     first feasible state, and so does the count of states tried; value
     is its solution: a marked candidate's from the LPs of its point
-    (``PreparedState.ladder_point``), any other singular one's from
+    (``linear_feasibility``), any other singular one's from
     ``solve_state``. Without it, value is the slip speeds that the batch
     reads at the state's point of the canonical witness
     (``PreparedStates.slip_speeds``), or None where its own LP is to
@@ -292,12 +296,12 @@ def _feasible_states(model: GraspModel, states: PreparedStates, w,
         prep = states[p]
         if prep.direct:
             sol = prep.solution_at(w)
+        elif states.screened[p]:
+            sol = equilibrium.linear_feasibility(prep, w)
         else:
-            sol = prep.ladder_point(w) if states.screened[p] \
-                else solve_state(model, w, prep)
-            if sol is None:
-                continue
-        return p + 1, [(p, sol)]
+            sol = solve_state(model, w, prep)
+        if sol is not None:
+            return p + 1, [(p, sol)]
     return len(states), []
 
 
@@ -371,7 +375,7 @@ def _own_point(st: PreparedState, w
     its point is its own solution, as is that of a state whose LP
     fails. One LP (``linear_feasibility`` with the objective stack)
     gives any other state's point. A singular state's own solution is
-    the point of its two boxes (``PreparedState.ladder_point``); a state
+    the point of its two boxes (``linear_feasibility``); a state
     for which they give none holds nowhere.
     """
     sys = st.system
@@ -388,7 +392,7 @@ def _own_point(st: PreparedState, w
         if lex is not None:
             sol = lex
     if sol is None:
-        sol = st.ladder_point(w)
+        sol = equilibrium.linear_feasibility(st, w)
     if sol is None:
         return None
     speeds = np.zeros(len(sys.labels))

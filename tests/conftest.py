@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib.util
 from collections import deque
 from pathlib import Path
 
@@ -11,6 +12,13 @@ from graspstab.generate import balanced_preload, random_grasp
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
+
+# the exhaustive oracle of stabbench/, a directory of scripts and not a
+# package: it shares nothing with the package's batch of states
+_spec = importlib.util.spec_from_file_location(
+    "stabbench_oracle", REPO / "stabbench" / "oracle.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 THREE_PRELOAD = [[1.0, -0.5], [1.0, 0.0], [1.0, 0.5]]
 FOUR_PRELOAD = [[1.0, 0.0]] * 4
@@ -52,6 +60,19 @@ def off_centre_grasp(m: int, rng, *, preload: bool = False,
     if preload:
         model.preload = balanced_preload(model)
     return model
+
+
+def criterion_4_stream():
+    """Criterion 4's queries (model, w), drawn one after another from
+    seed 27182: random_grasp of m = 2-5 with detachment, a balanced
+    preload on about half, under a load of scale (2, 2, 1.5)."""
+    rng = np.random.default_rng(27182)
+    while True:
+        m = int(rng.integers(2, 6))
+        model = random_grasp(m, rng=rng,
+                             preload="auto" if rng.random() < 0.5 else "none",
+                             detachment=True)
+        yield model, rng.normal(size=3) * np.array([2.0, 2.0, 1.5])
 
 
 def cell_euler(states) -> tuple[int, int]:

@@ -20,8 +20,8 @@ from graspstab.arrangement import DETACHED
 from graspstab.baselines import polygon_contains
 from graspstab.generate import random_grasp
 
-from conftest import (cell_euler, four_contact, partial_cube_problem,
-                      three_contact)
+from conftest import (cell_euler, criterion_4_stream, four_contact,
+                      partial_cube_problem, three_contact)
 
 VALUE_TOL = 1e-6
 RESIDUAL_TOL = 1e-9
@@ -144,21 +144,15 @@ def test_criterion_3_state_counts():
 # 4 -------------------------------------------------------------------------
 
 def test_criterion_4_oracle_equivalence():
-    rng = np.random.default_rng(27182)
     mismatches = []
     slowest = 0.0
-    for run in range(200):
-        m = int(rng.integers(2, 6))
-        model = random_grasp(m, rng=rng,
-                             preload="auto" if rng.random() < 0.5 else "none",
-                             detachment=True)
-        w = rng.normal(size=3) * np.array([2.0, 2.0, 1.5])
+    for run, (model, w) in zip(range(200), criterion_4_stream()):
         t0 = time.perf_counter()
         fast = check_stability(model, w, witness_policy="first")
         slow = brute_force_verdict(model, w)
         slowest = max(slowest, time.perf_counter() - t0)
         if fast.stable != slow.stable:
-            mismatches.append((run, m, tuple(w)))
+            mismatches.append((run, model.m, tuple(w)))
     ok = not mismatches and slowest < 5.0
     _report("4 (oracle equivalence)", ok,
             f"{200 - len(mismatches)}/200 agree, slowest run {slowest:.2f}s"

@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from graspstab import (brute_force_verdict, build_maps, check_stability,
                        gws_l1, gws_slice, linear_compliance_verdict)
 from graspstab import Contact, GraspModel
 from graspstab.baselines import SliceError, polygon_contains
 from graspstab.generate import random_grasp
-from graspstab import lp
 
 from conftest import four_contact, three_contact
 
@@ -135,8 +135,10 @@ def test_gws_vertices_are_achievable(m3):
             rows.append(row)
             rhs.append(-1.0 if coef[0] < 0 else 0.0)
     for v in gws_l1(m3).vertices:
-        ok, _x = lp.solve_lp(np.zeros(n), maps.wrench, v, rows, rhs, -5, 5)
-        assert ok
+        res = linprog(np.zeros(n), A_ub=-np.array(rows), b_ub=-np.array(rhs),
+                      A_eq=maps.wrench, b_eq=v, bounds=(-5, 5),
+                      method="highs")
+        assert res.status == 0
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from graspstab import (Contact, GraspModel, PreparedStates,
 from graspstab.arrangement import DETACHED
 from graspstab.equilibrium import EquilibriumSolution
 from graspstab.generate import random_grasp
-from graspstab.params import INEQ_SLACK, LP_REL, RANK_EPS, SINGULAR_REL, X_MAX
+from graspstab.params import INEQ_SLACK, LP_REL, RANK_EPS, X_MAX
 from graspstab.stability import _feasible_states, _own_point
 
 from conftest import four_contact, three_contact
@@ -141,7 +141,7 @@ def _count_calls(monkeypatch):
 
 def _nullity(sys):
     sv = np.linalg.svd(sys.a_eq, compute_uv=False)
-    return int(np.sum(sv <= SINGULAR_REL * sv[0]))
+    return int(np.sum(sv <= RANK_EPS * len(sv) * sv[0]))
 
 
 def test_inconsistent_singular_state_rejected_without_lp(m3, monkeypatch):
@@ -185,9 +185,9 @@ def test_null_space_screen_rejects_before_the_ladder(make, preloaded, w,
     model = make(preloaded)
     sys = assemble_state_system(model, w, labels)
     assert _nullity(sys) == nullity
-    x, margin = lp.max_min_slack(sys.a_eq, sys.b_eq, sys.a_in,
-                                 np.zeros(len(sys.a_in)), -100.0, 100.0)
-    assert x is not None and margin < -0.2
+    status, margin = _highs(sys, relax=0.0, bounds=(-100.0, 100.0),
+                            s_lo=None)
+    assert status == 0 and margin < -0.2
     calls = _count_calls(monkeypatch)
     assert solve_state(model, w, labels) is None
     assert calls == {"solve_lp": 0, "small_lp": 1, "linear_feasibility": 0}
@@ -456,15 +456,16 @@ REF_WRENCHES = sorted(
 REF_MARGIN = 1e-6
 
 
-def _highs(sys, *, relax, bounds):
-    """HiGHS on the state system: (status, max min slack capped at 1)."""
+def _highs(sys, *, relax, bounds, s_lo=0.0):
+    """HiGHS on the state system: (status, max min slack capped at 1
+    and, unless s_lo is None, at least s_lo)."""
     n = sys.n
     c = np.zeros(n + 1)
     c[-1] = -1.0  # maximize the margin s in a_in x - s >= -relax
     a_ub = np.hstack([-sys.a_in, np.ones((len(sys.a_in), 1))])
     a_eq = np.hstack([sys.a_eq, np.zeros((sys.a_eq.shape[0], 1))])
     res = linprog(c, A_ub=a_ub, b_ub=np.full(len(sys.a_in), relax), A_eq=a_eq,
-                  b_eq=sys.b_eq, bounds=[bounds] * n + [(0.0, 1.0)],
+                  b_eq=sys.b_eq, bounds=[bounds] * n + [(s_lo, 1.0)],
                   method="highs")
     return res.status, (-res.fun if res.status == 0 else None)
 
@@ -503,8 +504,8 @@ def test_solve_state_agrees_with_highs(make, preloaded):
 
 def _assert_condensed_matches_full(model, detachment, wrenches):
     """Every state of the batch, each prepared from its (3 + s)-square
-    condensed block, against one SVD of its (3 + 2m)-square full block at
-    the same cutoffs."""
+    condensed block, against one SVD of its (3 + 2m)-square full block
+    under the same rank rule."""
     states = enumerate_slip_states(model, detachment=detachment)
     batch = states.prepared
     for p, st in enumerate(states):
@@ -512,8 +513,7 @@ def _assert_condensed_matches_full(model, detachment, wrenches):
         a_eq = prep.system.a_eq
         n = a_eq.shape[0]
         u, sv, vt = np.linalg.svd(a_eq)
-        live = int(np.sum(sv > SINGULAR_REL * sv[0]))
-        rank = int(np.sum(sv > RANK_EPS * n * sv[0]))
+        live = int(np.sum(sv > RANK_EPS * n * sv[0]))
         assert prep.direct == (live == n), st.labels
         assert prep.null.shape[1] == n - live, st.labels
         null = vt[live:].T
@@ -531,7 +531,7 @@ def _assert_condensed_matches_full(model, detachment, wrenches):
         for w in np.asarray(wrenches, dtype=float):
             b_eq = prep.system.at(w).b_eq
             scale = max(1.0, np.abs(b_eq).max())
-            full = np.linalg.norm(u[:, rank:].T @ b_eq)
+            full = np.linalg.norm(u[:, live:].T @ b_eq)
             cons = np.linalg.norm(prep.cons0 + prep.cons_gain @ w)
             assert abs(cons - full) <= 1e-9 * (1 + scale), (st.labels, w)
             if prep.direct:
