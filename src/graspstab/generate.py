@@ -8,6 +8,7 @@ common line), which the quadratic state-count law assumes.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -63,17 +64,22 @@ def random_grasp(m: int, rng=None, *, mu: float = 0.5, preload: str = "none",
 
 
 def _general_position(planes: np.ndarray) -> bool:
-    n = len(planes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(planes[i] @ planes[j]) > 1.0 - GENERAL_PARALLEL:
-                return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if abs(np.linalg.det(planes[[i, j, k]])) < GENERAL_DET:
-                    return False
-    return True
+    """True when no two unit plane normals have |cos| above
+    1 - GENERAL_PARALLEL and no three have |det| below GENERAL_DET.
+
+    Pairs, then triples, are tested in one array pass each. The stacked
+    matmul takes one vector dot per pair and det factors each 3 x 3 on
+    its own, so the decisions equal a per-pair, per-triple loop's bit for
+    bit, and so do the grasps drawn (tests/test_arrangement.py keeps the
+    loop as the reference).
+    """
+    i, j = np.triu_indices(len(planes), 1)
+    cos = planes[i][:, None] @ planes[j][:, :, None]
+    if np.any(np.abs(cos) > 1.0 - GENERAL_PARALLEL):
+        return False
+    triples = np.array(list(itertools.combinations(range(len(planes)), 3)),
+                       dtype=np.intp).reshape(-1, 3)
+    return not np.any(np.abs(np.linalg.det(planes[triples])) < GENERAL_DET)
 
 
 def balanced_preload(model: GraspModel) -> np.ndarray:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 
 import numpy as np
-import yaml
 
 from .model import Contact, GraspModel, Options, validate_model
 
@@ -72,6 +71,10 @@ def _pair(value, ctx):
 
 def parse_grasp_text(text: str) -> tuple[GraspModel, str]:
     """Parse and validate a grasp document; returns (model, name)."""
+    # PyYAML is imported here, not at the top, so that importing graspstab
+    # does not pay for it: only a grasp file's reader needs it
+    import yaml
+
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -158,9 +161,19 @@ def load_grasp_file(path) -> tuple[GraspModel, str]:
     return parse_grasp_text(text)
 
 
+def _quoted(text: str) -> str:
+    """text as a YAML double-quoted scalar, so a name such as "true",
+    "#1" or "a: b" reads back as itself. JSON's escapes are YAML's, but
+    YAML reads a surrogate pair as two characters, so a character beyond
+    U+FFFF is written as one \\U escape."""
+    return '"' + "".join(json.dumps(ch)[1:-1] if ch <= "\uffff"
+                         else f"\\U{ord(ch):08x}" for ch in text) + '"'
+
+
 def format_grasp(model: GraspModel, name: str = "generated") -> str:
-    """Render a model back to the file format."""
-    lines = [f"name: {name}", "contacts:"]
+    """Render a model back to the file format, which parse_grasp_text
+    reads back under the same name."""
+    lines = [f"name: {_quoted(str(name))}", "contacts:"]
     for c in model.contacts:
         px, py = (float(v) for v in c.position)
         nx, ny = (float(v) for v in c.normal)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -15,8 +16,9 @@ from graspstab.arrangement import (DETACHED, DualGraph, SlipState,
                                    facet_states, line_states,
                                    minimum_cycle_basis)
 from graspstab.cli import main
-from graspstab.generate import random_grasp
+from graspstab.generate import _general_position, random_grasp
 from graspstab.grasp_io import format_grasp
+from graspstab.params import GENERAL_DET, GENERAL_PARALLEL
 from graspstab.stability import check_stability, max_resistible
 
 from conftest import (cell_euler, four_contact, partial_cube_problem,
@@ -288,6 +290,68 @@ def test_count_law_random_grasps():
     for m in range(2, 7):
         states = enumerate_slip_states(random_grasp(m, rng=m), detachment=False)
         assert states.count_excluding_origin == 4 * m * m - 4 * m + 2
+
+
+def _general_position_loop(planes):
+    """The per-pair, per-triple rule _general_position batches."""
+    n = len(planes)
+    for i, j in itertools.combinations(range(n), 2):
+        if abs(planes[i] @ planes[j]) > 1.0 - GENERAL_PARALLEL:
+            return False
+    return not any(abs(np.linalg.det(planes[[i, j, k]])) < GENERAL_DET
+                   for i, j, k in itertools.combinations(range(n), 3))
+
+
+def _threshold_planes():
+    """(planes, in general position) just inside and just outside each
+    threshold, under a common rotation."""
+    cases = []
+    for f, sgn in itertools.product((0.99, 1.01), (1.0, -1.0)):
+        # |cos| = 1 - f * GENERAL_PARALLEL: parallel for f < 1
+        c = sgn * (1.0 - f * GENERAL_PARALLEL)
+        cases.append(([[1.0, 0.0, 0.0], [c, np.sqrt(1.0 - c * c), 0.0]],
+                      f > 1.0))
+        # |det| = f * GENERAL_DET: through a common line for f < 1
+        z = sgn * f * GENERAL_DET
+        r = np.sqrt((1.0 - z * z) / 2.0)
+        cases.append(([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [r, r, z]], f > 1.0))
+    rot, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+    return [(np.asarray(p) @ rot.T, ok) for p, ok in cases]
+
+
+def test_general_position_batch_matches_loop(rng):
+    for planes, ok in _threshold_planes():
+        assert _general_position(planes) is ok
+        assert _general_position_loop(planes) is ok
+    for trial in range(300):
+        planes = rng.normal(size=(int(rng.integers(1, 25)), 3))
+        if trial % 2:
+            # a near-copy of one plane, 1e-12 to 1e-3 away
+            k = rng.integers(len(planes))
+            planes[rng.integers(len(planes))] = planes[k] \
+                + rng.normal(size=3) * 10.0 ** rng.uniform(-12, -3)
+        planes /= np.linalg.norm(planes, axis=1, keepdims=True)
+        assert _general_position(planes) is _general_position_loop(planes)
+
+
+# sha256 of random_grasp(m, seed)'s positions, normals and preloads over
+# seeds 0-19, taken from the per-pair, per-triple loop; 9 of the 29 draws
+# at m = 20 and 16 of the 36 at m = 24 are rejected and redrawn
+GRASP_DIGESTS = {
+    20: "d9901da6bbd931943bb2ed38d2bdb7cfb2236d5ca45d7524bae317ed9f56f179",
+    24: "85578d618e702651f335d242a5609617f732307e6a4baeeef390a08f1fa6f04d",
+}
+
+
+@pytest.mark.parametrize("m", sorted(GRASP_DIGESTS))
+def test_random_grasp_draws_are_pinned(m):
+    h = hashlib.sha256()
+    for seed in range(20):
+        model = random_grasp(m, seed)
+        for part in ([c.position for c in model.contacts],
+                     [c.normal for c in model.contacts], model.preload):
+            h.update(np.asarray(part, dtype=float).tobytes())
+    assert h.hexdigest() == GRASP_DIGESTS[m]
 
 
 def test_single_contact_three_states():

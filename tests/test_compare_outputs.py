@@ -68,4 +68,11 @@ def test_off_centre_records_are_the_counted_ones(monkeypatch):
     records = compare_outputs.off_centre_records(stub)
     assert len(records) == 2960
     assert "2,960 in all" in compare_outputs.__doc__
-    assert "corpus of 14,422 calls" in compare_outputs.__doc__
+    assert "corpus of 14,882 calls" in compare_outputs.__doc__
+
+
+def test_draw_records_are_the_counted_ones(monkeypatch):
+    monkeypatch.setattr(compare_outputs, "_draw", lambda model: None)
+    records = compare_outputs.draw_records(lambda m, seed: None)
+    assert len(records) == 460
+    assert "seeds 0-19\n  (460)" in compare_outputs.__doc__

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from graspstab.cli import main
 from graspstab.generate import random_grasp
 from graspstab.grasp_io import load_grasp_file
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO
 
 
 def test_fixture_files_parse():
@@ -65,8 +68,28 @@ def test_parse_rejects_a_name_that_is_no_scalar(line):
 
 
 def test_parse_rejects_bad_yaml():
-    with pytest.raises(GraspFileError):
-        parse_grasp_text("contacts: [unclosed\n")
+    with pytest.raises(GraspFileError) as err:
+        parse_grasp_text("name: grip\ncontacts: [unclosed\n")
+    # PyYAML is imported on the first parse; its error mark still reads
+    assert "not valid YAML (line 3)" in str(err.value)
+
+
+def test_yaml_is_loaded_only_to_read_a_grasp_file():
+    # graspstab and the submodules stabbench/run.py imports, in a fresh
+    # interpreter: PyYAML comes in with the first parse, not before
+    script = f"""
+import sys
+import graspstab
+import graspstab.arrangement, graspstab.equilibrium, graspstab.generate
+import graspstab.grasp_io, graspstab.lp, graspstab.model, graspstab.stability
+print("yaml" in sys.modules)
+graspstab.parse_grasp_text({ONE_CONTACT!r})
+print("yaml" in sys.modules)
+"""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 def test_format_round_trip():
@@ -77,6 +100,14 @@ def test_format_round_trip():
     assert np.allclose(back.preload, model.preload)
     assert all(np.allclose(a.position, b.position)
                for a, b in zip(back.contacts, model.contacts))
+
+
+@pytest.mark.parametrize("name", ["a: b", "- x", "true", "null", "#1",
+                                  "x # y", "", "42", "tab\there 'q' \"qq\" \\",
+                                  "Greifer ü – 把手", "grip \U0001F91D"])
+def test_format_round_trip_keeps_the_name(name):
+    text = format_grasp(random_grasp(3, rng=2), name=name)
+    assert parse_grasp_text(text)[1] == name
 
 
 def test_format_round_trip_keeps_near_equal_stiffness_and_tiny_preload():

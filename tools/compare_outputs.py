@@ -4,7 +4,7 @@ Usage:
 
     python3 tools/compare_outputs.py PARENT_CHECKOUT
 
-Runs one fixed corpus of 14,422 calls with this checkout's ``src/`` and
+Runs one fixed corpus of 14,882 calls with this checkout's ``src/`` and
 then with ``PARENT_CHECKOUT/src``, each in a child process, and compares
 the records with == on the raw floats. It prints, per field, the count
 of records that differ and up to five of their keys, with the largest
@@ -32,13 +32,16 @@ The corpus:
   under both policies (1,600);
 - the enumeration of each fixture and random model in both modes (88),
   and of the six enumerate_large grasps, random_grasp(m, seed,
-  detachment=det) for (m, seed, det) in LARGE_GRASPS (6).
+  detachment=det) for (m, seed, det) in LARGE_GRASPS (6);
+- the raw draws random_grasp(m, seed) for m = 2-24 and seeds 0-19
+  (460), which at m = 20 and 24 reject and redraw 9 and 16 times.
 
 A verdict's fields are stable, states_tried, first_feasible and
 separating_direction, and its witness's d, forces, labels, state_index,
 max_eq_residual and min_ineq_slack; a max_resistible result's are
 magnitude, bracket and stable_intervals; an enumeration's are labels,
-dim_rank, signs and witness, and each cell class's signs and witness.
+dim_rank, signs and witness, and each cell class's signs and witness;
+a draw's are its positions, normals and preload.
 The oracle_mix inputs are built
 by this checkout's ``stabbench/workloads.py``, and the off-centre grasps by
 its ``tests/conftest.py``, on both sides.
@@ -73,6 +76,9 @@ OFF_CENTRE = 20
 # enumerate_large grasps
 LARGE_GRASPS = [(12, 0, False), (6, 0, True), (16, 0, False),
                 (8, 0, True), (20, 1, False), (9, 3, True)]
+# contacts and seeds of the raw random_grasp draws
+DRAW_SIZES = range(2, 25)
+DRAW_SEEDS = range(20)
 
 
 def _floats(a):
@@ -109,6 +115,19 @@ def _enumeration(states) -> dict:
         rec.update({f"{kind}.signs": cells.signs.tolist(),
                     f"{kind}.witness": cells.witness.tolist()})
     return rec
+
+
+def _draw(model) -> dict:
+    return {"positions": [_floats(c.position) for c in model.contacts],
+            "normals": [_floats(c.normal) for c in model.contacts],
+            "preload": model.preload.tolist()}
+
+
+def draw_records(random_grasp) -> dict:
+    """The records of random_grasp(m, seed) over DRAW_SIZES x
+    DRAW_SEEDS, the draws and redraws of the general-position test."""
+    return {f"draw/m{m}-s{seed}": _draw(random_grasp(m, seed))
+            for m in DRAW_SIZES for seed in DRAW_SEEDS}
 
 
 def _grasp_records(gs, tag, model, loads, brute):
@@ -183,6 +202,7 @@ def dump() -> dict:
         out[f"enumerate_large/m{m}-s{seed}-{'det' if det else 'nodet'}"] = \
             _enumeration(gs.enumerate_slip_states(
                 random_grasp(m, seed, detachment=det), detachment=det))
+    out.update(draw_records(random_grasp))
 
     # criterion 4's stream, drawn as tests/test_acceptance.py draws it
     rng = np.random.default_rng(27182)
